@@ -19,8 +19,8 @@ Three gates:
   count the pre-coalescing implementation would have produced (the
   ``uncoalesced_copy_sends`` ledger), so the paper-facing
   message-complexity curve reflects coalesced batches;
-* a *scale gate*: checked 64-node convergence, verified against both
-  the Dijkstra oracle and the pure-kernel fixed point, inside the
+* a *scale gate*: checked 64-node convergence, verified against the
+  Dijkstra oracle and its digest-exact fixed point, inside the
   ten-second acceptance bound; 128 nodes runs in the default tier on
   counter gates only, and 256 nodes extends the curve behind the
   ``slow`` marker (nightly CI runs ``-m slow``).
@@ -36,7 +36,7 @@ import pytest
 from repro.analysis import render_table
 from repro.faithful import run_checked_construction, verify_checked_network
 from repro.faithful.node import KIND_CHECKER_COPY
-from repro.routing import verify_against_kernel
+from repro.routing import verify_epoch_equivalence
 from repro.workloads import random_biconnected_graph
 
 #: The checked 64-node acceptance number: the shared-kernel run takes
@@ -113,7 +113,7 @@ def test_bench_checked_convergence_64(benchmark):
         retry_elapsed, checked = run_checked(graph, shared=True)
         elapsed = min(elapsed, retry_elapsed)
     verify_checked_network(graph, checked)
-    verify_against_kernel(graph, checked.nodes)
+    verify_epoch_equivalence(graph, checked.nodes)
     print()
     print(
         render_table(
@@ -125,7 +125,7 @@ def test_bench_checked_convergence_64(benchmark):
               checked.kernel_stats.shared_hits,
               checked.kernel_stats.rows_ingested]],
             title="Checked 64-node convergence (shared kernel, "
-            "oracle + kernel verified)",
+            "oracle + fixed-point digests verified)",
         )
     )
     assert not checked.flags

@@ -151,10 +151,10 @@ def run_checked_churn(
     Every graph along the schedule (including the start) must be
     biconnected — the checking relation needs it.  With ``verify`` the
     runner asserts, after every epoch, that each node's DATA1/DATA2/
-    DATA3* digests are bit-identical to a fresh
-    :func:`~repro.routing.kernel.kernel_fixed_point` run on the
-    post-event graph and that every live mirror agrees with its
-    principal.  ``epoch_bump=False`` deliberately skips the
+    DATA3* digests are bit-identical to the fixed point of the
+    post-event graph (:func:`~repro.routing.engine.fixed_point_digests`)
+    and that every live mirror agrees with its principal.
+    ``epoch_bump=False`` deliberately skips the
     :meth:`~repro.routing.kernel.MirrorKernelPool.new_epoch` call on
     reconvergence (regression seam; see module docstring).  Optional
     ``traffic`` is routed after every epoch (including the initial

@@ -13,7 +13,6 @@ from .convergence import (
     run_construction_phases,
     run_plain_fpss,
     topology_from_graph,
-    verify_against_kernel,
     verify_against_oracle,
 )
 from .kernel import (
@@ -52,7 +51,7 @@ from .dynamic import (
     run_dynamic_fpss,
     verify_epoch_equivalence,
 )
-from .engine import RoutingEngine, engine_for
+from .engine import RoutingEngine, engine_for, fixed_point_digests
 from .graph import ASGraph, PathCost, figure1_graph
 from .lcp import (
     all_pairs_lcp,
@@ -105,7 +104,6 @@ __all__ = [
     "ReplayKernel",
     "SharedKernel",
     "kernel_fixed_point",
-    "verify_against_kernel",
     "KIND_COST_DECL",
     "KIND_PRICE_UPDATE",
     "KIND_RT_UPDATE",
@@ -128,6 +126,7 @@ __all__ = [
     "encode_avoid_vector",
     "encode_route_vector",
     "engine_for",
+    "fixed_point_digests",
     "figure1_graph",
     "lcp_cost",
     "lcp_tree",

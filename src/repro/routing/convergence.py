@@ -9,6 +9,16 @@ the incremental relaxations of :mod:`repro.routing.fpss`) is what the
 convergence sweep probe and the benchmarks measure; the knobs exist so
 the equivalence tests can run the same graph in every mode and compare
 fixed points.
+
+Oracles
+-------
+Both checks of a converged network read :mod:`repro.routing.engine`,
+never the replay kernel they check.  :func:`verify_against_oracle`
+compares routes and VCG prices entry by entry, with a float tolerance,
+and names the first wrong entry.
+:func:`~repro.routing.dynamic.verify_epoch_equivalence` compares the
+DATA1/DATA2/DATA3* digests, identity tags included, bit for bit against
+:func:`~repro.routing.engine.fixed_point_digests`.
 """
 
 from __future__ import annotations
@@ -22,7 +32,6 @@ from ..sim.simulator import Simulator
 from .engine import engine_for
 from .fpss import FPSSNode
 from .graph import ASGraph, Cost, NodeId
-from .kernel import kernel_fixed_point
 from .vcg_payments import route_payments
 
 
@@ -209,11 +218,16 @@ def verify_against_oracle(
     Raises
     ------
     ConvergenceError
-        On the first routing or pricing disagreement found.
+        For a graph node that is missing from ``nodes`` or never
+        started, or on the first routing or pricing disagreement found.
     """
     engine = engine_for(graph)
     for source in graph.nodes:
-        node = nodes[source]
+        node = nodes.get(source)
+        if node is None:
+            raise ConvergenceError(f"{source!r} is in the graph but has no node")
+        if node.comp is None:
+            raise ConvergenceError(f"{source!r} never started construction")
         routing = node.routing_table()
         pricing = node.pricing_table()
         tree = engine.tree(source)
@@ -246,35 +260,3 @@ def verify_against_oracle(
                         f"protocol said {actual}, oracle said {expected}"
                     )
 
-
-def verify_against_kernel(graph: ASGraph, nodes: Mapping[NodeId, FPSSNode]) -> None:
-    """Assert the converged tables equal the pure-kernel fixed point.
-
-    The second, protocol-independent oracle: :func:`~repro.routing.
-    kernel.kernel_fixed_point` iterates the same replay kernel in
-    synchronous rounds with no simulator, so agreement here checks the
-    *distribution* machinery (batching, delta wire format, delivery
-    order) against the bare state machine — digest-exact, DATA3* tags
-    included, which the Dijkstra oracle of :func:`verify_against_oracle`
-    cannot see.
-
-    Raises
-    ------
-    ConvergenceError
-        On the first digest disagreement.
-    """
-    kernels = kernel_fixed_point(graph)
-    for node_id, kernel in kernels.items():
-        comp = nodes[node_id].comp
-        if comp is None:
-            raise ConvergenceError(f"{node_id!r} never started construction")
-        if comp.routing_digest() != kernel.routing_digest():
-            raise ConvergenceError(
-                f"{node_id!r}: protocol DATA2 digest differs from the "
-                f"kernel fixed point"
-            )
-        if comp.pricing_digest() != kernel.pricing_digest():
-            raise ConvergenceError(
-                f"{node_id!r}: protocol DATA3* digest differs from the "
-                f"kernel fixed point"
-            )

@@ -22,12 +22,20 @@ The epoch-equivalence oracle
 ----------------------------
 :func:`verify_epoch_equivalence` is the correctness contract of the
 whole subsystem: after every reconvergence epoch, each surviving node's
-DATA1/DATA2/DATA3* digests must be *bit-identical* to a fresh
-:func:`~repro.routing.kernel.kernel_fixed_point` run on the post-event
-graph.  Incremental reconvergence from stale state must therefore be
-indistinguishable from never having seen the old topology at all —
-including withdrawals of unreachable destinations (partitions leave no
-stale entries) and retraction of departed nodes' declarations.
+DATA1/DATA2/DATA3* digests must be *bit-identical* to the fixed point
+of the post-event graph.  Incremental reconvergence from stale state
+must therefore be indistinguishable from never having seen the old
+topology at all — including withdrawals of unreachable destinations
+(partitions leave no stale entries) and retraction of departed nodes'
+declarations.
+
+The expected digests come from
+:func:`~repro.routing.engine.fixed_point_digests`, which derives the
+tables, identity tags included, from Dijkstra trees.  It shares no
+code with the replay kernel, so a kernel bug — a wrong tie-break, a
+dropped tag supplier — fails the check instead of being reproduced by
+it.  It is also several times cheaper than iterating the kernel to its
+fixed point, which keeps the check affordable inside every epoch.
 """
 
 from __future__ import annotations
@@ -47,7 +55,8 @@ from .convergence import (
 )
 from .fpss import FPSSNode
 from .graph import ASGraph, Cost, NodeId
-from .kernel import kernel_fixed_point, _sort_key
+from .engine import fixed_point_digests
+from .kernel import _sort_key
 
 __all__ = [
     "ChurnEvent",
@@ -73,17 +82,17 @@ def verify_epoch_equivalence(
     Digest-exact across all three tables: DATA1 (so departed nodes'
     declarations are retracted everywhere, not stale), DATA2 (so
     unreachable destinations are withdrawn, not retained), and DATA3*
-    (prices *and* identity tags).  This is strictly stronger than
-    :func:`~repro.routing.convergence.verify_against_kernel`, which
-    only compares DATA2/DATA3*.
+    (prices *and* identity tags).  The expected digests come from
+    :func:`~repro.routing.engine.fixed_point_digests`, not from the
+    replay kernel under test.
 
     Raises
     ------
     ConvergenceError
-        On the first digest disagreement.
+        For a graph node with no computation, or on the first digest
+        disagreement.
     """
-    kernels = kernel_fixed_point(graph)
-    for node_id, kernel in kernels.items():
+    for node_id, expected in fixed_point_digests(graph).items():
         node = nodes.get(node_id)
         comp = node.comp if node is not None else None
         if comp is None:
@@ -95,7 +104,7 @@ def verify_epoch_equivalence(
             ("DATA2", "routing_digest"),
             ("DATA3*", "pricing_digest"),
         ):
-            if getattr(comp, digest)() != getattr(kernel, digest)():
+            if getattr(comp, digest)() != getattr(expected, digest):
                 raise ConvergenceError(
                     f"{node_id!r}: {table} digest differs from the fresh "
                     f"fixed point on the post-event graph"

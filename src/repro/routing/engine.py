@@ -32,17 +32,26 @@ lets :meth:`RoutingEngine.cost` and the batched
 *either* endpoint.  When no tree covers the pair, a cost-only Dijkstra
 (no path reconstruction, no lexicographic tie-breaks: the minimum cost
 is the same for every tying path) fills a separate, lighter cache.
+
+:func:`fixed_point_digests` turns the trees into the protocol's own
+currency: the DATA1/DATA2/DATA3* digests every node must hold at the
+FPSS fixed point, identity tags included.  It shares no code with the
+replay kernel, so it is an independent oracle for the kernel's
+relaxation, pricing and tag semantics, not only for the distribution
+layer around it.
 """
 
 from __future__ import annotations
 
 import heapq
 import weakref
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..errors import GraphError, RoutingError
 from .graph import ASGraph, Cost, NodeId, PathCost
+from .tables import PricingTable, RouteEntry, RoutingTable, TransitCostTable
 
 _INF = float("inf")
 
@@ -705,3 +714,82 @@ def engine_for(graph: ASGraph) -> RoutingEngine:
         engine = RoutingEngine(graph)
         _ENGINES[graph] = engine
     return engine
+
+
+@dataclass(frozen=True)
+class TableDigests:
+    """The digests one node's tables must have at the FPSS fixed point.
+
+    Field names match the kernel's digest methods, so a converged
+    computation compares field by field.
+    """
+
+    cost_digest: str
+    routing_digest: str
+    pricing_digest: str
+
+
+def fixed_point_digests(graph: ASGraph) -> Dict[NodeId, TableDigests]:
+    """Every node's DATA1/DATA2/DATA3* digests, derived from LCP trees.
+
+    The centralized counterpart of a converged FPSS network, bit-exact
+    with the distributed relaxation (identity tags included):
+
+    * **DATA1** holds every graph node's declared cost.
+    * **DATA2** holds ``P(i, j)`` from ``tree(i)``.  Its cost is
+      re-summed in the protocol's order: a neighbour offering a route
+      adds its own cost in front of the offered total, so the sum is a
+      right fold ``c_a1 + (c_a2 + (... + (c_am + 0.0)))`` over the
+      transit nodes, where Dijkstra sums left to right.  Float addition
+      is not associative, so only the right fold matches bit for bit.
+      The path itself needs no re-derivation: the two orders can rank
+      two paths differently only when their exact sums agree to within
+      rounding, and integer-valued costs (where ties are common) sum
+      exactly in either order.
+    * **DATA3*** holds one cell per transit ``k`` of ``P(i, j)``: with
+      ``Q`` the ``LCP_{-k}`` from ``i`` to ``j``, the price is
+      ``c_k + cost(Q) - d(i, j)`` (same fold, same operation order as
+      the protocol) and the tag is ``{Q[1]}``.  Each neighbour offers a
+      path that starts with itself, so the argmin supplier of an
+      avoidance entry is unique: its first hop.  A transit that cuts
+      ``i`` off from ``j`` gets no cell.
+
+    Each call uses a private :class:`RoutingEngine`, released per
+    source, so no tree outlives the call (:func:`engine_for` would pin
+    every tree for as long as the graph lives).
+    """
+    engine = RoutingEngine(graph)
+    costs = graph.costs
+    declared = TransitCostTable()
+    for node in graph.nodes:
+        declared.declare(node, costs[node])
+    cost_digest = declared.stable_digest()
+
+    def folded(path: Tuple[NodeId, ...]) -> Cost:
+        total = 0.0
+        for transit in reversed(path[1:-1]):
+            total = costs[transit] + total
+        return total
+
+    digests: Dict[NodeId, TableDigests] = {}
+    for source in graph.nodes:
+        routing = RoutingTable(source)
+        pricing = PricingTable(source)
+        for destination, entry in engine.tree(source).items():
+            distance = folded(entry.path)
+            routing.update(destination, RouteEntry(cost=distance, path=entry.path))
+            for transit in entry.transit_nodes:
+                detour = engine.tree(source, avoiding=transit).get(destination)
+                if detour is None:
+                    continue
+                price = costs[transit] + folded(detour.path) - distance
+                pricing.set_price(
+                    destination, transit, price, frozenset((detour.path[1],))
+                )
+        engine.clear_cache()
+        digests[source] = TableDigests(
+            cost_digest=cost_digest,
+            routing_digest=routing.stable_digest(),
+            pricing_digest=pricing.stable_digest(),
+        )
+    return digests

@@ -14,9 +14,9 @@ three very different clients:
   (a thin subclass, kept for the protocol-facing name);
 * a checker's :class:`~repro.faithful.mirror.PrincipalMirror`, which
   replays a neighbouring principal on forwarded copies; and
-* the pure-kernel convergence oracle (:func:`kernel_fixed_point`),
-  which iterates synchronous rounds of the same state machine with no
-  simulator at all and cross-checks the distributed fixed point.
+* :func:`kernel_fixed_point`, a test helper that iterates synchronous
+  rounds of the same state machine with no simulator at all, so tests
+  can check the distribution layer against the bare kernel.
 
 Columnar hot path
 -----------------
@@ -1881,14 +1881,20 @@ def kernel_fixed_point(
 ) -> Dict[NodeId, "ReplayKernel"]:
     """Run the FPSS relaxation to its fixed point with no simulator.
 
-    The third kernel client: one :class:`ReplayKernel` per vertex,
-    iterated in synchronous rounds (every kernel ingests all deltas
-    addressed to it, relaxes once, and emits its changed-key deltas)
-    until no kernel changes.  Because the fixed point of the monotone
-    relaxation is unique and the tie-breaks deterministic, the
-    resulting tables — and hence digests — are identical to any
-    asynchronous protocol execution on the same graph, which is what
-    :func:`~repro.routing.convergence.verify_against_kernel` exploits.
+    A test helper, not a correctness oracle: it iterates the kernel
+    under test, so it cannot catch a bug inside the kernel.  Programs
+    check converged tables against
+    :func:`~repro.routing.engine.fixed_point_digests` instead.
+
+    One :class:`ReplayKernel` per vertex, iterated in synchronous
+    rounds (every kernel ingests all deltas addressed to it, relaxes
+    once, and emits its changed-key deltas) until no kernel changes.
+    Because the fixed point of the monotone relaxation is unique and
+    the tie-breaks deterministic, the resulting tables — and hence
+    digests — are identical to any asynchronous protocol execution on
+    the same graph, so tests use it to check the distribution layer
+    (batching, delta wire format, delivery order) against the bare
+    kernel, and the engine oracle against the kernel.
 
     ``kernel_cls`` substitutes a drop-in kernel implementation (the
     columnar/dict equivalence suite drives both

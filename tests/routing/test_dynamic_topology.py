@@ -3,9 +3,9 @@
 Reproduces: the recomputation setting of Shneidman & Parkes (PODC'04)
 Section 4 — FPSS re-converging after network change.  The contract
 under test: after every reconvergence epoch, each surviving node's
-DATA1/DATA2/DATA3* digests are bit-identical to a fresh
-``kernel_fixed_point`` run on the post-event graph, across delivery
-modes, heterogeneous delays, membership churn, and partitions.
+DATA1/DATA2/DATA3* digests are bit-identical to the fixed point of
+the post-event graph (``fixed_point_digests``), across delivery modes,
+heterogeneous delays, membership churn, and partitions.
 """
 
 import random

@@ -1,0 +1,188 @@
+"""The engine's fixed-point digests against the replay kernel.
+
+Reproduces: the BANK1/BANK2 comparison material of Shneidman & Parkes
+(PODC'04) Section 4 — DATA2 and DATA3* digests, identity tags included.
+:func:`~repro.routing.engine.fixed_point_digests` derives them from
+Dijkstra trees; :func:`~repro.routing.kernel.kernel_fixed_point`
+iterates the replay kernel.  The two share no code, so they must agree
+node by node on every graph (the parity suite), and a bug planted in
+the kernel must show up as a disagreement (the planted-bug tests): the
+protocol reproduces the kernel's bug, the engine oracle does not.
+"""
+
+import random
+
+import pytest
+
+import repro.routing.kernel as kernel_module
+from repro.errors import ConvergenceError
+from repro.routing import (
+    FPSSNode,
+    ReplayKernel,
+    figure1_graph,
+    fixed_point_digests,
+    kernel_fixed_point,
+    run_plain_fpss,
+    verify_against_oracle,
+    verify_epoch_equivalence,
+)
+from repro.sim.churn import apply_churn_epoch, random_churn_schedule
+from repro.workloads import random_biconnected_graph
+
+DIGESTS = ("cost_digest", "routing_digest", "pricing_digest")
+
+
+def assert_parity(graph):
+    """Engine digests equal kernel fixed-point digests on every node."""
+    expected = fixed_point_digests(graph)
+    kernels = kernel_fixed_point(graph)
+    assert list(expected) == list(kernels)
+    for node_id, kernel in kernels.items():
+        for digest in DIGESTS:
+            assert getattr(expected[node_id], digest) == getattr(
+                kernel, digest
+            )(), (node_id, digest)
+
+
+COST_RANGES = {
+    "float": (1.0, 10.0),
+    # Every path of equal hop count ties: the lexicographic tie-break
+    # decides most entries.
+    "unit": (1.0, 1.0),
+    # Every path ties on cost: hop count and then lex order decide.
+    "zero": (0.0, 0.0),
+}
+
+
+class TestParity:
+    @pytest.mark.parametrize("costs", sorted(COST_RANGES))
+    @pytest.mark.parametrize(
+        "size,seed,prob", [(6, 0, 0.5), (10, 1, 0.3), (14, 2, 0.25), (20, 3, 0.2)]
+    )
+    def test_random_graphs(self, size, seed, prob, costs):
+        graph = random_biconnected_graph(
+            size,
+            random.Random(seed * 100 + size),
+            extra_edge_prob=prob,
+            cost_range=COST_RANGES[costs],
+        )
+        assert_parity(graph)
+
+    def test_figure1(self):
+        assert_parity(figure1_graph())
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            ("cost",),
+            ("link-down", "link-up"),
+            ("leave", "join"),
+            ("cost", "link-down", "link-up", "leave", "join"),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_post_epoch_graphs(self, kinds, seed):
+        graph = random_biconnected_graph(
+            10, random.Random(seed), extra_edge_prob=0.3
+        )
+        schedule = random_churn_schedule(
+            graph, random.Random(seed), epochs=3, events_per_epoch=2,
+            kinds=kinds, seed=seed,
+        )
+        for events in schedule.epochs:
+            graph = apply_churn_epoch(graph, events)
+            assert_parity(graph)
+
+    def test_partitioned_post_epoch_graphs(self):
+        """``require=None`` schedules cut sparse graphs apart; the
+        oracle must withdraw the unreachable rows just as the kernel
+        never derives them."""
+        partitions = 0
+        for seed in range(4):
+            graph = random_biconnected_graph(
+                9, random.Random(seed), extra_edge_prob=0.05
+            )
+            schedule = random_churn_schedule(
+                graph, random.Random(seed), epochs=3, events_per_epoch=2,
+                kinds=("link-down", "leave", "cost", "join"), require=None,
+                on_exhaustion="skip", seed=seed,
+            )
+            for events in schedule.epochs:
+                graph = apply_churn_epoch(graph, events)
+                partitions += not graph.is_connected()
+                assert_parity(graph)
+        assert partitions > 0
+
+
+def assert_network_matches_kernel(graph, nodes):
+    """The protocol run reproduces the (possibly buggy) kernel."""
+    for node_id, kernel in kernel_fixed_point(graph).items():
+        comp = nodes[node_id].comp
+        for digest in DIGESTS:
+            assert getattr(comp, digest)() == getattr(kernel, digest)()
+
+
+def _flipped_lex_key(path):
+    """A lexicographic key that orders paths in reverse."""
+    # The trailing 1 sorts a string after its own extensions, so the
+    # per-string key reverses the order of prefixes too.
+    return tuple(tuple(-ord(c) for c in repr(node)) + (1,) for node in path)
+
+
+class TestPlantedKernelBugs:
+    """The engine oracle catches a bug the kernel fixed point repeats."""
+
+    @pytest.fixture
+    def tied_graph(self):
+        # Unit costs: most routes are decided by the tie-break.
+        return random_biconnected_graph(
+            10, random.Random(4), extra_edge_prob=0.3, cost_range=(1.0, 1.0)
+        )
+
+    def test_flipped_tie_break_is_caught(self, monkeypatch, tied_graph):
+        monkeypatch.setattr(kernel_module, "_lex_key", _flipped_lex_key)
+        _, nodes, _ = run_plain_fpss(tied_graph)
+        assert_network_matches_kernel(tied_graph, nodes)
+        with pytest.raises(ConvergenceError, match="DATA2"):
+            verify_epoch_equivalence(tied_graph, nodes)
+
+    def test_dropped_tag_supplier_is_caught(self, monkeypatch):
+        graph = random_biconnected_graph(10, random.Random(4), extra_edge_prob=0.3)
+        monkeypatch.setattr(
+            ReplayKernel,
+            "_supplier_tag",
+            lambda self, destination, avoided: frozenset(),
+        )
+        _, nodes, _ = run_plain_fpss(graph)
+        assert_network_matches_kernel(graph, nodes)
+        with pytest.raises(ConvergenceError, match=r"DATA3\*"):
+            verify_epoch_equivalence(graph, nodes)
+
+    def test_unpatched_kernel_passes(self, tied_graph):
+        _, nodes, _ = run_plain_fpss(tied_graph)
+        verify_epoch_equivalence(tied_graph, nodes)
+
+
+class TestOracleErrors:
+    """Both oracles name a missing or unstarted node in a
+    :class:`ConvergenceError`, the one error their callers catch."""
+
+    @pytest.fixture
+    def converged(self):
+        graph = figure1_graph()
+        _, nodes, _ = run_plain_fpss(graph)
+        return graph, dict(nodes)
+
+    @pytest.mark.parametrize("check", [verify_against_oracle, verify_epoch_equivalence])
+    def test_missing_node(self, converged, check):
+        graph, nodes = converged
+        del nodes["C"]
+        with pytest.raises(ConvergenceError, match="'C'"):
+            check(graph, nodes)
+
+    @pytest.mark.parametrize("check", [verify_against_oracle, verify_epoch_equivalence])
+    def test_unstarted_node(self, converged, check):
+        graph, nodes = converged
+        nodes["C"] = FPSSNode("C", graph.cost("C"))
+        with pytest.raises(ConvergenceError, match="'C'"):
+            check(graph, nodes)
