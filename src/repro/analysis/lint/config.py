@@ -31,7 +31,6 @@ from typing import FrozenSet, Mapping, Optional, Tuple
 CANONICAL_PATH_MODULES: FrozenSet[str] = frozenset(
     {
         "routing/kernel.py",
-        "routing/kernel_dict.py",
         "routing/fpss.py",
         "routing/tables.py",
         "faithful/mirror.py",

@@ -138,6 +138,17 @@ class FalsePriceAnnouncerMixin(DeviationMixin):
 # ----------------------------------------------------------------------
 
 
+def _scale_row_costs(vector, scale: float) -> Tuple:
+    """Every row of a wire delta with its cost scaled.
+
+    Withdrawal rows (``cost is None``) carry no cost and pass through.
+    """
+    return tuple(
+        row if row[-2] is None else row[:-2] + (row[-2] * scale, row[-1])
+        for row in vector
+    )
+
+
 class CopyDropMixin(DeviationMixin):
     """Drop the checker copies of received updates ([PRINC1]/[PRINC2]).
 
@@ -164,10 +175,7 @@ class CopyAlterMixin(DeviationMixin):
 
     def forward_copy_to_checkers(self, orig_kind, orig_src, vector) -> None:
         """Forward copies with every row's cost scaled."""
-        scale = float(self.param("scale", 2.0))
-        altered = tuple(
-            row[:-2] + (row[-2] * scale, row[-1]) for row in vector
-        )
+        altered = _scale_row_costs(vector, float(self.param("scale", 2.0)))
         super().forward_copy_to_checkers(orig_kind, orig_src, altered)
 
 
@@ -191,8 +199,7 @@ class CopySpoofMixin(DeviationMixin):
         if victim is None:
             others = [n for n in self.neighbors if n != orig_src]
             victim = others[0] if others else orig_src
-        scale = float(self.param("scale", 0.25))
-        forged = tuple(row[:-2] + (row[-2] * scale, row[-1]) for row in vector)
+        forged = _scale_row_costs(vector, float(self.param("scale", 0.25)))
         super().forward_copy_to_checkers(orig_kind, victim, forged)
 
 

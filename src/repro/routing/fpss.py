@@ -44,6 +44,12 @@ admits the same Bellman-Ford style relaxation:
     d^{-k}(i, j) = min over neighbours a != k of
                    [ (c_a if a != j else 0) + d^{-k}(a, j) ]
 
+Only ``d^{-k}(i, j)`` for ``k`` interior to ``P(i, j)`` is ever priced,
+so only those entries are kept and announced; for a neighbour whose
+route ``P(a, j)`` avoids ``k``, ``d^{-k}(a, j)`` is ``d(a, j)`` along
+that route, which the receiver already holds from ``a``'s routing
+rows (the sparse wire of :mod:`repro.routing.kernel`).
+
 Identity tags (DATA3*)
 ----------------------
 Each pricing entry carries the set of neighbours that *triggered* its
@@ -517,23 +523,30 @@ class FPSSNode(ProtocolNode):
         self._recompute_and_announce_incremental()
 
     def resend_full_tables(self, neighbor: NodeId) -> None:
-        """Unicast current full vectors across a new or restored link.
+        """Unicast the announced full vectors across a new or restored link.
 
         Delta broadcasts assume the receiver holds the previously
         announced vector; a fresh link starts from nothing, so both
-        endpoints exchange their complete tables once.  Rows are built
-        straight from the tables without consuming the changed-key
-        sets, leaving the regular delta streams to other neighbours
-        untouched.
+        endpoints send once what their other neighbours already hold.
+        Under the suggested specification that is the tables
+        themselves, built without consuming the changed-key sets so the
+        regular delta streams stay untouched.  A hooked broadcast seam
+        resends its last announced (transformed) vector instead — the
+        baseline its next delta is encoded against — so the new
+        neighbour ends up holding exactly what the old ones hold.
         """
         assert self.comp is not None
-        routing = self.comp.routing
-        route_rows = tuple(
-            (dest, entry.cost, entry.path)
-            for dest in routing.destinations
-            if (entry := routing.entry(dest)) is not None
+        cls = type(self)
+        route_rows = encode_route_vector(
+            self.make_route_broadcast()
+            if cls.make_route_broadcast is FPSSNode.make_route_broadcast
+            else self._announced_routes
         )
-        avoid_rows = encode_avoid_vector(self.comp.avoid)
+        avoid_rows = encode_avoid_vector(
+            self.comp.avoid
+            if cls.make_price_broadcast is FPSSNode.make_price_broadcast
+            else self._announced_avoid
+        )
         self.multicast(
             (neighbor,),
             KIND_RT_UPDATE,

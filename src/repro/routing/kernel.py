@@ -27,10 +27,24 @@ state lives in id-indexed columns, and every canonical drain sorts ids
 by a precomputed id→rank permutation instead of re-deriving ``repr``
 sort keys per call (rank order equals ``_sort_key`` order by
 construction — see the :class:`ReplayKernel` docstring and
-``docs/determinism.md``).  The previous dict-keyed implementation is
-retained verbatim as
-:class:`~repro.routing.kernel_dict.DictReplayKernel`, the equivalence
-oracle the columnar kernel is property-tested bit-identical against.
+``docs/determinism.md``).
+
+Sparse avoidance wire
+---------------------
+FPSS prices transit node ``k`` on ``P(i,j)`` with ``d^{-k}(i,j)``, so a
+node keeps — and announces — avoidance entries only for keys ``(j, k)``
+with ``k`` interior to its own current route ``P(i,j)``: a few keys per
+destination instead of one per node.  Receivers rebuild the dense
+candidate set with FPSS's case split per neighbour ``a``: if ``k`` lies
+on ``a``'s announced route to ``j`` the candidate is ``a``'s avoidance
+row ``(j, k)``; otherwise it is ``a``'s route offer itself, because
+``P(a,j)`` is also ``a``'s argmin among the paths avoiding ``k`` (the
+same total order ranks both).  At every fixed point this candidate set
+equals the dense one, ties included.  A key that leaves a node's path
+is dropped and announced as a withdrawal row, so each receiver's store
+mirrors the sender's current on-path table exactly.  The kernel's
+semantic check is the engine oracle,
+:func:`~repro.routing.engine.fixed_point_digests`.
 
 Shared checker replay
 ---------------------
@@ -106,7 +120,7 @@ AvoidVector = Dict[AvoidKey, RouteEntry]
 #: Memoized ``repr`` sort keys for vector encoding.  Vector keys are
 #: node ids or (destination, avoided) pairs drawn from a small universe
 #: that recurs across every broadcast of a run, while ``repr`` itself
-#: builds a fresh string per call — measurable on n^2-row vectors.
+#: builds a fresh string per call.
 _SORT_KEY_MEMO: Dict = {}
 
 
@@ -254,8 +268,12 @@ class ReplayKernel:
       reigning argmin per key (stripped candidates);
     * ``_avoid_dest[aid]`` / ``_avoid_avoided[aid]`` /
       ``_avoid_keys[aid]`` — key-id decomposition columns;
-    * per-neighbour offer stores keyed on int ids
-      (``_route_offers[n][did]``, ``_avoid_offers[n][aid]``).
+    * ``_avoid_active[aid]`` / ``_dest_keys[did]`` — the on-path key
+      set: ``(j, k)`` is active iff ``k`` is interior to the owner's
+      current route to ``j`` (and has a DATA1 entry);
+    * per-neighbour offer stores (``_route_offers[n][did]``, and
+      ``_avoid_offers[n][(dest, avoided)]`` keyed on the raw key, so
+      rows for keys the owner does not hold are never interned).
 
     Dirty/changed bookkeeping is sets of int ids, and every canonical
     drain sorts ids by the precomputed ``_node_rank`` permutation
@@ -267,10 +285,13 @@ class ReplayKernel:
     :meth:`reset_phase2` (they are pure key-to-id maps); all replay
     state columns are rebuilt.
 
-    The pre-columnar dict-keyed implementation is retained verbatim as
-    :class:`~repro.routing.kernel_dict.DictReplayKernel` and
-    property-tested bit-identical to this class
-    (``tests/routing/test_columnar_kernel.py``).
+    Avoidance keys follow the owner's routes (see the module docstring
+    for the sparse wire): a route change queues its destination for a
+    key resync at the next avoidance settle, which drops keys that
+    left the path (announcing withdrawals) and rescans keys that
+    entered it.  A neighbour's route offer for ``j`` is itself a
+    candidate for every off-route key, so a routing row also runs the
+    fused relaxation step for the destination's active keys.
 
     Parameters
     ----------
@@ -297,10 +318,11 @@ class ReplayKernel:
         self.routing = RoutingTable(owner)  # DATA2
         self.pricing = PricingTable(owner)  # DATA3*
         self.avoid: AvoidVector = {}
-        #: Last offers received from each neighbour, keyed on dense ids
-        #: (``did`` for routing rows, ``aid`` for avoidance rows).
+        #: Last offers received from each neighbour: routing rows keyed
+        #: on the destination's dense id, avoidance rows on their
+        #: ``(destination, avoided)`` key.
         self._route_offers: Dict[NodeId, Dict[int, Tuple]] = {}
-        self._avoid_offers: Dict[NodeId, Dict[int, Tuple]] = {}
+        self._avoid_offers: Dict[NodeId, Dict[AvoidKey, Tuple]] = {}
         self.computation_count = 0
         self.stats = KernelStats()
 
@@ -326,6 +348,7 @@ class ReplayKernel:
         self._ref_col: List[int] = []
         self._route_state_col: List[Optional[Tuple]] = []
         self._avoid_state_col: List[Optional[Tuple]] = []
+        self._avoid_active: List[bool] = []
 
         self._owner_id = self._intern_node(owner)
         for neighbor in self.neighbors:
@@ -382,6 +405,7 @@ class ReplayKernel:
             self._avoid_dest.append(self._intern_node(key[0]))
             self._avoid_avoided.append(self._intern_node(key[1]))
             self._avoid_state_col.append(None)
+            self._avoid_active.append(False)
         return aid
 
     def _reset_incremental_state(self) -> None:
@@ -408,30 +432,21 @@ class ReplayKernel:
         #: for "rescan every candidate" (universe (re)entry, DATA1
         #: change).
         self._dirty_routes: Dict[int, Optional[Set[NodeId]]] = {}
-        #: Avoidance key ids whose reigning argmin was invalidated and
-        #: that need a full candidate rescan.  Improvements never land
-        #: here — they are adopted directly during ingestion (the
-        #: common, monotone case), with :attr:`_avoid_changed`
-        #: accumulating whether any entry moved since the last
-        #: recompute call.
+        #: Active avoidance key ids whose reigning argmin was
+        #: invalidated and that need a full candidate rescan.
+        #: Improvements never land here — they are adopted directly
+        #: during ingestion (the common, monotone case), with
+        #: :attr:`_avoid_changed` accumulating whether any entry moved
+        #: since the last recompute call.
         self._avoid_rescan: Set[int] = set()
         self._avoid_changed = False
         self._dirty_pricing: Set[int] = set()
-        #: Destination dids that (re)entered the universe and whose
-        #: avoidance keys still need a rescan sweep.  Expanded lazily
-        #: at the next recompute — and only over the keys that ever
-        #: stored an offer — instead of eagerly marking n keys.
-        self._avoid_dest_pending: Set[int] = set()
-        #: Per destination did, the aids that ever had a stored offer
-        #: (grow-only, conservative).  The re-entry sweep scans exactly
-        #: these keys: a key with no offer history and no base case
-        #: (non-neighbour destination) is a no-op in
-        #: :meth:`_relax_avoid`, so skipping it matches the full
-        #: rescan; neighbour destinations keep the all-keys sweep for
-        #: the base case.  Keys with replay state but no offer history
-        #: cannot exist for non-neighbour destinations (the base case
-        #: is their only supplier-free candidate source).
-        self._avoid_keys_by_dest: Dict[int, Set[int]] = {}
+        #: Destination dids whose route changed since the last
+        #: avoidance settle: their on-path key sets are resynced there.
+        self._key_resync: Set[int] = set()
+        #: did -> the active aids of that destination, in path order.
+        self._dest_keys: Dict[int, Tuple[int, ...]] = {}
+        self._avoid_active = [False] * len(self._avoid_keys)
         #: Ids whose DATA2/avoidance entries changed since the last
         #: announcement was encoded — the O(|changes|) source for delta
         #: broadcasts of the unmodified (suggested) specification.
@@ -467,21 +482,17 @@ class ReplayKernel:
 
     def _mark_all_dirty(self) -> None:
         """Schedule a full re-relaxation through the incremental path."""
-        owner = self.owner
-        known = [n for n in self.costs.as_dict() if n != owner]
         dirty = self._dirty_routes
         pricing = self._dirty_pricing
-        rescan = self._avoid_rescan
-        keys = self._node_keys
-        intern_avoid = self._intern_avoid
-        universe = [did for did, count in enumerate(self._ref_col) if count > 0]
-        for did in universe:
-            dest = keys[did]
-            dirty[did] = None
-            pricing.add(did)
-            for avoided in known:
-                if avoided != dest:
-                    rescan.add(intern_avoid((dest, avoided)))
+        for did, count in enumerate(self._ref_col):
+            if count > 0:
+                dirty[did] = None
+                pricing.add(did)
+        # Every key set is resynced (DATA1 decides which transit nodes
+        # may key an entry) and every active key rescanned.
+        self._key_resync.update(self._dest_keys)
+        for aids in self._dest_keys.values():
+            self._avoid_rescan.update(aids)
         # Rows for routed destinations that dropped out of the universe
         # are still re-derived by the full derive_pricing; match it.
         # Marking them dirty also lets the incremental rescan withdraw
@@ -494,9 +505,7 @@ class ReplayKernel:
             if ref_col[did] == 0:
                 dirty[did] = None
             pricing.add(did)
-        avoid_ids = self._avoid_ids
-        for key in self.avoid:
-            rescan.add(avoid_ids[key])
+            self._key_resync.add(did)
 
     def known_nodes(self) -> Tuple[NodeId, ...]:
         """Every node with a DATA1 entry, repr-sorted."""
@@ -557,27 +566,15 @@ class ReplayKernel:
     def retract_cost_declaration(self, node: NodeId) -> bool:
         """Forget a departed node's DATA1 entry; True if it was known.
 
-        Avoidance state keyed on the departed node is withdrawn
-        directly: a fresh computation on the post-event graph never
-        forms ``(dest, node)`` keys for a node it has no declaration
-        for, and the relaxations skip unknown avoided ids.
+        Avoidance keys on the departed node are withdrawn at the next
+        settle: a fresh computation on the post-event graph never forms
+        ``(dest, node)`` keys for a node it has no declaration for, and
+        the key resync skips unknown transit nodes.
         """
         if node == self.owner:
             raise ProtocolError(f"{self.owner!r} cannot retract its own cost")
         if not self.costs.retract(node):
             return False
-        vid = self._node_ids.get(node)
-        if vid is not None:
-            avoid = self.avoid
-            akeys = self._avoid_keys
-            state_col = self._avoid_state_col
-            for aid, avoided_id in enumerate(self._avoid_avoided):
-                if avoided_id != vid:
-                    continue
-                if akeys[aid] in avoid:
-                    self._drop_avoid_entry(aid)
-                else:
-                    state_col[aid] = None
         if self._route_offers or self._avoid_offers or self.routing.destinations:
             self._mark_all_dirty()
         return True
@@ -606,12 +603,11 @@ class ReplayKernel:
         count = self._ref_col[did]
         self._ref_col[did] = count + 1
         if count == 0:
-            # The destination just (re)entered the universe: avoidance
-            # inputs stored for it while it was outside become
-            # relaxable, exactly as the full rescan would now see them.
+            # The destination just (re)entered the universe: its route
+            # is relaxed from every stored offer, as the full rescan
+            # would now see them.  Avoidance keys follow the route.
             self._dirty_routes[did] = None
             self._dirty_pricing.add(did)
-            self._avoid_dest_pending.add(did)
 
     def _universe_discard(self, did: int) -> None:
         col = self._ref_col
@@ -620,32 +616,11 @@ class ReplayKernel:
             col[did] = 0
             if count == 1:
                 # The destination left the universe (its last offer was
-                # withdrawn): schedule its avoidance keys so retained
-                # entries are withdrawn by the incremental rescan.  The
-                # offer history covers every key a *wire* withdrawal
-                # can strand; base-case-only keys are released through
-                # detach_neighbor, which marks everything dirty anyway.
-                history = self._avoid_keys_by_dest.get(did)
-                if history:
-                    self._avoid_rescan.update(history)
+                # withdrawn); the route relaxation withdraws its entry,
+                # and the key resync its avoidance entries with it.
                 self._dirty_pricing.add(did)
         else:
             col[did] = count - 1
-
-    def _note_offer(self, aid: int) -> None:
-        """Record offer history for one key (grow-only, sweep input).
-
-        Every site that stores a previously absent offer must call
-        this: the re-entry rescan sweep trusts the history to cover
-        all keys a full rescan could act on.
-        """
-        offered = self._avoid_keys_by_dest
-        did = self._avoid_dest[aid]
-        keys = offered.get(did)
-        if keys is None:
-            offered[did] = {aid}
-        else:
-            keys.add(aid)
 
     def consume_route_changes(self) -> Set[NodeId]:
         """Destinations whose DATA2 entry changed since last consumed."""
@@ -752,14 +727,15 @@ class ReplayKernel:
         for dest in sorted(union, key=_sort_key):
             did = intern(dest)
             offer = raw.get(dest)
-            if stored.get(did) == offer:
+            old = stored.get(did)
+            if old == offer:
                 continue
             if offer is None:
                 del stored[did]
                 if did != owner_id:
                     self._universe_discard(did)
             else:
-                if did != owner_id and did not in stored:
+                if did != owner_id and old is None:
                     self._universe_add(did)
                 stored[did] = offer
             if did != owner_id:
@@ -769,13 +745,97 @@ class ReplayKernel:
                 elif did not in dirty:
                     dirty[did] = {neighbor}
                 # an existing None sentinel already demands a full rescan
+                if did in self._dest_keys:
+                    self._route_offer_moved(neighbor, did, old)
+
+    def _route_offer_moved(
+        self, neighbor: NodeId, did: int, old: Optional[Tuple]
+    ) -> None:
+        """Fuse a neighbour's changed route offer into the keys of ``did``.
+
+        The route offer is the neighbour's candidate for every active
+        key whose avoided node is off that route, and for the others it
+        selects the neighbour's avoidance row; either way one candidate
+        per key changed, and :meth:`_fuse_candidate` settles it.
+        ``old`` is the route row this one replaced (``None`` if there
+        was none).
+        """
+        ncost = self.costs.get(neighbor)
+        if ncost is None:
+            return  # no candidate from this neighbour, before or after
+        new = self._route_offers[neighbor].get(did)
+        offers_get = self._avoid_offers.get(neighbor, {}).get
+        owner = self.owner
+        akeys = self._avoid_keys
+        for aid in self._dest_keys[did]:
+            key = akeys[aid]
+            avoided = key[1]
+            if avoided == neighbor:
+                continue  # never a candidate for its own avoidance keys
+            # Route and avoidance rows both end in (cost, path).
+            cand = None
+            if new is not None:
+                row = offers_get(key) if avoided in new[2] else new
+                if row is not None:
+                    path = row[-1]
+                    if owner not in path and avoided not in path:
+                        cand = (neighbor, ncost + row[-2], len(path), path)
+            old_total = None
+            if old is not None:
+                row = offers_get(key) if avoided in old[2] else old
+                if row is not None:
+                    old_total = ncost + row[-2]
+            self._fuse_candidate(aid, did, key, neighbor, cand, old_total)
+
+    def _fuse_candidate(
+        self,
+        aid: int,
+        did: int,
+        key: AvoidKey,
+        neighbor: NodeId,
+        cand: Optional[Tuple],
+        old_total: Optional[Cost],
+    ) -> None:
+        """The fused relaxation step for one active key.
+
+        ``cand`` is ``neighbor``'s new stripped candidate (``None`` when
+        it has none) and ``old_total`` the cost of the candidate it
+        replaced.  An improvement on the reigning argmin is adopted
+        immediately — a running min, confluent, so the batch-boundary
+        result equals a batch-end relaxation; a worsened or withdrawn
+        reigning candidate schedules a full rescan of the key; anything
+        else costs a comparison.  The pricing row is marked only when
+        the old or new candidate can join, leave or move the argmin
+        tie, since DATA3* tags depend on exactly that set.
+        """
+        st = self._avoid_state_col[aid]
+        if st is None or (cand is not None and _stripped_worse(st, cand)):
+            if cand is not None:
+                self._avoid_state_col[aid] = cand
+                self.avoid[key] = RouteEntry(
+                    cost=cand[1], path=(self.owner,) + tuple(cand[3])
+                )
+                self._avoid_changes.add(aid)
+                self._avoid_changed = True
+                self._dirty_pricing.add(did)
+            return
+        if st[0] == neighbor:
+            if cand is None or _stripped_worse(cand, st):
+                self._avoid_rescan.add(aid)  # the reigning input worsened
+            self._dirty_pricing.add(did)
+        elif (cand is not None and cand[1] == st[1]) or (
+            old_total is not None and old_total <= st[1]
+        ):
+            self._dirty_pricing.add(did)  # joins, or may leave, the argmin tie
 
     def apply_route_delta(self, neighbor: NodeId, rows: Sequence[Tuple]) -> None:
         """Ingest a wire delta produced by ``encode_route_delta``.
 
         Upserts ``(dest, cost, path)`` rows, removes withdrawal rows
-        (``cost is None``), and marks each touched destination dirty
-        with this neighbour as the changed supplier.
+        (``cost is None``), marks each touched destination dirty with
+        this neighbour as the changed supplier, and fuses the changed
+        offer into the destination's avoidance keys
+        (:meth:`_route_offer_moved`).
         """
         if neighbor not in self.neighbors:
             raise ProtocolError(
@@ -788,19 +848,22 @@ class ReplayKernel:
         dirty = self._dirty_routes
         node_ids_get = self._node_ids.get
         intern = self._intern_node
+        dest_keys = self._dest_keys
+        stored_get = stored.get
         self.stats.rows_ingested += len(rows)
         for row in rows:
             dest = row[0]
             did = node_ids_get(dest)
             if did is None:
                 did = intern(dest)
+            old = stored_get(did)
             if row[1] is None:  # withdrawal
-                if did in stored:
+                if old is not None:
                     del stored[did]
                     if did != owner_id:
                         self._universe_discard(did)
             else:
-                if did != owner_id and did not in stored:
+                if did != owner_id and old is None:
                     self._universe_add(did)
                 stored[did] = row  # rows are shared across receivers
             if did != owner_id:
@@ -809,13 +872,16 @@ class ReplayKernel:
                     suppliers.add(neighbor)
                 elif did not in dirty:
                     dirty[did] = {neighbor}
+                if did in dest_keys:
+                    self._route_offer_moved(neighbor, did, old)
 
     def apply_avoid_update(self, neighbor: NodeId, vector: AvoidVector) -> None:
         """Store a neighbour's *full* avoidance vector (dict form).
 
-        Marks changed ``(destination, avoided)`` keys dirty, and their
-        destinations' pricing rows with them: even a value-preserving
-        tie change can alter a DATA3* identity tag.
+        Marks changed active keys for a rescan, and their destinations'
+        pricing rows with them: even a value-preserving tie change can
+        alter a DATA3* identity tag.  Rows for keys off the owner's
+        paths are only stored (a later route change may activate them).
         """
         if neighbor not in self.neighbors:
             raise ProtocolError(
@@ -828,45 +894,38 @@ class ReplayKernel:
         stored = self._avoid_offers.get(neighbor)
         if stored is None:
             stored = self._avoid_offers[neighbor] = {}
-        rescan = self._avoid_rescan
-        pricing = self._dirty_pricing
-        akeys = self._avoid_keys
-        dest_col = self._avoid_dest
-        intern_avoid = self._intern_avoid
-        union = {akeys[aid] for aid in stored}
+        active = self._avoid_active
+        avoid_ids_get = self._avoid_ids.get
+        union = set(stored)
         union.update(raw)
         for key in sorted(
             union, key=lambda k: (_sort_key(k[0]), _sort_key(k[1]))
         ):
-            aid = intern_avoid(key)
             offer = raw.get(key)
-            if stored.get(aid) == offer:
+            if stored.get(key) == offer:
                 continue
             if offer is None:
-                del stored[aid]
+                del stored[key]
             else:
-                if aid not in stored:
-                    self._note_offer(aid)
-                stored[aid] = offer
-            rescan.add(aid)
-            pricing.add(dest_col[aid])
+                stored[key] = offer
+            aid = avoid_ids_get(key)
+            if aid is not None and active[aid]:
+                self._avoid_rescan.add(aid)
+                self._dirty_pricing.add(self._avoid_dest[aid])
 
     def apply_avoid_delta(self, neighbor: NodeId, rows: Sequence[Tuple]) -> None:
         """Ingest a wire delta, fusing the monotone relaxation step.
 
         Every ``(dest, avoided, cost, path)`` row is stored as a raw
-        offer; rows that *improve* on the reigning argmin are adopted
-        immediately (a running min over the batch — confluent, so the
-        batch-boundary result equals a batch-end relaxation), rows that
-        worsen or withdraw the reigning argmin schedule a full rescan
-        of the key, and strictly dominated rows — the overwhelming
-        majority under broadcast fan-in — cost one comparison.
-        Pricing rows are marked dirty only when a row can join, leave,
-        or move the argmin tie, since DATA3* tags depend on exactly
-        that set.  Every per-row invariant (neighbour cost, column
-        references, the offer counter) is hoisted out of the loop; per
-        row the key resolves to one interned ``aid`` and all state
-        lives in list columns indexed by it.
+        offer, and a withdrawal row (``cost is None``) deletes one.  A
+        row is a *candidate* only for an active key whose avoided node
+        lies on this neighbour's stored route to ``dest``; for any
+        other key the neighbour's route offer is its candidate (the
+        sparse wire's case split), so storing is all there is to do.
+        A candidate row goes through the fused relaxation step
+        (:meth:`_fuse_candidate`).  Every per-row invariant is hoisted
+        out of the loop; per row the key resolves to one interned
+        ``aid`` and all state lives in list columns indexed by it.
         """
         if neighbor not in self.neighbors:
             raise ProtocolError(
@@ -875,140 +934,38 @@ class ReplayKernel:
         stored = self._avoid_offers.get(neighbor)
         if stored is None:
             stored = self._avoid_offers[neighbor] = {}
+        routes_get = self._route_offers.get(neighbor, {}).get
         ncost = self.costs.get(neighbor)
         owner = self.owner
-        ref_col = self._ref_col
-        state_col = self._avoid_state_col
+        active = self._avoid_active
         dest_col = self._avoid_dest
-        rescan_add = self._avoid_rescan.add
-        pricing_add = self._dirty_pricing.add
-        changes_add = self._avoid_changes.add
-        note_offer = self._note_offer
-        knows = self.costs.knows
-        avoid = self.avoid
         stored_get = stored.get
         avoid_ids_get = self._avoid_ids.get
-        intern_avoid = self._intern_avoid
-        avoid_changed = self._avoid_changed
+        fuse = self._fuse_candidate
         self.stats.rows_ingested += len(rows)
-        if ncost is None:
-            # Unusable offers (neighbour cost unknown), exactly as in a
-            # full scan: store rows for later rescans, nothing to relax.
-            for row in rows:
-                key = (row[0], row[1])
-                aid = avoid_ids_get(key)
-                if aid is None:
-                    aid = intern_avoid(key)
-                old = stored_get(aid)
-                if row[2] is None:
-                    if old is not None:
-                        del stored[aid]
-                    continue
-                stored[aid] = row
-                if old is None:
-                    note_offer(aid)
-            return
         for row in rows:
             dest, avoided, cost, path = row
             key = (dest, avoided)
-            aid = avoid_ids_get(key)
-            if aid is None:
-                aid = intern_avoid(key)
-            old = stored_get(aid)
+            old = stored_get(key)
             if cost is None:  # withdrawal
                 if old is None:
                     continue
-                del stored[aid]
-                st = state_col[aid]
-                if st is not None:
-                    if st[0] == neighbor:
-                        rescan_add(aid)
-                        pricing_add(dest_col[aid])
-                    elif ncost + old[2] <= st[1]:
-                        pricing_add(dest_col[aid])  # an argmin tie may shrink
+                del stored[key]
+            else:
+                stored[key] = row  # rows are shared across receivers
+            if ncost is None:
                 continue
-            stored[aid] = row  # rows are shared across receivers
-            if old is None:
-                note_offer(aid)
+            aid = avoid_ids_get(key)
+            if aid is None or not active[aid]:
+                continue
             did = dest_col[aid]
-            if not ref_col[did]:
-                # Entries freeze outside the destination universe (the
-                # full rescan skips them too); re-entry rescans.
-                pricing_add(did)
-                continue
-            total = ncost + cost
-            st = state_col[aid]
-            if st is None:
-                # First valid candidate for this key (any earlier offer
-                # would have been relaxed into a state entry).
-                if (
-                    avoided != owner
-                    and avoided != dest
-                    and knows(avoided)
-                    and owner not in path
-                    and avoided not in path
-                ):
-                    state_col[aid] = (neighbor, total, len(path), path)
-                    avoid[key] = RouteEntry(cost=total, path=(owner,) + tuple(path))
-                    changes_add(aid)
-                    avoid_changed = True
-                    pricing_add(did)
-                continue
-            st_cost = st[1]
-            if st[0] == neighbor:
-                # The reigning supplier re-announced: improved offers
-                # stay adopted, worsened or invalid ones force a rescan.
-                if owner in path or avoided in path:
-                    rescan_add(aid)
-                    pricing_add(did)
-                    continue
-                hops = len(path)
-                if total < st_cost or (
-                    total == st_cost
-                    and (
-                        hops < st[2]
-                        or (hops == st[2] and _lex_key(path) < _lex_key(st[3]))
-                    )
-                ):
-                    state_col[aid] = (neighbor, total, hops, path)
-                    avoid[key] = RouteEntry(cost=total, path=(owner,) + tuple(path))
-                    changes_add(aid)
-                    avoid_changed = True
-                    pricing_add(did)
-                elif total == st_cost and hops == st[2] and path == st[3]:
-                    pricing_add(did)  # value-identical re-announce
-                else:
-                    rescan_add(aid)
-                    pricing_add(did)
-                continue
-            if total > st_cost:
-                # Dominated row — the hot path.  It still displaces the
-                # neighbour's previous offer, which may have been tied
-                # with the argmin.
-                if old is not None and ncost + old[2] <= st_cost:
-                    pricing_add(did)
-                continue
-            if owner in path or avoided in path:
-                if old is not None and ncost + old[2] <= st_cost:
-                    pricing_add(did)
-                continue
-            if total == st_cost:
-                hops = len(path)
-                if hops < st[2] or (
-                    hops == st[2] and _lex_key(path) < _lex_key(st[3])
-                ):
-                    state_col[aid] = (neighbor, total, hops, path)
-                    avoid[key] = RouteEntry(cost=total, path=(owner,) + tuple(path))
-                    changes_add(aid)
-                    avoid_changed = True
-                pricing_add(did)  # joins or reshapes the tie either way
-                continue
-            state_col[aid] = (neighbor, total, len(path), path)
-            avoid[key] = RouteEntry(cost=total, path=(owner,) + tuple(path))
-            changes_add(aid)
-            avoid_changed = True
-            pricing_add(did)
-        self._avoid_changed = avoid_changed
+            route = routes_get(did)
+            if route is None or avoided not in route[2]:
+                continue  # the neighbour's route offer is its candidate
+            cand = None
+            if cost is not None and owner not in path and avoided not in path:
+                cand = (neighbor, ncost + cost, len(path), path)
+            fuse(aid, did, key, neighbor, cand, None if old is None else ncost + old[2])
 
     # --- routing relaxation -------------------------------------------
     #
@@ -1090,6 +1047,7 @@ class ReplayKernel:
         if self.routing.remove(self._node_keys[did]):
             self._route_changes.add(did)
             self._dirty_pricing.add(did)
+            self._key_resync.add(did)
             return True
         return False
 
@@ -1202,6 +1160,7 @@ class ReplayKernel:
                 self.routing.remove(destination)
                 self._route_changes.add(did)
                 self._dirty_pricing.add(did)
+                self._key_resync.add(did)
                 return True
             return False
         if keep:
@@ -1227,6 +1186,7 @@ class ReplayKernel:
         self.routing.update(destination, entry)
         self._route_changes.add(did)
         self._dirty_pricing.add(did)
+        self._key_resync.add(did)
         return True
 
     # --- avoidance relaxation -----------------------------------------
@@ -1236,157 +1196,125 @@ class ReplayKernel:
 
         Reference counterpart of
         :meth:`recompute_avoidance_incremental`, retained for phase
-        starts and the equivalence property tests.  The returned flag
-        also covers entries already moved by the fused ingestion since
-        the previous recompute call, so "did anything change since the
-        last recomputation" keeps its meaning in every mode.
+        starts and the equivalence property tests: resyncs the key set
+        of every routed destination, then rescans every active key.
+        The returned flag also covers entries already moved by the
+        fused ingestion since the previous recompute call, so "did
+        anything change since the last recomputation" keeps its meaning
+        in every mode.
         """
         self.computation_count += 1
         changed = self._avoid_changed
         self._avoid_changed = False
-        all_nodes = set(self.known_nodes())
-        dids: Set[int] = set()
-        for vector in self._route_offers.values():
-            dids.update(vector)
-        node_ids = self._node_ids
-        for neighbor in self.neighbors:
-            dids.add(node_ids[neighbor])
-        dids.discard(self._owner_id)
-        keys = self._node_keys
-        # lint: allow[unordered-iter] set-to-set id decode; iteration order cannot escape the built set
-        destinations = {keys[did] for did in dids}
-        # Entries whose destination left the universe, or keyed on a
-        # node without a DATA1 entry, have no counterpart in a fresh
-        # fixed point: withdraw them before relaxing (static runs never
-        # produce such keys).
-        avoid_ids = self._avoid_ids
-        stale = [
-            avoid_ids[key]
-            for key in self.avoid
-            if key[0] not in destinations or key[1] not in all_nodes
-        ]
-        rank = self._node_rank
-        dest_col = self._avoid_dest
-        avoided_col = self._avoid_avoided
-        for aid in sorted(
-            stale, key=lambda a: (rank[dest_col[a]], rank[avoided_col[a]])
-        ):
-            if self._drop_avoid_entry(aid):
-                changed = True
-        if not any(self._avoid_offers.values()):
-            # Without avoidance inputs only the base case can supply a
-            # candidate, so only directly-connected destinations matter
-            # (typical at a phase start) — plus destinations that still
-            # hold entries, which the rescan must be able to withdraw.
-            destinations &= set(self.neighbors) | {key[0] for key in self.avoid}
-        for destination in sorted(destinations, key=repr):
-            for avoided in sorted(all_nodes, key=repr):
-                if avoided in (self.owner, destination):
-                    continue
-                if self._relax_avoid(destination, avoided):
-                    changed = True
+        intern = self._intern_node
+        self._key_resync.update(self._dest_keys)
+        for dest in self.routing.destinations:
+            self._key_resync.add(intern(dest))
+        if self._resync_keys():
+            changed = True
         self._avoid_rescan = set()
-        self._avoid_dest_pending = set()
+        rank = self._node_rank
+        for did in sorted(self._dest_keys, key=rank.__getitem__):
+            for aid in self._dest_keys[did]:
+                if self._relax_avoid(aid):
+                    changed = True
         return changed
 
     def recompute_avoidance_incremental(self) -> bool:
         """Settle the avoidance table; True if it changed.
 
         Improvements were already adopted during ingestion (the
-        :attr:`_avoid_changed` flag); what remains is rescanning the
-        keys whose reigning argmin was invalidated — worsened,
-        withdrawn, or whose destination (re)entered the universe.
+        :attr:`_avoid_changed` flag); what remains is resyncing the key
+        sets of destinations whose route moved and rescanning the keys
+        whose reigning argmin was invalidated — worsened, withdrawn,
+        supplied by a moved route offer, or newly on the path.
         """
         self.computation_count += 1
         changed = self._avoid_changed
         self._avoid_changed = False
+        if self._key_resync and self._resync_keys():
+            changed = True
         rescan = self._avoid_rescan
-        pending = self._avoid_dest_pending
-        if pending:
-            self._avoid_dest_pending = set()
-            ref_col = self._ref_col
-            offered = self._avoid_keys_by_dest
-            node_ids = self._node_ids
-            neighbor_ids = {node_ids[n] for n in self.neighbors}
-            owner = self.owner
-            owner_id = self._owner_id
-            keys = self._node_keys
-            rank = self._node_rank
-            avoided_col = self._avoid_avoided
-            intern_avoid = self._intern_avoid
-            for did in sorted(pending, key=rank.__getitem__):
-                if not ref_col[did]:
-                    continue  # left the universe again; re-entry re-pends
-                if did in neighbor_ids:
-                    # The base case supplies a candidate for every
-                    # avoided id, so neighbour destinations sweep the
-                    # whole key row.
-                    dest = keys[did]
-                    for avoided in self.costs.as_dict():
-                        if avoided != owner and avoided != dest:
-                            rescan.add(intern_avoid((dest, avoided)))
-                    continue
-                # Non-neighbour destination: only keys that ever stored
-                # an offer can yield or invalidate anything; the rest
-                # are no-ops in the full rescan too.
-                for aid in offered.get(did, ()):
-                    vid = avoided_col[aid]
-                    if vid != owner_id and vid != did:
-                        rescan.add(aid)
         if rescan:
             self._avoid_rescan = set()
-            ref_col = self._ref_col
-            knows = self.costs.knows
-            owner_id = self._owner_id
+            active = self._avoid_active
             rank = self._node_rank
             dest_col = self._avoid_dest
             avoided_col = self._avoid_avoided
-            akeys = self._avoid_keys
             for aid in sorted(
                 rescan, key=lambda a: (rank[dest_col[a]], rank[avoided_col[a]])
             ):
-                did = dest_col[aid]
-                if not ref_col[did]:
-                    # Outside the universe a fresh fixed point holds no
-                    # entry: withdraw any retained one (rejoining the
-                    # universe re-marks the key).
-                    if self._drop_avoid_entry(aid):
-                        changed = True
-                    continue
-                vid = avoided_col[aid]
-                if vid == owner_id or vid == did:
-                    continue
-                key = akeys[aid]
-                if not knows(key[1]):
-                    # No DATA1 entry for the avoided node (retracted by
-                    # a departure): the key cannot exist freshly.
-                    if self._drop_avoid_entry(aid):
-                        changed = True
-                    continue
-                if self._relax_avoid(key[0], key[1], aid):
+                if active[aid] and self._relax_avoid(aid):
                     changed = True
         return changed
 
-    def _relax_avoid(
-        self, destination: NodeId, avoided: NodeId, aid: Optional[int] = None
-    ) -> bool:
-        """Fully rescan one avoidance key; True if its entry changed.
+    def _resync_keys(self) -> bool:
+        """Align queued destinations' key sets with their routes.
+
+        A key ``(j, k)`` is active iff ``k`` is interior to the owner's
+        route to ``j`` and has a DATA1 entry.  Keys that left are
+        dropped (their entries become withdrawal rows on the wire);
+        keys that entered are queued for a rescan from the stored
+        offers.  True if an entry was dropped.
+        """
+        pending = self._key_resync
+        self._key_resync = set()
+        changed = False
+        routing = self.routing
+        knows = self.costs.knows
+        keys = self._node_keys
+        rank = self._node_rank
+        active = self._avoid_active
+        dest_keys = self._dest_keys
+        intern_avoid = self._intern_avoid
+        for did in sorted(pending, key=rank.__getitem__):
+            dest = keys[did]
+            entry = routing.entry(dest)
+            new: Tuple[int, ...] = ()
+            if entry is not None:
+                new = tuple(
+                    intern_avoid((dest, transit))
+                    for transit in entry.path[1:-1]
+                    if knows(transit)
+                )
+            old = dest_keys.get(did, ())
+            if new == old:
+                continue
+            for aid in old:
+                if aid not in new:
+                    active[aid] = False
+                    if self._drop_avoid_entry(aid):
+                        changed = True
+            for aid in new:
+                if not active[aid]:
+                    active[aid] = True
+                    self._avoid_rescan.add(aid)
+            if new:
+                dest_keys[did] = new
+            else:
+                del dest_keys[did]
+        return changed
+
+    def _relax_avoid(self, aid: int) -> bool:
+        """Fully rescan one active avoidance key; True if it changed.
 
         Same stripped-candidate scan as :meth:`_relax_route`, with the
         avoided node excluded both as a neighbour and inside paths.
-        ``aid`` is the key's interned id when the caller already holds
-        it.
+        Each neighbour's candidate follows the sparse wire's case
+        split: its avoidance row when the avoided node lies on its
+        stored route to the destination, that route offer otherwise.
         """
         owner = self.owner
-        if aid is None:
-            aid = self._intern_avoid((destination, avoided))
         key = self._avoid_keys[aid]
+        destination, avoided = key
+        did = self._avoid_dest[aid]
         state_col = self._avoid_state_col
         state = state_col[aid]
         cur = self.avoid.get(key)
         best = None
         self.stats.avoid_rescans += 1
         costs_get = self.costs.get
+        routes_get = self._route_offers.get
         offers_get = self._avoid_offers.get
         for neighbor in self.neighbors:
             if neighbor == avoided:
@@ -1395,15 +1323,23 @@ class ReplayKernel:
                 if best is None or _stripped_beats_base(destination, best):
                     best = (_BASE, 0.0, 1, (destination,))
                 continue
-            vec = offers_get(neighbor)
-            offer = vec.get(aid) if vec else None
-            if offer is None:
+            vec = routes_get(neighbor)
+            route = vec.get(did) if vec else None
+            if route is None:
                 continue
             ncost = costs_get(neighbor)
             if ncost is None:
                 continue
-            total = ncost + offer[2]
-            opath = offer[3]
+            opath = route[2]
+            if avoided in opath:
+                vec = offers_get(neighbor)
+                offer = vec.get(key) if vec else None
+                if offer is None:
+                    continue
+                total = ncost + offer[2]
+                opath = offer[3]
+            else:
+                total = ncost + route[1]
             if best is not None:
                 bcost = best[1]
                 if total > bcost:
@@ -1419,27 +1355,15 @@ class ReplayKernel:
                 continue
             best = (neighbor, total, len(opath), opath)
         if best is None:
-            # No candidate anywhere supports this key: withdraw the
-            # entry (topology events only — static runs never retract
-            # offers, so this branch is inert there).
-            if state is not None:
-                state_col[aid] = None
+            # No candidate supports this key: withdraw the entry.
+            state_col[aid] = None
             if cur is not None:
                 del self.avoid[key]
                 self._avoid_changes.add(aid)
-                self._dirty_pricing.add(self._avoid_dest[aid])
+                self._dirty_pricing.add(did)
                 return True
             return False
-        if state is not None:
-            if _stripped_equal(best, state):
-                state_col[aid] = best
-                return False
-        elif cur is not None and (
-            best[1] == cur.cost
-            and best[2] == len(cur.path) - 1
-            and _lex_key(tuple(best[3])) == _lex_key(cur.path[1:])
-        ):
-            # The rescan re-derived the previously unsupported entry.
+        if state is not None and _stripped_equal(best, state):
             state_col[aid] = best
             return False
         state_col[aid] = best
@@ -1450,7 +1374,7 @@ class ReplayKernel:
             entry = RouteEntry(cost=total, path=(owner,) + tuple(opath))
         self.avoid[key] = entry
         self._avoid_changes.add(aid)
-        self._dirty_pricing.add(self._avoid_dest[aid])
+        self._dirty_pricing.add(did)
         return True
 
     # --- pricing derivation -------------------------------------------
@@ -1541,12 +1465,17 @@ class ReplayKernel:
         return True
 
     def _supplier_tag(self, destination: NodeId, avoided: NodeId) -> FrozenSet[NodeId]:
-        """Argmin suppliers of one avoidance entry (union on ties)."""
+        """Argmin suppliers of one avoidance entry (union on ties).
+
+        Candidates follow the same case split as :meth:`_relax_avoid`.
+        """
         owner = self.owner
-        aid = self._avoid_ids.get((destination, avoided))
+        did = self._node_ids.get(destination)
+        key = (destination, avoided)
         best = None  # (cost, hops, path)
         tag: List[NodeId] = []
         costs_get = self.costs.get
+        routes_get = self._route_offers.get
         offers_get = self._avoid_offers.get
         for neighbor in self.neighbors:
             if neighbor == avoided:
@@ -1554,20 +1483,25 @@ class ReplayKernel:
             if neighbor == destination:
                 cand = (0.0, 1, (destination,))
             else:
-                if aid is None:
-                    # Never interned: no neighbour ever offered it.
-                    continue
-                vec = offers_get(neighbor)
-                offer = vec.get(aid) if vec else None
-                if offer is None:
+                vec = routes_get(neighbor)
+                route = vec.get(did) if vec else None
+                if route is None:
                     continue
                 ncost = costs_get(neighbor)
                 if ncost is None:
                     continue
-                opath = offer[3]
+                opath = route[2]
+                cost = route[1]
+                if avoided in opath:
+                    vec = offers_get(neighbor)
+                    offer = vec.get(key) if vec else None
+                    if offer is None:
+                        continue
+                    cost = offer[2]
+                    opath = offer[3]
                 if owner in opath or avoided in opath:
                     continue
-                cand = (ncost + offer[2], len(opath), opath)
+                cand = (ncost + cost, len(opath), opath)
             if best is None:
                 best = cand
                 tag = [neighbor]
@@ -1874,10 +1808,8 @@ class MirrorKernelPool:
 # ----------------------------------------------------------------------
 
 
-
-
 def kernel_fixed_point(
-    graph, max_rounds: int = 100_000, kernel_cls: Optional[type] = None
+    graph, max_rounds: int = 100_000
 ) -> Dict[NodeId, "ReplayKernel"]:
     """Run the FPSS relaxation to its fixed point with no simulator.
 
@@ -1896,22 +1828,15 @@ def kernel_fixed_point(
     (batching, delta wire format, delivery order) against the bare
     kernel, and the engine oracle against the kernel.
 
-    ``kernel_cls`` substitutes a drop-in kernel implementation (the
-    columnar/dict equivalence suite drives both
-    :class:`ReplayKernel` and
-    :class:`~repro.routing.kernel_dict.DictReplayKernel` through the
-    same rounds); the default is :class:`ReplayKernel`.
-
     Raises
     ------
     ConvergenceError
         If ``max_rounds`` synchronous rounds do not reach quiescence
         (impossible for a static graph unless the kernel is buggy).
     """
-    cls = ReplayKernel if kernel_cls is None else kernel_cls
     order = sorted(graph.nodes, key=repr)
     kernels = {
-        node: cls(node, graph.neighbors(node), graph.cost(node))
+        node: ReplayKernel(node, graph.neighbors(node), graph.cost(node))
         for node in order
     }
     for kernel in kernels.values():

@@ -66,6 +66,7 @@ class TransitCostTable:
 
     def __init__(self) -> None:
         self._costs: Dict[NodeId, Cost] = {}
+        self._digest: Optional[str] = None
 
     def declare(self, node: NodeId, cost: Cost) -> bool:
         """Record a declaration; returns True if this changed the table."""
@@ -74,6 +75,7 @@ class TransitCostTable:
         if self._costs.get(node) == cost:
             return False
         self._costs[node] = float(cost)
+        self._digest = None
         return True
 
     def cost(self, node: NodeId) -> Cost:
@@ -98,7 +100,10 @@ class TransitCostTable:
         during a run — but required by the dynamic-topology engine so a
         departed node's declaration does not linger in digests.
         """
-        return self._costs.pop(node, None) is not None
+        if self._costs.pop(node, None) is None:
+            return False
+        self._digest = None
+        return True
 
     def as_dict(self) -> Dict[NodeId, Cost]:
         """Copy of the underlying mapping."""
@@ -108,8 +113,10 @@ class TransitCostTable:
         return len(self._costs)
 
     def stable_digest(self) -> str:
-        """Hash for bank comparisons."""
-        return stable_hash(self._costs)
+        """Hash for bank comparisons (cached until the next change)."""
+        if self._digest is None:
+            self._digest = stable_hash(self._costs)
+        return self._digest
 
 
 class RoutingTable:
@@ -118,6 +125,7 @@ class RoutingTable:
     def __init__(self, owner: NodeId) -> None:
         self.owner = owner
         self._entries: Dict[NodeId, RouteEntry] = {}
+        self._digest: Optional[str] = None
 
     def entry(self, destination: NodeId) -> Optional[RouteEntry]:
         """The current entry for a destination, if any."""
@@ -131,6 +139,7 @@ class RoutingTable:
         if current == entry:
             return False
         self._entries[destination] = entry
+        self._digest = None
         return True
 
     def remove(self, destination: NodeId) -> bool:
@@ -140,7 +149,10 @@ class RoutingTable:
         only grow); topology events — failed links, departed nodes —
         are what make destinations genuinely unreachable.
         """
-        return self._entries.pop(destination, None) is not None
+        if self._entries.pop(destination, None) is None:
+            return False
+        self._digest = None
+        return True
 
     def cost(self, destination: NodeId) -> Cost:
         """Path cost to a destination (INFINITY if unknown)."""
@@ -164,8 +176,10 @@ class RoutingTable:
         return {d: (e.cost, e.path) for d, e in self._entries.items()}
 
     def stable_digest(self) -> str:
-        """Hash for BANK1 comparisons."""
-        return stable_hash(self.as_dict())
+        """Hash for BANK1 comparisons (cached until the next change)."""
+        if self._digest is None:
+            self._digest = stable_hash(self.as_dict())
+        return self._digest
 
 
 @dataclass(frozen=True)
@@ -184,6 +198,7 @@ class PricingTable:
     def __init__(self, owner: NodeId) -> None:
         self.owner = owner
         self._entries: Dict[NodeId, Dict[NodeId, PricingEntry]] = {}
+        self._digest: Optional[str] = None
 
     def set_price(
         self,
@@ -198,11 +213,13 @@ class PricingTable:
         if row.get(transit) == entry:
             return False
         row[transit] = entry
+        self._digest = None
         return True
 
     def clear_destination(self, destination: NodeId) -> None:
         """Remove a whole row (used when the LCP changes)."""
-        self._entries.pop(destination, None)
+        if self._entries.pop(destination, None) is not None:
+            self._digest = None
 
     def price(self, destination: NodeId, transit: NodeId) -> Cost:
         """The price for one transit node (0 if absent, as off-path)."""
@@ -245,8 +262,11 @@ class PricingTable:
         }
 
     def stable_digest(self) -> str:
-        """Hash (prices *and* tags) for BANK2 comparisons."""
-        return stable_hash(self.as_dict())
+        """Hash (prices *and* tags) for BANK2 comparisons (cached until
+        the next change)."""
+        if self._digest is None:
+            self._digest = stable_hash(self.as_dict())
+        return self._digest
 
 
 class PaymentList:

@@ -405,10 +405,9 @@ def test_kernel_suppression_inventory_is_curated():
         "float-eq",
         "float-eq",
         "kernel-purity",
-        # argmin drain in _relax_route plus the three set-to-set id
-        # decodes (consume_*_changes, recompute_avoidance) where
-        # iteration order cannot escape the built set.
-        "unordered-iter",
+        # argmin drain in _relax_route plus the two set-to-set id
+        # decodes (consume_*_changes) where iteration order cannot
+        # escape the built set.
         "unordered-iter",
         "unordered-iter",
         "unordered-iter",

@@ -10,7 +10,11 @@ the kernel must show up as a disagreement (the planted-bug tests): the
 protocol reproduces the kernel's bug, the engine oracle does not.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -30,6 +34,11 @@ from repro.sim.churn import apply_churn_epoch, random_churn_schedule
 from repro.workloads import random_biconnected_graph
 
 DIGESTS = ("cost_digest", "routing_digest", "pricing_digest")
+
+REPO_SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+    "src",
+)
 
 
 def assert_parity(graph):
@@ -186,3 +195,52 @@ class TestOracleErrors:
         nodes["C"] = FPSSNode("C", graph.cost("C"))
         with pytest.raises(ConvergenceError, match="'C'"):
             check(graph, nodes)
+
+
+#: Subprocess workload: kernel and engine fixed-point digests.
+_HASH_SEED_WORKER = """
+import json
+import random
+import sys
+
+from repro.routing import fixed_point_digests, kernel_fixed_point
+from repro.workloads import random_biconnected_graph
+
+graph = random_biconnected_graph(12, random.Random(3))
+out = {"kernel": {}, "engine": {}}
+for node, kernel in sorted(kernel_fixed_point(graph).items(), key=repr):
+    out["kernel"][repr(node)] = [
+        kernel.cost_digest(), kernel.routing_digest(), kernel.pricing_digest()
+    ]
+for node, digests in sorted(fixed_point_digests(graph).items(), key=repr):
+    out["engine"][repr(node)] = [
+        digests.cost_digest, digests.routing_digest, digests.pricing_digest
+    ]
+json.dump(out, sys.stdout, sort_keys=True)
+"""
+
+
+class TestHashSeedParity:
+    def test_digests_identical_across_hash_seeds(self, tmp_path):
+        """Kernel and engine agree, and neither depends on hash order."""
+        script = tmp_path / "worker.py"
+        script.write_text(_HASH_SEED_WORKER)
+        procs = {
+            seed: subprocess.Popen(
+                [sys.executable, str(script)],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=dict(os.environ, PYTHONPATH=REPO_SRC, PYTHONHASHSEED=seed),
+            )
+            for seed in ("0", "1")
+        }
+        outputs = {}
+        for seed, proc in procs.items():
+            stdout, stderr = proc.communicate(timeout=120)
+            assert proc.returncode == 0, f"seed {seed} failed:\n{stderr}"
+            outputs[seed] = json.loads(stdout)
+        for seed, out in outputs.items():
+            assert out["kernel"] == out["engine"], seed
+            assert len(out["kernel"]) == 12
+        assert outputs["0"] == outputs["1"]

@@ -50,14 +50,16 @@ def random_route_vector(rng, graph, sender):
     return vector
 
 
-def random_avoid_vector(rng, graph, sender):
-    """A plausible avoidance vector a neighbour might announce."""
+def random_avoid_vector(rng, graph, sender, route_vector):
+    """A plausible avoidance vector a neighbour might announce.
+
+    Keys follow the sparse wire: ``(destination, avoided)`` only for
+    ``avoided`` interior to the sender's announced route.
+    """
     vector = {}
-    for destination in graph.nodes:
-        if destination == sender:
-            continue
-        for avoided in graph.nodes:
-            if avoided in (sender, destination) or rng.random() < 0.6:
+    for destination, route in route_vector.items():
+        for avoided in route.path[1:-1]:
+            if rng.random() < 0.3:
                 continue
             intermediate = [
                 n
@@ -102,7 +104,9 @@ class TestDictPathEquivalence:
             sender = rng.choice(neighbors)
             step_rng = random.Random(seed * 1000 + step)
             route_vector = random_route_vector(step_rng, graph, sender)
-            avoid_vector = random_avoid_vector(step_rng, graph, sender)
+            avoid_vector = random_avoid_vector(
+                step_rng, graph, sender, route_vector
+            )
             # Shrinking vectors (withdrawals) exercise the universe
             # reference counts and the rescan fallback.
             reference.apply_route_update(sender, route_vector)
@@ -146,7 +150,9 @@ class TestDeltaPathEquivalence:
             sender = rng.choice(neighbors)
             step_rng = random.Random(seed * 1000 + step)
             route_vector = random_route_vector(step_rng, graph, sender)
-            avoid_vector = random_avoid_vector(step_rng, graph, sender)
+            avoid_vector = random_avoid_vector(
+                step_rng, graph, sender, route_vector
+            )
             route_delta = encode_route_delta(route_vector, last_routes[sender])
             avoid_delta = encode_avoid_delta(avoid_vector, last_avoid[sender])
             last_routes[sender] = route_vector

@@ -7,11 +7,17 @@ shared-log machinery (:class:`SharedKernel` / :class:`MirrorKernelPool`)
 the checker layer deduplicates with.
 """
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.errors import ExperimentError, ProtocolError  # noqa: F401
+from repro.faithful.manipulations import (
+    construction_deviations,
+    faithful_deviant_factory,
+)
+from repro.faithful.protocol import run_checked_construction
 from repro.routing import (
     FPSSComputation,
     KernelStats,
@@ -21,6 +27,7 @@ from repro.routing import (
     SharedKernel,
     engine_for,
     figure1_graph,
+    fixed_point_digests,
     kernel_fixed_point,
     run_plain_fpss,
 )
@@ -248,6 +255,117 @@ class TestKernelStats:
         assert a.rows_ingested == 5
         assert a.shared_hits == 4
         assert a.forks == 1
+
+    @staticmethod
+    def _populated():
+        stats = KernelStats()
+        for index, field in enumerate(dataclasses.fields(KernelStats), start=1):
+            setattr(stats, field.name, index)
+        return stats
+
+    def test_merge_covers_every_declared_field(self):
+        """A counter added to the dataclass must be threaded through
+        :meth:`KernelStats.merge` too."""
+        target = self._populated()
+        target.merge(self._populated())
+        for index, field in enumerate(dataclasses.fields(KernelStats), start=1):
+            assert getattr(target, field.name) == 2 * index, field.name
+
+    def test_as_dict_covers_every_declared_field(self):
+        view = self._populated().as_dict()
+        assert set(view) == {f.name for f in dataclasses.fields(KernelStats)}
+        for index, field in enumerate(dataclasses.fields(KernelStats), start=1):
+            assert view[field.name] == index, field.name
+
+
+def _shared_entries(construction):
+    """Every SharedKernel behind a shared-checking run, owner-sorted."""
+    pool = next(iter(construction.nodes.values())).mirror_pool
+    assert pool is not None
+    return sorted(pool._kernels.values(), key=lambda e: repr(e.owner))
+
+
+def replay_log(entry):
+    """Replay one SharedKernel's verified op log on a fresh kernel.
+
+    Rebuilds the seed state independently of the pool, then asserts
+    every recorded flush prediction — the broadcasts the checkers
+    verified against — is reproduced bit-for-bit, and so are the final
+    tables.
+    """
+    kernel = ReplayKernel(entry.owner, entry.seed_neighbors, entry.seed_cost)
+    for node, cost in entry.seed_known_costs.items():
+        kernel.note_cost_declaration(node, cost)
+    kernel.reset_phase2()
+    kernel.recompute_routes()
+    kernel.recompute_avoidance()
+    kernel.derive_pricing()
+    assert kernel.consume_route_delta() == entry.initial_route
+    assert kernel.consume_avoid_delta() == entry.initial_price
+    for op in entry.ops:
+        if op[0] == "apply":
+            _tag, kind, src, rows = op
+            if kind == KIND_RT_UPDATE:
+                kernel.apply_route_delta(src, rows)
+            else:
+                kernel.apply_avoid_delta(src, rows)
+        else:
+            assert kernel.settle() == (op[1], op[2]), entry.owner
+    assert kernel.full_digest() == entry.kernel.full_digest(), entry.owner
+
+
+def assert_matches_engine(graph, nodes):
+    """Every node's DATA1/DATA2/DATA3* digests equal the engine oracle's."""
+    for node_id, expected in fixed_point_digests(graph).items():
+        comp = nodes[node_id].comp
+        assert comp.cost_digest() == expected.cost_digest, node_id
+        assert comp.routing_digest() == expected.routing_digest, node_id
+        assert comp.pricing_digest() == expected.pricing_digest, node_id
+
+
+class TestOpLogReplay:
+    """Checked-construction shared logs replay identically on a fresh
+    kernel, and the tables they converge to match the engine oracle."""
+
+    def test_honest_run_with_heterogeneous_delays(self):
+        graph = random_biconnected_graph(10, random.Random(7))
+
+        def delays(a, b, _rng=random.Random(17)):
+            return _rng.uniform(1.0, 2.5)
+
+        construction = run_checked_construction(graph, link_delays=delays)
+        assert construction.flags == []
+        assert_matches_engine(graph, construction.nodes)
+        entries = _shared_entries(construction)
+        assert any(entry.ops for entry in entries)
+        for entry in entries:
+            replay_log(entry)
+
+    def test_private_checking_matches_shared_digests(self):
+        graph = random_biconnected_graph(8, random.Random(3))
+        shared = run_checked_construction(graph, shared_checking=True)
+        private = run_checked_construction(graph, shared_checking=False)
+        for node_id in shared.nodes:
+            assert (
+                shared.nodes[node_id].comp.full_digest()
+                == private.nodes[node_id].comp.full_digest()
+            ), node_id
+        assert_matches_engine(graph, shared.nodes)
+        for entry in _shared_entries(shared):
+            replay_log(entry)
+
+    @pytest.mark.parametrize(
+        "spec", construction_deviations(), ids=lambda spec: spec.name
+    )
+    def test_manipulation_catalogue_runs(self, spec):
+        # A deviant may fork mirrors off the shared log, but every
+        # *verified* log prefix must still replay exactly — divergence
+        # handling never corrupts the log.
+        construction = run_checked_construction(
+            figure1_graph(), node_factory=faithful_deviant_factory(spec, "C")
+        )
+        for entry in _shared_entries(construction):
+            replay_log(entry)
 
 
 class TestRouteEntrySharing:

@@ -31,13 +31,18 @@ from repro.workloads import random_biconnected_graph, uniform_all_pairs
 class TestRelaxationExclusion:
     @staticmethod
     def build():
-        """Node i with neighbours k, m; both announce routes to z."""
+        """Node i with neighbours k, m; both announce routes to z.
+
+        m's route runs through k, so on the sparse wire m's candidate
+        for the key ``(z, k)`` is its avoidance row, and k is interior
+        to i's own route ``(i, k, z)``, so i holds that key.
+        """
         comp = FPSSComputation("i", ["k", "m"], 1.0)
         for node, cost in (("i", 1.0), ("k", 1.0), ("m", 1.0), ("z", 1.0)):
             comp.note_cost_declaration(node, cost)
         comp.apply_route_update("k", {"z": RouteEntry(0.0, ("k", "z"))})
         comp.apply_route_update(
-            "m", {"z": RouteEntry(1.0, ("m", "q", "z"))}
+            "m", {"z": RouteEntry(1.0, ("m", "k", "z"))}
         )
         comp.recompute_routes()
         return comp

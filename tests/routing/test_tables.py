@@ -150,3 +150,41 @@ class TestPaymentList:
         one.charge("k", 1.0)
         two.charge("k", 1.0)
         assert one.stable_digest() == two.stable_digest()
+
+
+class TestDigestCache:
+    """``stable_digest`` is cached; every mutator must drop the cache."""
+
+    @staticmethod
+    def costs(**values):
+        table = TransitCostTable()
+        for node, cost in values.items():
+            table.declare(node, cost)
+        return table
+
+    def test_cost_table(self):
+        table = self.costs(a=1.0, b=2.0)
+        before = table.stable_digest()
+        table.declare("a", 3.0)
+        assert table.stable_digest() == self.costs(a=3.0, b=2.0).stable_digest()
+        assert table.stable_digest() != before
+        table.retract("b")
+        assert table.stable_digest() == self.costs(a=3.0).stable_digest()
+
+    def test_routing_table(self):
+        table = RoutingTable("a")
+        table.update("c", RouteEntry(1.0, ("a", "b", "c")))
+        before = table.stable_digest()
+        table.update("c", RouteEntry(1.0, ("a", "d", "c")))
+        assert table.stable_digest() != before
+        table.remove("c")
+        assert table.stable_digest() == RoutingTable("a").stable_digest()
+
+    def test_pricing_table(self):
+        table = PricingTable("a")
+        table.set_price("z", "k", 4.0, frozenset({"b"}))
+        before = table.stable_digest()
+        table.set_price("z", "k", 4.0, frozenset({"c"}))
+        assert table.stable_digest() != before
+        table.clear_destination("z")
+        assert table.stable_digest() == PricingTable("a").stable_digest()
