@@ -7,24 +7,16 @@ engine's convergence work on sparse AS-like random biconnected graphs
 instead of the default quadratic chord densification) and verify every
 converged fixed point against the centralized oracle.
 
-Two engines are measured:
+The engine measured is the protocol's only one: batched delivery plus
+delta recomputation — one relaxation per node per flooding round, work
+proportional to actual table churn.
 
-* **incremental** (the default): batched delivery plus delta
-  recomputation — one relaxation per node per flooding round, work
-  proportional to actual table churn;
-* **legacy**: per-message delivery with a full-table rescan per update
-  (:class:`~repro.routing.fpss.FullRecomputeFPSSNode`,
-  ``batch_delivery=False``) — the engine this repository shipped
-  before the incremental rework, kept as the "before" leg of the
-  curve.
-
-The incremental curve runs 16/32/64 plus a single 128-node cell in the
-default tier and extends to 96 and 256 nodes behind the ``slow``
-marker.  Regression gates are counter-based (messages and mechanism
+The curve runs 16/32/64 plus a single 128-node cell in the default
+tier and extends to 96 and 256 nodes behind the ``slow`` marker.
+Regression gates are counter-based (messages and mechanism
 computations are exact for a given graph; wall seconds on a shared
 runner are not): the work curve must stay within the expected
-near-quadratic envelope, which the legacy engine — leaving the default
-tier at 16 nodes already — exceeds immediately.
+near-quadratic envelope.
 """
 
 import math
@@ -34,25 +26,19 @@ import time
 import pytest
 
 from repro.analysis import render_table
-from repro.routing import (
-    FullRecomputeFPSSNode,
-    run_plain_fpss,
-    verify_against_oracle,
-)
+from repro.routing import run_plain_fpss, verify_against_oracle
 from repro.workloads import random_biconnected_graph
 
 #: Incremental-engine curve (default tier) and its slow-tier extension.
 SIZES = (16, 32, 64)
 SLOW_SIZES = (96, 256)
-#: Sizes small enough for the legacy engine's before/after comparison.
-LEGACY_SIZES = (8, 12, 16)
 
 #: Counter envelope for one size doubling on the sparse-graph family:
 #: messages and computations grow ~4x per doubling (quadratic in n at
 #: constant expected degree).  A factor of 8 flags a lost-incrementality
-#: regression (the legacy engine exceeds it immediately) while leaving
-#: room for legitimate engine changes; counters are exact per graph, so
-#: this gate cannot flake with machine load the way wall bounds did.
+#: regression while leaving room for legitimate engine changes; counters
+#: are exact per graph, so this gate cannot flake with machine load the
+#: way wall bounds did.
 DOUBLING_FACTOR = 8.0
 
 
@@ -65,27 +51,19 @@ def sparse_graph(size, seed=5):
     )
 
 
-def run_engine(graph, legacy=False):
+def run_engine(graph):
     """One timed convergence run; returns (wall seconds, stats, nodes)."""
-    kwargs = {}
-    if legacy:
-        kwargs = {
-            "node_factory": lambda node_id, cost: FullRecomputeFPSSNode(
-                node_id, cost
-            ),
-            "batch_delivery": False,
-        }
     started = time.perf_counter()
-    _, nodes, stats = run_plain_fpss(graph, **kwargs)
+    _, nodes, stats = run_plain_fpss(graph)
     elapsed = time.perf_counter() - started
     return elapsed, stats, nodes
 
 
-def measure_curve(sizes, legacy=False, seed=5):
+def measure_curve(sizes, seed=5):
     rows = []
     for size in sizes:
         graph = sparse_graph(size, seed=seed)
-        elapsed, stats, nodes = run_engine(graph, legacy=legacy)
+        elapsed, stats, nodes = run_engine(graph)
         verify_against_oracle(graph, nodes)
         rows.append(
             {
@@ -152,63 +130,6 @@ def test_bench_convergence_128():
     rows = measure_curve(SIZES[-1:] + (128,))
     print_curve(rows, "E8: incremental engine, 128-node default-tier cell")
     assert_counter_envelope(rows)
-
-
-def test_bench_convergence_before_after(benchmark):
-    """Legacy (per-message full rescan) vs incremental, same graphs.
-
-    Both engines converge to the identical oracle-verified fixed
-    point; the incremental engine does so with strictly fewer
-    mechanism computations, and the gap widens with n — the before /
-    after curve of the engine rework.
-    """
-
-    def run():
-        results = []
-        for size in LEGACY_SIZES:
-            graph = sparse_graph(size)
-            legacy_s, legacy_stats, legacy_nodes = run_engine(
-                graph, legacy=True
-            )
-            incr_s, incr_stats, incr_nodes = run_engine(graph)
-            verify_against_oracle(graph, legacy_nodes)
-            verify_against_oracle(graph, incr_nodes)
-            for source in graph.nodes:
-                assert (
-                    legacy_nodes[source].routing_table().as_dict()
-                    == incr_nodes[source].routing_table().as_dict()
-                )
-            results.append(
-                {
-                    "size": size,
-                    "legacy_s": legacy_s,
-                    "incr_s": incr_s,
-                    "legacy_comps": legacy_stats.total_computations,
-                    "incr_comps": incr_stats.total_computations,
-                }
-            )
-        return results
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    print()
-    print(
-        render_table(
-            ["n", "legacy s", "incremental s", "speedup",
-             "legacy comps", "incremental comps"],
-            [
-                [r["size"], round(r["legacy_s"], 3), round(r["incr_s"], 3),
-                 round(r["legacy_s"] / max(r["incr_s"], 1e-9), 1),
-                 r["legacy_comps"], r["incr_comps"]]
-                for r in results
-            ],
-            title="E8: legacy vs incremental engine (identical fixed points)",
-        )
-    )
-    for r in results:
-        assert r["incr_comps"] < r["legacy_comps"]
-    # The gap widens with size: the engines' computation ratio grows.
-    ratios = [r["legacy_comps"] / r["incr_comps"] for r in results]
-    assert ratios == sorted(ratios)
 
 
 @pytest.mark.slow

@@ -176,8 +176,8 @@ class PrincipalMirror:
             self._shared = shared
             self._private = None
             # The shared kernel already replicated the principal's
-            # start_phase2 (reset, full relaxations, unconditional
-            # initial announcements); queue the recorded predictions.
+            # start_phase2 (reset, settle, unconditional initial
+            # announcements); queue the recorded predictions.
             self._expected_route.append(shared.initial_route)
             self._expected_price.append(shared.initial_price)
             return
@@ -187,16 +187,14 @@ class PrincipalMirror:
         )
         for node, cost in known_costs.items():
             comp.note_cost_declaration(node, cost)
-        # Replicate the principal's start_phase2: reset tables, run the
-        # full relaxations once, and announce both vectors
-        # unconditionally (a delta against the empty baseline).
+        # Replicate the principal's start_phase2: reset tables, settle
+        # once, and announce both vectors unconditionally (a delta
+        # against the empty baseline).
         comp.reset_phase2()
-        comp.recompute_routes()
-        comp.recompute_avoidance()
-        comp.derive_pricing()
+        route_delta, price_delta = comp.settle()
         self._private = comp
-        self._expected_route.append(comp.consume_route_delta())
-        self._expected_price.append(comp.consume_avoid_delta())
+        self._expected_route.append(route_delta or ())
+        self._expected_price.append(price_delta or ())
 
     def _flag(self, kind: FlagKind, **detail) -> None:
         self.flags.append(

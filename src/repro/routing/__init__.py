@@ -29,7 +29,6 @@ from .fpss import (
     KIND_RT_UPDATE,
     FPSSComputation,
     FPSSNode,
-    FullRecomputeFPSSNode,
     decode_avoid_vector,
     decode_route_vector,
     encode_avoid_vector,
@@ -96,7 +95,6 @@ __all__ = [
     "verify_epoch_equivalence",
     "FPSSComputation",
     "FPSSNode",
-    "FullRecomputeFPSSNode",
     "INFINITY",
     "KernelSnapshot",
     "KernelStats",

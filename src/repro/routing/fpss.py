@@ -27,9 +27,10 @@ encodings of routing/avoidance announcements (withdrawal rows carry
 ``cost=None``) plus their payload sizing.
 
 Incremental recomputation, batching, and the relaxation internals are
-documented on the kernel (:mod:`repro.routing.kernel`); the full-table
-rescans are retained there as the property-tested reference oracle
-(``tests/routing/test_incremental_property.py``).
+documented on the kernel (:mod:`repro.routing.kernel`).  Phase starts,
+received messages, batch flushes and topology kicks all run the same
+settle-and-announce step; at a phase start the freshly reset kernel
+has every neighbour dirty, so that step is the initial relaxation.
 
 Distributed pricing
 -------------------
@@ -101,7 +102,6 @@ __all__ = [
     "RouteVector",
     "FPSSComputation",
     "FPSSNode",
-    "FullRecomputeFPSSNode",
     "delta_size",
     "encode_route_vector",
     "decode_route_vector",
@@ -340,11 +340,11 @@ class FPSSNode(ProtocolNode):
         self.recompute_and_announce(force_announce=True)
 
     def recompute_and_announce(self, force_announce: bool = False) -> None:
-        """Run the full-table relaxations and broadcast what changed.
+        """Phase start: settle the reset kernel and announce.
 
-        Used at phase starts (where everything is dirty anyway); the
-        steady-state message path goes through the incremental
-        relaxations instead.
+        ``reset_phase2`` left every neighbour dirty, so the ordinary
+        settle is the initial relaxation; ``force_announce`` makes both
+        first announcements unconditional (deltas against nothing).
         """
         assert self.comp is not None
         self.sim.metrics.record_computation(self.node_id)
@@ -354,30 +354,23 @@ class FPSSNode(ProtocolNode):
             owner=str(self.node_id),
             phase=self.phase,
         ):
-            routes_changed = self.comp.recompute_routes()
-            avoid_changed = self.comp.recompute_avoidance()
-            self.comp.derive_pricing()
-            if routes_changed or force_announce:
-                self.announce_routes()
-            if avoid_changed or force_announce:
-                self.announce_prices()
-        if BUS.enabled:
-            self._emit_kernel_counters()
+            self._settle_and_announce(force_announce)
 
-    def _recompute_and_announce_incremental(self) -> None:
+    def _settle_and_announce(self, force_announce: bool = False) -> None:
         """Relax the dirty entries once; broadcast each changed kind.
 
-        Shared by the per-message path (unbatched mode) and the
-        batch-boundary flush; both therefore emit identical broadcasts
+        The one settle step of the protocol: phase starts, the
+        per-message path (unbatched mode), the batch-boundary flush and
+        topology kicks all run it, so they emit identical broadcasts
         for identical ingested inputs.
         """
         assert self.comp is not None
-        routes_changed = self.comp.recompute_routes_incremental()
-        avoid_changed = self.comp.recompute_avoidance_incremental()
-        self.comp.derive_pricing_incremental()
-        if routes_changed:
+        routes_changed = self.comp.recompute_routes()
+        avoid_changed = self.comp.recompute_avoidance()
+        self.comp.derive_pricing()
+        if routes_changed or force_announce:
             self.announce_routes()
-        if avoid_changed:
+        if avoid_changed or force_announce:
             self.announce_prices()
         if BUS.enabled:
             self._emit_kernel_counters()
@@ -421,12 +414,12 @@ class FPSSNode(ProtocolNode):
         self._batch_recompute_pending = False
         self.sim.metrics.record_computation(self.node_id)
         if not BUS.enabled:
-            self._recompute_and_announce_incremental()
+            self._settle_and_announce()
             return
         with span(
             "kernel.flush", sim_time=self.now, owner=str(self.node_id)
         ):
-            self._recompute_and_announce_incremental()
+            self._settle_and_announce()
 
     def _next_route_announcement(self) -> Tuple:
         """Encode the next routing delta and advance the baseline.
@@ -482,7 +475,7 @@ class FPSSNode(ProtocolNode):
             self._batch_recompute_pending = True
             return
         self.sim.metrics.record_computation(self.node_id)
-        self._recompute_and_announce_incremental()
+        self._settle_and_announce()
 
     def on_price_update(self, message: Message) -> None:
         """[PRINC2] computation half: recompute pricing on new input."""
@@ -494,7 +487,7 @@ class FPSSNode(ProtocolNode):
             self._batch_recompute_pending = True
             return
         self.sim.metrics.record_computation(self.node_id)
-        self._recompute_and_announce_incremental()
+        self._settle_and_announce()
 
     # Hooks the faithful extension overrides to forward copies to
     # checkers *before* recomputation, per PRINC1/PRINC2 ordering.
@@ -520,7 +513,7 @@ class FPSSNode(ProtocolNode):
         if self.comp is None or self.phase != "phase2":
             return
         self.sim.metrics.record_computation(self.node_id)
-        self._recompute_and_announce_incremental()
+        self._settle_and_announce()
 
     def resend_full_tables(self, neighbor: NodeId) -> None:
         """Unicast the announced full vectors across a new or restored link.
@@ -711,23 +704,3 @@ class FPSSNode(ProtocolNode):
             raise ProtocolError(f"{self.node_id!r} has not started")
         return self.comp.pricing
 
-
-class FullRecomputeFPSSNode(FPSSNode):
-    """Reference FPSS node relaxing by full-table rescan every time.
-
-    Combined with ``Simulator(batch_delivery=False)`` this reproduces
-    the pre-incremental engine exactly (one whole-table recomputation
-    per received update) — the "before" leg of the convergence
-    benchmarks and the protocol-level equivalence tests.
-    """
-
-    def _recompute_and_announce_incremental(self) -> None:
-        """Run the full rescans where the engine would run deltas."""
-        assert self.comp is not None
-        routes_changed = self.comp.recompute_routes()
-        avoid_changed = self.comp.recompute_avoidance()
-        self.comp.derive_pricing()
-        if routes_changed:
-            self.announce_routes()
-        if avoid_changed:
-            self.announce_prices()

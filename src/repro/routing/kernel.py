@@ -29,6 +29,16 @@ sort keys per call (rank order equals ``_sort_key`` order by
 construction — see the :class:`ReplayKernel` docstring and
 ``docs/determinism.md``).
 
+One relaxation path
+-------------------
+Every relaxation settles through the dirty set, phase starts included:
+a fresh or reset kernel enters each neighbour (the base case) into the
+destination universe through the same rule as any later entry, so its
+neighbours start dirty and its first :meth:`ReplayKernel.settle` *is*
+the phase-start relaxation.  There is no full-rescan twin; the
+kernel's independent check is the engine oracle
+(:func:`~repro.routing.engine.fixed_point_digests`).
+
 Sparse avoidance wire
 ---------------------
 FPSS prices transit node ``k`` on ``P(i,j)`` with ``d^{-k}(i,j)``, so a
@@ -247,11 +257,12 @@ class ReplayKernel:
 
     A message-driven state machine: :meth:`apply_route_delta` /
     :meth:`apply_avoid_delta` ingest wire rows (fusing the monotone
-    avoidance relaxation into ingestion), the ``recompute_*`` methods
-    settle the dirty keys, :meth:`consume_route_delta` /
-    :meth:`consume_avoid_delta` read the changed-key sets off as the
-    next suggested-specification broadcasts, and the digest methods
-    hash the tables for bank comparison.  Determinism matters beyond
+    avoidance relaxation into ingestion), :meth:`recompute_routes`,
+    :meth:`recompute_avoidance` and :meth:`derive_pricing` settle the
+    dirty keys, :meth:`consume_route_delta` / :meth:`consume_avoid_delta`
+    read the changed-key sets off as the next suggested-specification
+    broadcasts, and the digest methods hash the tables for bank
+    comparison.  Determinism matters beyond
     tidiness: checker mirrors replay a principal's kernel on copies of
     its messages, and replay only works because the kernel is a pure
     function of (identity, neighbour set, op sequence).
@@ -413,20 +424,9 @@ class ReplayKernel:
 
         The interning tables persist (ids are stable for the kernel's
         lifetime); every replay-state column and dirty/changed set is
-        rebuilt at its current interned size.
+        rebuilt at its current interned size.  Each neighbour then enters
+        the universe dirty, so the next settle is the phase start.
         """
-        #: Reference counts for the destination universe: +1 per
-        #: neighbour vector currently announcing the destination, +1 if
-        #: it is a neighbour (the base case of the relaxation).  A
-        #: destination is relaxed only while its count is positive —
-        #: the same universe the full rescans derive on every call.
-        self._ref_col = [0] * len(self._node_keys)
-        owner_id = self._owner_id
-        node_ids = self._node_ids
-        for neighbor in self.neighbors:
-            nid = node_ids[neighbor]
-            if nid != owner_id:
-                self._ref_col[nid] = 1
         #: Routing dirty map: destination did -> the set of neighbours
         #: whose input changed since the last relaxation, or ``None``
         #: for "rescan every candidate" (universe (re)entry, DATA1
@@ -460,6 +460,17 @@ class ReplayKernel:
         #: unless the winning input itself worsened.
         self._route_state_col = [None] * len(self._node_keys)
         self._avoid_state_col = [None] * len(self._avoid_keys)
+        #: Reference counts for the destination universe: +1 per
+        #: neighbour vector currently announcing the destination, +1 if
+        #: it is a neighbour (the base case of the relaxation).  A
+        #: destination is relaxed only while its count is positive.
+        self._ref_col = [0] * len(self._node_keys)
+        owner_id = self._owner_id
+        node_ids = self._node_ids
+        for neighbor in self.neighbors:
+            nid = node_ids[neighbor]
+            if nid != owner_id:
+                self._universe_add(nid)
 
     # ------------------------------------------------------------------
     # phase 1: transit cost dissemination
@@ -470,8 +481,8 @@ class ReplayKernel:
 
         DATA1 is frozen before phase 2 in any honest run; if it does
         change while phase-2 state exists, every derived entry is
-        conservatively marked dirty so the incremental relaxations stay
-        equivalent to the full rescans.
+        conservatively marked dirty, so the next settle re-relaxes the
+        whole table from the stored offers.
         """
         changed = self.costs.declare(node, cost)
         if changed and (
@@ -481,7 +492,7 @@ class ReplayKernel:
         return changed
 
     def _mark_all_dirty(self) -> None:
-        """Schedule a full re-relaxation through the incremental path."""
+        """Mark every derived entry dirty; the next settle re-relaxes all."""
         dirty = self._dirty_routes
         pricing = self._dirty_pricing
         for did, count in enumerate(self._ref_col):
@@ -493,11 +504,10 @@ class ReplayKernel:
         self._key_resync.update(self._dest_keys)
         for aids in self._dest_keys.values():
             self._avoid_rescan.update(aids)
-        # Rows for routed destinations that dropped out of the universe
-        # are still re-derived by the full derive_pricing; match it.
-        # Marking them dirty also lets the incremental rescan withdraw
-        # entries stranded by topology events (inert on static runs,
-        # where the universe covers every routed destination).
+        # Routed destinations that dropped out of the universe (stranded
+        # by topology events) are marked too, so the settle withdraws
+        # their entries and clears their pricing rows; inert on static
+        # runs, where the universe covers every routed destination.
         ref_col = self._ref_col
         intern = self._intern_node
         for dest in self.routing.destinations:
@@ -520,8 +530,8 @@ class ReplayKernel:
     # applied synchronously at network quiescence by the dynamic
     # topology engine.  Each one conservatively marks every derived
     # entry dirty: topology events are orders of magnitude rarer than
-    # vector updates, so the equivalence argument stays the full
-    # rescan's and no new incremental invariant is introduced.
+    # vector updates, so the next settle simply re-relaxes every key
+    # from the stored offers and no event-specific invariant is needed.
 
     def detach_neighbor(self, neighbor: NodeId) -> None:
         """Remove a failed or departed link's peer from this kernel.
@@ -603,9 +613,9 @@ class ReplayKernel:
         count = self._ref_col[did]
         self._ref_col[did] = count + 1
         if count == 0:
-            # The destination just (re)entered the universe: its route
-            # is relaxed from every stored offer, as the full rescan
-            # would now see them.  Avoidance keys follow the route.
+            # The destination just (re)entered the universe (a phase
+            # start's neighbours included): its route is relaxed from
+            # every stored offer.  Avoidance keys follow the route.
             self._dirty_routes[did] = None
             self._dirty_pricing.add(did)
 
@@ -621,22 +631,6 @@ class ReplayKernel:
                 self._dirty_pricing.add(did)
         else:
             col[did] = count - 1
-
-    def consume_route_changes(self) -> Set[NodeId]:
-        """Destinations whose DATA2 entry changed since last consumed."""
-        changes = self._route_changes
-        self._route_changes = set()
-        keys = self._node_keys
-        # lint: allow[unordered-iter] set-to-set id decode; iteration order cannot escape the returned set
-        return {keys[did] for did in changes}
-
-    def consume_avoid_changes(self) -> Set[AvoidKey]:
-        """Avoidance keys whose entry changed since last consumed."""
-        changes = self._avoid_changes
-        self._avoid_changes = set()
-        keys = self._avoid_keys
-        # lint: allow[unordered-iter] set-to-set id decode; iteration order cannot escape the returned set
-        return {keys[aid] for aid in changes}
 
     def consume_route_delta(self) -> Tuple:
         """The next suggested-specification routing delta broadcast.
@@ -699,54 +693,6 @@ class ReplayKernel:
     # by every neighbour, so per-row materialisation (entry objects,
     # sort keys) would dominate the hot path.  Entries are only
     # materialised for adopted winners.
-
-    def apply_route_update(self, neighbor: NodeId, vector: RouteVector) -> None:
-        """Store a neighbour's *full* routing vector (dict form).
-
-        Diffs against the previously stored vector and marks only the
-        destinations whose rows changed as dirty.  The protocol's wire
-        path uses :meth:`apply_route_delta`; this entry point serves
-        replay tests and any caller holding a whole table.
-        """
-        if neighbor not in self.neighbors:
-            raise ProtocolError(
-                f"{self.owner!r} got a route update from non-neighbour {neighbor!r}"
-            )
-        raw = {
-            dest: (dest, entry.cost, entry.path) for dest, entry in vector.items()
-        }
-        stored = self._route_offers.get(neighbor)
-        if stored is None:
-            stored = self._route_offers[neighbor] = {}
-        owner_id = self._owner_id
-        dirty = self._dirty_routes
-        keys = self._node_keys
-        intern = self._intern_node
-        union = {keys[did] for did in stored}
-        union.update(raw)
-        for dest in sorted(union, key=_sort_key):
-            did = intern(dest)
-            offer = raw.get(dest)
-            old = stored.get(did)
-            if old == offer:
-                continue
-            if offer is None:
-                del stored[did]
-                if did != owner_id:
-                    self._universe_discard(did)
-            else:
-                if did != owner_id and old is None:
-                    self._universe_add(did)
-                stored[did] = offer
-            if did != owner_id:
-                suppliers = dirty.get(did)
-                if suppliers is not None:
-                    suppliers.add(neighbor)
-                elif did not in dirty:
-                    dirty[did] = {neighbor}
-                # an existing None sentinel already demands a full rescan
-                if did in self._dest_keys:
-                    self._route_offer_moved(neighbor, did, old)
 
     def _route_offer_moved(
         self, neighbor: NodeId, did: int, old: Optional[Tuple]
@@ -875,44 +821,6 @@ class ReplayKernel:
                 if did in dest_keys:
                     self._route_offer_moved(neighbor, did, old)
 
-    def apply_avoid_update(self, neighbor: NodeId, vector: AvoidVector) -> None:
-        """Store a neighbour's *full* avoidance vector (dict form).
-
-        Marks changed active keys for a rescan, and their destinations'
-        pricing rows with them: even a value-preserving tie change can
-        alter a DATA3* identity tag.  Rows for keys off the owner's
-        paths are only stored (a later route change may activate them).
-        """
-        if neighbor not in self.neighbors:
-            raise ProtocolError(
-                f"{self.owner!r} got a price update from non-neighbour {neighbor!r}"
-            )
-        raw = {
-            key: (key[0], key[1], entry.cost, entry.path)
-            for key, entry in vector.items()
-        }
-        stored = self._avoid_offers.get(neighbor)
-        if stored is None:
-            stored = self._avoid_offers[neighbor] = {}
-        active = self._avoid_active
-        avoid_ids_get = self._avoid_ids.get
-        union = set(stored)
-        union.update(raw)
-        for key in sorted(
-            union, key=lambda k: (_sort_key(k[0]), _sort_key(k[1]))
-        ):
-            offer = raw.get(key)
-            if stored.get(key) == offer:
-                continue
-            if offer is None:
-                del stored[key]
-            else:
-                stored[key] = offer
-            aid = avoid_ids_get(key)
-            if aid is not None and active[aid]:
-                self._avoid_rescan.add(aid)
-                self._dirty_pricing.add(self._avoid_dest[aid])
-
     def apply_avoid_delta(self, neighbor: NodeId, rows: Sequence[Tuple]) -> None:
         """Ingest a wire delta, fusing the monotone relaxation step.
 
@@ -981,42 +889,12 @@ class ReplayKernel:
     # only scans the suppliers whose input changed.
 
     def recompute_routes(self) -> bool:
-        """Re-derive DATA2 by rescanning every destination; True if changed.
+        """Relax the dirty destinations; True if DATA2 changed.
 
         The relaxation is the path-vector Bellman-Ford of the
         Griffin-Wilfong model with the deterministic (cost, hops,
         lexicographic) tie-break shared with the centralized oracle.
-        This full rescan is the reference the incremental variant is
-        property-tested against; the hot path uses
-        :meth:`recompute_routes_incremental`.
-        """
-        self.computation_count += 1
-        changed = False
-        dids: Set[int] = set()
-        for vector in self._route_offers.values():
-            dids.update(vector)
-        node_ids = self._node_ids
-        for neighbor in self.neighbors:
-            dids.add(node_ids[neighbor])
-        # Destinations with an installed entry but no remaining offer
-        # (withdrawn by topology events) must be rescanned so the entry
-        # is deleted; on a static graph this union adds nothing.
-        intern = self._intern_node
-        for dest in self.routing.destinations:
-            dids.add(intern(dest))
-        dids.discard(self._owner_id)
-        keys = self._node_keys
-        rank = self._node_rank
-        for did in sorted(dids, key=rank.__getitem__):
-            if self._relax_route(keys[did], None, did):
-                changed = True
-        self._dirty_routes = {}
-        return changed
-
-    def recompute_routes_incremental(self) -> bool:
-        """Relax only the dirty destinations; True if DATA2 changed.
-
-        Observably identical to :meth:`recompute_routes` because a
+        Relaxing only the dirty destinations suffices because a
         destination's candidate set depends only on its own rows in the
         neighbour vectors (diffed on ingestion) and on DATA1 (frozen in
         phase 2, conservatively handled otherwise).
@@ -1031,9 +909,9 @@ class ReplayKernel:
         changed = False
         for did, suppliers in dirty.items():
             if not ref_col[did]:
-                # Outside the universe the full rescan finds no
-                # candidates either: withdraw any retained entry;
-                # rejoining re-marks the destination dirty.
+                # Outside the universe there are no candidates:
+                # withdraw any retained entry; rejoining re-marks the
+                # destination dirty.
                 if self._drop_route_entry(did):
                     changed = True
                 continue
@@ -1061,10 +939,7 @@ class ReplayKernel:
         return False
 
     def _relax_route(
-        self,
-        destination: NodeId,
-        suppliers: Optional[Set[NodeId]] = None,
-        did: Optional[int] = None,
+        self, destination: NodeId, suppliers: Optional[Set[NodeId]], did: int
     ) -> bool:
         """Relax one destination; True if its DATA2 entry changed.
 
@@ -1073,20 +948,14 @@ class ReplayKernel:
         is not among them it still bounds the minimum, and if it is but
         improved, it still wins against the unchanged rest — only a
         worsened winner forces the full rescan.  ``did`` is the
-        destination's interned id when the caller already holds it.
+        destination's interned id.  A DATA2 entry exists exactly when
+        its route state does, so the state says whether one is installed.
         """
         owner = self.owner
-        if did is None:
-            did = self._intern_node(destination)
         state_col = self._route_state_col
         state = state_col[did]
-        cur = self.routing.entry(destination)
         full = suppliers is None
         self.stats.route_relaxations += 1
-        if cur is not None and state is None:
-            # The entry lost its supporting candidate in an earlier
-            # no-candidate rescan; only a full rescan may touch it.
-            full = True
         # best: (supplier, cost, hops, offer path) stripped candidate.
         best = None
         keep = False
@@ -1154,36 +1023,17 @@ class ReplayKernel:
             # as a fresh computation on the shrunken graph would never
             # have derived it.  On a static graph this never fires —
             # obedient neighbours never retract their offers.
-            if state is not None:
-                state_col[did] = None
-            if cur is not None:
-                self.routing.remove(destination)
-                self._route_changes.add(did)
-                self._dirty_pricing.add(did)
-                self._key_resync.add(did)
-                return True
-            return False
+            return self._drop_route_entry(did)
         if keep:
             return False
-        if state is not None:
-            if _stripped_equal(best, state):
-                state_col[did] = best
-                return False
-        elif cur is not None and (
-            best[1] == cur.cost
-            and best[2] == len(cur.path) - 1
-            and _lex_key(tuple(best[3])) == _lex_key(cur.path[1:])
-        ):
-            # The rescan re-derived the previously unsupported entry.
+        if state is not None and _stripped_equal(best, state):
             state_col[did] = best
             return False
         state_col[did] = best
-        sup, total, _hops, opath = best
-        if sup is _BASE:
-            entry = RouteEntry(cost=0.0, path=(owner, destination))
-        else:
-            entry = RouteEntry(cost=total, path=(owner,) + tuple(opath))
-        self.routing.update(destination, entry)
+        # The base case's offer path is (destination,) at cost 0.0.
+        self.routing.update(
+            destination, RouteEntry(cost=best[1], path=(owner,) + tuple(best[3]))
+        )
         self._route_changes.add(did)
         self._dirty_pricing.add(did)
         self._key_resync.add(did)
@@ -1192,35 +1042,6 @@ class ReplayKernel:
     # --- avoidance relaxation -----------------------------------------
 
     def recompute_avoidance(self) -> bool:
-        """Re-derive the avoidance table by full rescan; True if changed.
-
-        Reference counterpart of
-        :meth:`recompute_avoidance_incremental`, retained for phase
-        starts and the equivalence property tests: resyncs the key set
-        of every routed destination, then rescans every active key.
-        The returned flag also covers entries already moved by the
-        fused ingestion since the previous recompute call, so "did
-        anything change since the last recomputation" keeps its meaning
-        in every mode.
-        """
-        self.computation_count += 1
-        changed = self._avoid_changed
-        self._avoid_changed = False
-        intern = self._intern_node
-        self._key_resync.update(self._dest_keys)
-        for dest in self.routing.destinations:
-            self._key_resync.add(intern(dest))
-        if self._resync_keys():
-            changed = True
-        self._avoid_rescan = set()
-        rank = self._node_rank
-        for did in sorted(self._dest_keys, key=rank.__getitem__):
-            for aid in self._dest_keys[did]:
-                if self._relax_avoid(aid):
-                    changed = True
-        return changed
-
-    def recompute_avoidance_incremental(self) -> bool:
         """Settle the avoidance table; True if it changed.
 
         Improvements were already adopted during ingestion (the
@@ -1310,7 +1131,6 @@ class ReplayKernel:
         did = self._avoid_dest[aid]
         state_col = self._avoid_state_col
         state = state_col[aid]
-        cur = self.avoid.get(key)
         best = None
         self.stats.avoid_rescans += 1
         costs_get = self.costs.get
@@ -1356,23 +1176,12 @@ class ReplayKernel:
             best = (neighbor, total, len(opath), opath)
         if best is None:
             # No candidate supports this key: withdraw the entry.
-            state_col[aid] = None
-            if cur is not None:
-                del self.avoid[key]
-                self._avoid_changes.add(aid)
-                self._dirty_pricing.add(did)
-                return True
-            return False
+            return self._drop_avoid_entry(aid)
         if state is not None and _stripped_equal(best, state):
             state_col[aid] = best
             return False
         state_col[aid] = best
-        sup, total, _hops, opath = best
-        if sup is _BASE:
-            entry = RouteEntry(cost=0.0, path=(owner, destination))
-        else:
-            entry = RouteEntry(cost=total, path=(owner,) + tuple(opath))
-        self.avoid[key] = entry
+        self.avoid[key] = RouteEntry(cost=best[1], path=(owner,) + tuple(best[3]))
         self._avoid_changes.add(aid)
         self._dirty_pricing.add(did)
         return True
@@ -1380,39 +1189,21 @@ class ReplayKernel:
     # --- pricing derivation -------------------------------------------
 
     def derive_pricing(self) -> bool:
-        """Recompute DATA3* from DATA2 and the avoidance table.
+        """Re-derive the dirty DATA3* rows; True if any cell changed.
 
-        For every destination ``j`` with a route, and every transit
+        For a dirty destination ``j`` with a route, and every transit
         node ``k`` interior to that route, install
 
             price = c_k + d^{-k}(owner, j) - d(owner, j)
 
         with the identity tag set to the argmin suppliers of the
-        avoidance entry.  Returns True if any cell changed.  Full-table
-        reference counterpart of :meth:`derive_pricing_incremental`.
-        """
-        self.computation_count += 1
-        changed = False
-        for destination in self.routing.destinations:
-            if self._derive_pricing_row(destination):
-                changed = True
-        # Rows whose destination lost its route (withdrawn by topology
-        # events) are cleared — a fresh computation never derives them.
-        routed = set(self.routing.destinations)
-        for destination in self.pricing.destinations:
-            if destination not in routed and self._clear_pricing_row(destination):
-                changed = True
-        self._dirty_pricing = set()
-        return changed
-
-    def derive_pricing_incremental(self) -> bool:
-        """Re-derive only the dirty pricing rows; True if changed.
-
-        A row depends on its destination's DATA2 entry, the avoidance
-        entries along that path, and the supplier tags (which read the
-        avoidance *inputs* directly — a tie union can change a tag
-        without changing any avoidance entry, which is why vector
-        ingestion marks rows dirty by input key, not by entry change).
+        avoidance entry; a dirty destination without a route has its
+        row cleared.  A row depends on its destination's DATA2 entry,
+        the avoidance entries along that path, and the supplier tags
+        (which read the avoidance *inputs* directly — a tie union can
+        change a tag without changing any avoidance entry, which is why
+        vector ingestion marks rows dirty by input key, not by entry
+        change).
         """
         self.computation_count += 1
         dirty = self._dirty_pricing
@@ -1564,17 +1355,19 @@ class ReplayKernel:
         or discard).
         """
         route_delta = (
-            self.consume_route_delta()
-            if self.recompute_routes_incremental()
-            else None
+            self.consume_route_delta() if self.recompute_routes() else None
         )
         avoid_delta = (
-            self.consume_avoid_delta()
-            if self.recompute_avoidance_incremental()
-            else None
+            self.consume_avoid_delta() if self.recompute_avoidance() else None
         )
-        self.derive_pricing_incremental()
+        self.derive_pricing()
         return route_delta, avoid_delta
+
+    # Old names of the three settle steps, still looked up by the
+    # benchmark tracer's wrap list.
+    recompute_routes_incremental = recompute_routes
+    recompute_avoidance_incremental = recompute_avoidance
+    derive_pricing_incremental = derive_pricing
 
     def snapshot(self) -> KernelSnapshot:
         """Digest-level checkpoint of the current construction state.
@@ -1631,18 +1424,17 @@ class SharedKernel:
     def __post_init__(self) -> None:
         """Replicate the principal's ``start_phase2`` exactly once."""
         self.kernel = self._fresh_kernel()
-        self.initial_route = self.kernel.consume_route_delta()
-        self.initial_price = self.kernel.consume_avoid_delta()
+        route_delta, price_delta = self.kernel.settle()
+        # The principal announces both tables unconditionally.
+        self.initial_route = route_delta or ()
+        self.initial_price = price_delta or ()
 
     def _fresh_kernel(self) -> ReplayKernel:
-        """A kernel in the state every mirror starts phase 2 from."""
+        """A reset kernel whose next settle is the phase-2 start."""
         kernel = ReplayKernel(self.owner, self.seed_neighbors, self.seed_cost)
         for node, cost in self.seed_known_costs.items():
             kernel.note_cost_declaration(node, cost)
         kernel.reset_phase2()
-        kernel.recompute_routes()
-        kernel.recompute_avoidance()
-        kernel.derive_pricing()
         return kernel
 
     def matches_seed(
@@ -1724,10 +1516,7 @@ class SharedKernel:
         """
         self.stats.forks += 1
         kernel = self._fresh_kernel()
-        # The seed recompute's changed keys were consumed into the
-        # initial announcement; replicate that consumption.
-        kernel.consume_route_delta()
-        kernel.consume_avoid_delta()
+        kernel.settle()  # the initial announcement, already recorded
         for op in self.ops[:pos]:
             if op[0] == "apply":
                 if op[1] == KIND_RT_UPDATE:
@@ -1853,11 +1642,9 @@ def kernel_fixed_point(
     for node in order:
         kernel = kernels[node]
         kernel.reset_phase2()
-        kernel.recompute_routes()
-        kernel.recompute_avoidance()
-        kernel.derive_pricing()
-        post(node, KIND_RT_UPDATE, kernel.consume_route_delta())
-        post(node, KIND_PRICE_UPDATE, kernel.consume_avoid_delta())
+        route_delta, price_delta = kernel.settle()
+        post(node, KIND_RT_UPDATE, route_delta or ())
+        post(node, KIND_PRICE_UPDATE, price_delta or ())
 
     for _round in range(max_rounds):
         if not any(mailbox.values()):

@@ -21,6 +21,7 @@ from repro.routing import (
     vcg_transit_payment,
     verify_against_oracle,
 )
+from repro.routing.fpss import encode_route_delta
 from repro.workloads import (
     complete_graph,
     random_biconnected_graph,
@@ -56,9 +57,9 @@ class TestComputationUnit:
     def test_rejects_update_from_non_neighbor(self):
         comp = FPSSComputation("a", ["b"], 1.0)
         with pytest.raises(ProtocolError, match="non-neighbour"):
-            comp.apply_route_update("z", {})
+            comp.apply_route_delta("z", ())
         with pytest.raises(ProtocolError, match="non-neighbour"):
-            comp.apply_avoid_update("z", {})
+            comp.apply_avoid_delta("z", ())
 
     def test_direct_neighbor_route(self):
         comp = FPSSComputation("a", ["b"], 1.0)
@@ -71,8 +72,8 @@ class TestComputationUnit:
     def test_loop_paths_rejected(self):
         comp = FPSSComputation("a", ["b"], 1.0)
         comp.note_cost_declaration("b", 2.0)
-        comp.apply_route_update(
-            "b", {"z": RouteEntry(1.0, ("b", "a", "z"))}
+        comp.apply_route_delta(
+            "b", encode_route_delta({"z": RouteEntry(1.0, ("b", "a", "z"))}, {})
         )
         comp.recompute_routes()
         assert comp.routing.entry("z") is None

@@ -1,11 +1,12 @@
-"""Property: the incremental relaxations equal the full rescans.
+"""Property: dirty tracking loses nothing against a full re-relaxation.
 
-The incremental FPSS engine (dirty-key tracking, fused monotone
-adoption, argmin-supplier invalidation) must be *observably identical*
-to the retained full-table reference: same tables, same digests, and
-the same changed flags after every input.  These properties are what
-lets the protocol run the delta engine on the hot path while the full
-rescan stays the semantic definition.
+The kernel has one relaxation path, which settles only the keys its
+ingestion marked dirty (dirty-key tracking, fused monotone adoption,
+argmin-supplier invalidation).  Settling the same kernel with every
+key marked dirty must be *observably identical*: same tables, same
+digests, and the same changed flags after every input.  The semantic
+check of the fixed point itself is the engine oracle
+(``tests/routing/test_engine_oracle.py``).
 """
 
 import random
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.routing import (
     FPSSComputation,
-    FullRecomputeFPSSNode,
     RouteEntry,
     run_plain_fpss,
     verify_against_oracle,
@@ -80,55 +80,16 @@ def digests(comp):
     return (comp.routing_digest(), comp.pricing_digest())
 
 
-class TestDictPathEquivalence:
-    """Full-vector (dict) updates: incremental == full, step by step."""
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(min_value=0, max_value=100_000))
-    def test_stepwise_flags_and_digests_match(self, seed):
-        rng = random.Random(seed)
-        graph = random_biconnected_graph(rng.randint(4, 7), rng)
-        owner = rng.choice(list(graph.nodes))
-        reference = build_computation(graph, owner)
-        incremental = build_computation(graph, owner)
-
-        # Initial full relaxation on both (a phase start).
-        for comp in (reference, incremental):
-            comp.recompute_routes()
-            comp.recompute_avoidance()
-            comp.derive_pricing()
-        assert digests(reference) == digests(incremental)
-
-        neighbors = graph.neighbors(owner)
-        for step in range(8):
-            sender = rng.choice(neighbors)
-            step_rng = random.Random(seed * 1000 + step)
-            route_vector = random_route_vector(step_rng, graph, sender)
-            avoid_vector = random_avoid_vector(
-                step_rng, graph, sender, route_vector
-            )
-            # Shrinking vectors (withdrawals) exercise the universe
-            # reference counts and the rescan fallback.
-            reference.apply_route_update(sender, route_vector)
-            incremental.apply_route_update(sender, route_vector)
-            reference.apply_avoid_update(sender, avoid_vector)
-            incremental.apply_avoid_update(sender, avoid_vector)
-
-            ref_routes = reference.recompute_routes()
-            inc_routes = incremental.recompute_routes_incremental()
-            ref_avoid = reference.recompute_avoidance()
-            inc_avoid = incremental.recompute_avoidance_incremental()
-            ref_price = reference.derive_pricing()
-            inc_price = incremental.derive_pricing_incremental()
-
-            assert ref_routes == inc_routes
-            assert ref_avoid == inc_avoid
-            assert ref_price == inc_price
-            assert digests(reference) == digests(incremental)
+def settle_flags(comp):
+    return (
+        comp.recompute_routes(),
+        comp.recompute_avoidance(),
+        comp.derive_pricing(),
+    )
 
 
 class TestDeltaPathEquivalence:
-    """Wire deltas with fused adoption: incremental == full rescans."""
+    """Wire deltas with fused adoption: dirty set == everything dirty."""
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=100_000))
@@ -136,12 +97,13 @@ class TestDeltaPathEquivalence:
         rng = random.Random(seed)
         graph = random_biconnected_graph(rng.randint(4, 7), rng)
         owner = rng.choice(list(graph.nodes))
+        # The reference is the same kernel with every key marked dirty
+        # before each settle: a full re-relaxation from stored offers.
         reference = build_computation(graph, owner)
         incremental = build_computation(graph, owner)
-        for comp in (reference, incremental):
-            comp.recompute_routes()
-            comp.recompute_avoidance()
-            comp.derive_pricing()
+        reference._mark_all_dirty()
+        assert settle_flags(reference) == settle_flags(incremental)
+        assert digests(reference) == digests(incremental)
 
         neighbors = graph.neighbors(owner)
         last_routes = {sender: {} for sender in neighbors}
@@ -158,20 +120,13 @@ class TestDeltaPathEquivalence:
             last_routes[sender] = route_vector
             last_avoid[sender] = avoid_vector
 
+            # Shrinking vectors (withdrawals) exercise the universe
+            # reference counts and the rescan fallback.
             for comp in (reference, incremental):
                 comp.apply_route_delta(sender, route_delta)
                 comp.apply_avoid_delta(sender, avoid_delta)
-            ref_changed = (
-                reference.recompute_routes(),
-                reference.recompute_avoidance(),
-                reference.derive_pricing(),
-            )
-            inc_changed = (
-                incremental.recompute_routes_incremental(),
-                incremental.recompute_avoidance_incremental(),
-                incremental.derive_pricing_incremental(),
-            )
-            assert ref_changed == inc_changed
+            reference._mark_all_dirty()
+            assert settle_flags(reference) == settle_flags(incremental)
             assert digests(reference) == digests(incremental)
 
 
@@ -187,14 +142,6 @@ class TestProtocolEquivalence:
             "batched-incremental": run_plain_fpss(graph),
             "unbatched-incremental": run_plain_fpss(
                 graph, batch_delivery=False
-            ),
-            "unbatched-full": run_plain_fpss(
-                graph,
-                node_factory=lambda n, c: FullRecomputeFPSSNode(n, c),
-                batch_delivery=False,
-            ),
-            "batched-full": run_plain_fpss(
-                graph, node_factory=lambda n, c: FullRecomputeFPSSNode(n, c)
             ),
         }
         reference = None

@@ -19,6 +19,7 @@ from repro.faithful.manipulations import (
 )
 from repro.faithful.protocol import run_checked_construction
 from repro.routing import (
+    ASGraph,
     FPSSComputation,
     KernelStats,
     MirrorKernelPool,
@@ -38,6 +39,8 @@ from repro.routing.kernel import (
     OP_EXTENDED,
     OP_HIT,
 )
+from repro.routing.dynamic import DynamicTopologyEngine
+from repro.sim.churn import ChurnEvent
 from repro.workloads import random_biconnected_graph
 
 
@@ -66,6 +69,73 @@ class TestKernelIdentity:
         assert before.cost_digest != after.cost_digest
         # The earlier snapshot is immutable history.
         assert before.cost_digest != kernel.cost_digest()
+
+
+def assert_route_state_tracks_entries(kernel):
+    """A DATA2 entry exists exactly when its route state is set."""
+    keys = kernel._node_keys
+    assert set(kernel.routing.destinations) <= set(keys), kernel.owner
+    for did, state in enumerate(kernel._route_state_col):
+        has_entry = kernel.routing.entry(keys[did]) is not None
+        assert has_entry == (state is not None), (kernel.owner, keys[did])
+
+
+class TestOneRelaxationPath:
+    """Phase starts settle through the dirty set like every later input."""
+
+    def test_fresh_kernel_settles_to_neighbour_base_case(self):
+        kernel = ReplayKernel("a", ("c", "b"), 1.0)
+        for node, cost in (("b", 2.0), ("c", 3.0), ("d", 4.0)):
+            kernel.note_cost_declaration(node, cost)
+        base_case = (("b", 0.0, ("a", "b")), ("c", 0.0, ("a", "c")))
+        # No seeding call: the neighbours entered the destination
+        # universe dirty, so the first settle is the phase start.
+        assert kernel.settle() == (base_case, None)
+        assert kernel.settle() == (None, None)
+        kernel.reset_phase2()
+        assert kernel.routing.destinations == ()
+        assert kernel.settle() == (base_case, None)
+
+    def test_route_state_tracks_entries_through_churn(self):
+        """Pins the invariant behind ``_relax_route``'s single entry
+        check, at the kernel fixed point and after every epoch of a
+        schedule that partitions the network, heals it, and changes
+        membership."""
+        for kernel in kernel_fixed_point(figure1_graph()).values():
+            assert_route_state_tracks_entries(kernel)
+        graph = ASGraph(
+            {"a": 1.0, "b": 2.0, "c": 3.0, "d": 1.0, "e": 2.0, "f": 3.0},
+            [
+                ("a", "b"), ("b", "c"), ("a", "c"),
+                ("d", "e"), ("e", "f"), ("d", "f"),
+                ("c", "d"),  # the bridge
+            ],
+        )
+        for kernel in kernel_fixed_point(graph).values():
+            assert_route_state_tracks_entries(kernel)
+        engine = DynamicTopologyEngine(graph)
+        engine.converge()
+        schedule = (
+            (ChurnEvent(kind="cost", node="a", cost=5.0),),
+            (ChurnEvent(kind="link-down", link=("c", "d")),),  # partition
+            (ChurnEvent(kind="link-up", link=("c", "d")),),
+            (ChurnEvent(kind="leave", node="f"),),
+            (
+                ChurnEvent(
+                    kind="join", node="g", cost=1.0,
+                    links=(("g", "a"), ("g", "e")),
+                ),
+            ),
+        )
+        partitioned = False
+        for events in schedule:
+            engine.run_epoch(events)
+            for node_id in engine.active:
+                comp = engine.nodes[node_id].comp
+                assert_route_state_tracks_entries(comp)
+                if len(comp.routing.destinations) < len(engine.active) - 1:
+                    partitioned = True
+        assert partitioned
 
 
 class TestKernelFixedPoint:

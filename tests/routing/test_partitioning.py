@@ -25,6 +25,7 @@ from repro.faithful import (
     plain_deviant_factory,
 )
 from repro.routing import FPSSComputation, RouteEntry
+from repro.routing.fpss import encode_avoid_delta, encode_route_delta
 from repro.workloads import random_biconnected_graph, uniform_all_pairs
 
 
@@ -40,9 +41,11 @@ class TestRelaxationExclusion:
         comp = FPSSComputation("i", ["k", "m"], 1.0)
         for node, cost in (("i", 1.0), ("k", 1.0), ("m", 1.0), ("z", 1.0)):
             comp.note_cost_declaration(node, cost)
-        comp.apply_route_update("k", {"z": RouteEntry(0.0, ("k", "z"))})
-        comp.apply_route_update(
-            "m", {"z": RouteEntry(1.0, ("m", "k", "z"))}
+        comp.apply_route_delta(
+            "k", encode_route_delta({"z": RouteEntry(0.0, ("k", "z"))}, {})
+        )
+        comp.apply_route_delta(
+            "m", encode_route_delta({"z": RouteEntry(1.0, ("m", "k", "z"))}, {})
         )
         comp.recompute_routes()
         return comp
@@ -52,11 +55,15 @@ class TestRelaxationExclusion:
         comp = self.build()
         # k claims an absurdly cheap path to z avoiding k (nonsense a
         # manipulator might announce); m offers an honest one.
-        comp.apply_avoid_update(
-            "k", {("z", "k"): RouteEntry(0.0, ("k", "z"))}
+        comp.apply_avoid_delta(
+            "k",
+            encode_avoid_delta({("z", "k"): RouteEntry(0.0, ("k", "z"))}, {}),
         )
-        comp.apply_avoid_update(
-            "m", {("z", "k"): RouteEntry(7.0, ("m", "q", "z"))}
+        comp.apply_avoid_delta(
+            "m",
+            encode_avoid_delta(
+                {("z", "k"): RouteEntry(7.0, ("m", "q", "z"))}, {}
+            ),
         )
         comp.recompute_avoidance()
         entry = comp.avoid[("z", "k")]
@@ -66,8 +73,9 @@ class TestRelaxationExclusion:
 
     def test_supplier_tag_excludes_avoided(self):
         comp = self.build()
-        comp.apply_avoid_update(
-            "m", {("z", "k"): RouteEntry(3.0, ("m", "z"))}
+        comp.apply_avoid_delta(
+            "m",
+            encode_avoid_delta({("z", "k"): RouteEntry(3.0, ("m", "z"))}, {}),
         )
         comp.recompute_avoidance()
         tag = comp._supplier_tag("z", "k")

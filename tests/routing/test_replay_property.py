@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.routing import FPSSComputation, RouteEntry
+from repro.routing.fpss import encode_route_delta
 from repro.workloads import random_biconnected_graph
 
 
@@ -43,9 +44,18 @@ def random_route_vector(rng, graph, sender):
     return vector
 
 
+def send_vector(comp, last_sent, sender, vector):
+    """Deliver a full vector as the wire delta against the last one sent."""
+    comp.apply_route_delta(
+        sender, encode_route_delta(vector, last_sent.get(sender, {}))
+    )
+    last_sent[sender] = vector
+
+
 def apply_sequence(comp, sequence):
+    last_sent = {}
     for sender, vector in sequence:
-        comp.apply_route_update(sender, vector)
+        send_vector(comp, last_sent, sender, vector)
         comp.recompute_routes()
         comp.recompute_avoidance()
         comp.derive_pricing()
@@ -112,13 +122,14 @@ class TestReplayDeterminism:
 
         def converge(order, stale_first):
             comp = build_computation(graph, owner)
+            last_sent = {}
             if stale_first:
                 for sender in order:
-                    comp.apply_route_update(sender, stale_version(sender))
+                    send_vector(comp, last_sent, sender, stale_version(sender))
                     comp.recompute_routes()
                     comp.recompute_avoidance()
             for sender in order:
-                comp.apply_route_update(sender, final_vectors[sender])
+                send_vector(comp, last_sent, sender, final_vectors[sender])
             comp.recompute_routes()
             comp.recompute_avoidance()
             comp.derive_pricing()
