@@ -10,7 +10,10 @@ than the per-flow transfer list on a 64-node epoch, and the nightly
 tier pushes a million-plus flows through one settle and checks the
 batch-transfer count against the principal-pair count.  Every cell
 also re-derives net money positions both ways and requires them
-bit-identical — compression must never move money.
+bit-identical — compression must never move money.  Forced
+settlement over the netted ledger is gated by its audit-visit counter:
+one pass reads every obligation and every payout once (trace length
+plus payout rows), not once per principal pair.
 """
 
 import csv
@@ -32,6 +35,10 @@ from conftest import once
 #: flows per pair cross the million-flow line in a single settle.
 SIZE, REPEATS = 64, 4
 SLOW_SIZE, SLOW_REPEATS = 256, 16
+
+#: Forced settlement after a netted settle: default-tier and nightly
+#: cell sizes.
+FORCED_SIZE, FORCED_SLOW_SIZE = 64, 128
 
 #: Sizes swept by the nightly settlement-compression curve.
 CURVE_SIZES = (16, 32, 64, 128)
@@ -86,6 +93,41 @@ def run_settle_cell(size, repeats, tolerance=1e-9):
         "seconds": elapsed,
     }
     return row, netted
+
+
+def assert_forced_linear(size):
+    """settle_netted on ``size`` nodes (one repeat), then one forced
+    pass, gated on its audit-visit counter; prints the pass's seconds."""
+    graph = sparse_graph(size)
+    reports = synthesize_execution_reports(graph, uniform_all_pairs(graph))
+    bank = BankNode()
+    bank.reports["execution"] = reports
+    node_ids = tuple(sorted(graph.nodes, key=repr))
+    netted = bank.settle_netted(node_ids, {n: graph.cost(n) for n in node_ids})
+    ledger = netted.ledger
+    payouts = sum(len(t.payouts) for t in ledger.transfers)
+    started = time.perf_counter()
+    outcomes = bank.run_forced_settlement(ledger, at_time=0.0)
+    elapsed = time.perf_counter() - started
+    print(
+        f"\nforced settlement, {size} nodes: {len(ledger.trace)} obligations, "
+        f"{payouts} payouts, {ledger.audit_term_visits} audit visits, "
+        f"{elapsed:.3f} s"
+    )
+    # Every pair was settled by the epoch close: nothing to enforce.
+    assert outcomes == []
+    assert ledger.audit_term_visits == len(ledger.trace) + payouts
+
+
+def test_forced_settlement_visits_64():
+    """64 nodes: one forced pass visits trace length plus payouts."""
+    assert_forced_linear(FORCED_SIZE)
+
+
+@pytest.mark.slow
+def test_forced_settlement_visits_128():
+    """Nightly: the 128-node pass, counter-gated; prints its seconds."""
+    assert_forced_linear(FORCED_SLOW_SIZE)
 
 
 def print_rows(rows, title):

@@ -39,11 +39,11 @@ Two engines reconcile the execution reports:
   Retained as the property-tested oracle.
 * :meth:`BankNode._settle_impl` (behind :meth:`BankNode.settle` and
   :meth:`BankNode.settle_netted`) — the columnar engine: receipts are
-  ingested once into flat tables keyed by interned ``(origin,
-  destination)`` flow ids, observations land in parallel arrays and
-  are *grouped* by (flow, certified path), so the path walk, the
-  carried mask, and the off-path reimbursement scan run once per group
-  instead of once per observation row.
+  ingested once into flat per-flow tables keyed by interned node ids,
+  and observation rows are *grouped* by their raw (origin,
+  destination, certified path) — interned once per group — so the path
+  walk, the carried mask, and the off-path reimbursement scan run once
+  per group instead of once per observation row.
 
 Both engines append every monetary effect to a per-node contribution
 list and materialise records with :func:`math.fsum`, which is exactly
@@ -51,13 +51,25 @@ rounded: two engines producing the same *multiset* of contributions
 produce bit-identical records regardless of accumulation order.  That
 is the equivalence contract ``tests/faithful/test_settlement_
 equivalence.py`` enforces across the manipulation catalogue.
+
+The netted settle extends the same contract to the ledger: each
+per-flow transfer amount (carried charge or reimbursement) is appended
+straight into the :class:`~repro.faithful.settlement.NettingLedger`'s
+list for its principal pair — the very float the tally holds — so the
+epoch close fsums the same signed multiset per pair that one recorded
+obligation per transfer would give, without building any per-obligation
+object.  The per-flow transfer list itself is kept as a compact
+:class:`PerFlowTransfers` view, collected by the settle rather than
+derived from the ledger, so comparing its net positions with the batch
+transfers' still checks the netting independently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from collections import deque
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ProtocolError
 from ..obs.trace import emit_counters, span
@@ -91,20 +103,48 @@ class _SettlementTally:
         self.expected: Dict[NodeId, List[float]] = {n: [] for n in node_ids}
 
 
+class PerFlowTransfers:
+    """The per-flow transfer list of one settle, stored compactly.
+
+    One header per observation group — its ``(payer, payee)`` pairs
+    in row order and its row count — plus one flat list of amounts
+    (the float objects the settlement tally holds), rows back to back.
+    Iterating yields the ``(payer, payee, amount)`` triples the
+    per-flow scheme would execute, in settle order; ``len()`` counts
+    them.
+    """
+
+    __slots__ = ("_groups", "_amounts")
+
+    def __init__(self) -> None:
+        self._groups: List[Tuple[Tuple[Tuple[NodeId, NodeId], ...], int]] = []
+        self._amounts: List[float] = []
+
+    def __len__(self) -> int:
+        return len(self._amounts)
+
+    def __iter__(self) -> Iterator[Tuple[NodeId, NodeId, float]]:
+        amounts = iter(self._amounts)
+        for payees, rows in self._groups:
+            for _row in range(rows):
+                for payer, payee in payees:
+                    yield payer, payee, next(amounts)
+
+
 @dataclass
 class SettlementStats:
     """Work counters of one settlement pass (telemetry and gates)."""
 
     #: Observation rows reconciled (one per observed origination).
     flows_settled: int = 0
-    #: Distinct (flow id, certified path) groups the rows collapsed to.
+    #: Distinct (flow, certified path) groups the rows collapsed to.
     flow_groups: int = 0
     #: Individual origin-to-transit payment rows the per-flow scheme
     #: would execute — the denominator of the netting compression gate.
     transfer_records: int = 0
-    #: The per-flow transfer list (payer, payee, amount), collected
-    #: only when the caller nets (``collect_transfers=True``).
-    transfers: Optional[List[Tuple[NodeId, NodeId, float]]] = None
+    #: The per-flow transfer list, collected only when the caller nets
+    #: (passes a ledger).
+    transfers: Optional[PerFlowTransfers] = None
 
 
 @dataclass
@@ -121,8 +161,8 @@ class NettedSettlement:
     flow_groups: int = 0
     transfer_records: int = 0
     #: The un-netted per-flow transfer list the obligations came from.
-    per_flow_transfers: List[Tuple[NodeId, NodeId, float]] = field(
-        default_factory=list
+    per_flow_transfers: PerFlowTransfers = field(
+        default_factory=PerFlowTransfers
     )
 
     @property
@@ -365,15 +405,19 @@ class BankNode(ProtocolNode):
         """Settle, then net the epoch's transfers into batch payments.
 
         Runs the same columnar reconciliation as :meth:`settle` (so
-        records and flags are identical), records every individual
+        records and flags are identical), recording every individual
         per-flow transfer as an obligation on ``ledger`` (a fresh
-        ledger when None) accepted at ``closure_time``, and closes the
-        epoch: one net :class:`~repro.faithful.settlement.
-        BatchTransfer` per debtor whose ``closure_time`` covers every
-        obligation accepted before it.  Net money positions of the
-        batch transfers are bit-identical to the per-flow transfer
-        list's (see :func:`~repro.faithful.settlement.net_positions`).
+        ledger when None) accepted at ``closure_time`` — the settle
+        appends the amounts straight into the ledger's pair lists —
+        and closes the epoch: one net :class:`~repro.faithful.
+        settlement.BatchTransfer` per debtor whose ``closure_time``
+        covers every obligation accepted before it.  Net money
+        positions of the batch transfers are bit-identical to the
+        per-flow transfer list's (see :func:`~repro.faithful.
+        settlement.net_positions`).
         """
+        if ledger is None:
+            ledger = NettingLedger()
         sim_time = self.now if self._sim is not None else None
         with span(
             "bank.net", sim_time=sim_time, nodes=len(node_ids)
@@ -383,15 +427,11 @@ class BankNode(ProtocolNode):
                 declared_costs,
                 epsilon,
                 tolerance,
-                collect_transfers=True,
+                ledger=ledger,
+                closure_time=closure_time,
             )
-            if ledger is None:
-                ledger = NettingLedger()
-            assert stats.transfers is not None
-            for payer, payee, amount in stats.transfers:
-                if payer != payee:
-                    ledger.record(payer, payee, amount, accepted_at=closure_time)
             transfers = ledger.close_epoch(closure_time)
+            assert stats.transfers is not None
             payouts = sum(len(transfer.payouts) for transfer in transfers)
             net_span.note(transfers=len(transfers), payouts=payouts)
             emit_counters(
@@ -616,26 +656,36 @@ class BankNode(ProtocolNode):
         declared_costs: Mapping[NodeId, float],
         epsilon: float,
         tolerance: float,
-        collect_transfers: bool = False,
+        ledger: Optional[NettingLedger] = None,
+        closure_time: float = 0.0,
     ) -> Tuple[Dict[NodeId, SettlementRecord], List[Flag], SettlementStats]:
-        """Grouped single-pass reconciliation over interned flow ids.
+        """Grouped single-pass reconciliation over interned node ids.
 
-        Node ids and ``(origin, destination)`` flow keys are interned
-        to dense integers (the :mod:`repro.routing.kernel` trick);
-        receipts live in flat per-flow tables keyed by interned ids,
-        and observation rows are grouped by (flow id, certified path)
-        so the path walk, the carried-segment mask, and the off-path
+        Node ids are interned to dense integers (the
+        :mod:`repro.routing.kernel` trick); receipts live in flat
+        per-flow tables keyed by ``(origin, destination)`` and interned
+        ids, and observation rows are grouped by their raw (origin,
+        destination, certified path) — interned once per group — so
+        the path walk, the carried-segment mask, and the off-path
         reimbursement scan are computed once per group and replayed
         per row.  Contribution multisets — and therefore the
         materialised records and the flag multiset — are identical to
         :meth:`settle_per_flow`'s.
+
+        With a ``ledger``, every per-flow transfer amount is appended
+        straight into the ledger's pair list at ``closure_time`` (pair
+        lists resolved once per group and payee; ``payer == payee``
+        rows never reach the ledger) and collected in the returned
+        :class:`PerFlowTransfers`.
         """
         reports = self._stage_reports("execution")
         tally = _SettlementTally(node_ids)
         flags: List[Flag] = []
-        transfers: Optional[List[Tuple[NodeId, NodeId, float]]] = (
-            [] if collect_transfers else None
-        )
+        # Without a ledger, transfer amounts go to a list that keeps
+        # nothing.
+        discard: deque = deque(maxlen=0)
+        per_flow = PerFlowTransfers() if ledger is not None else None
+        flow_amounts = per_flow._amounts if per_flow is not None else discard
 
         # -- intern node ids: repr-sorted settlement set first, then
         #    any foreign id (senders/hops outside the set) on demand --
@@ -655,25 +705,18 @@ class BankNode(ProtocolNode):
             return nid
 
         # -- ingest receipts into flat per-flow tables:
-        #    fid -> receiver nid -> sender nid -> volume --
-        flow_rank: Dict[Tuple[NodeId, NodeId], int] = {}
-        flow_receipts: List[Dict[int, Dict[int, float]]] = []
-
-        def intern_flow(flow: Tuple[NodeId, NodeId]) -> int:
-            fid = flow_rank.get(flow)
-            if fid is None:
-                fid = len(flow_receipts)
-                flow_rank[flow] = fid
-                flow_receipts.append({})
-            return fid
-
+        #    (origin, destination) -> (receiver nid, sender nid) -> volume --
+        flow_receipts: Dict[Tuple[NodeId, NodeId], Dict[Tuple[int, int], float]] = {}
         for node_id in node_ids:
             nid = intern(node_id)
             for origin, destination, sender, volume in reports.get(
                 node_id, {}
             ).get("receipts", ()):
-                fid = intern_flow((origin, destination))
-                flow_receipts[fid].setdefault(nid, {})[intern(sender)] = volume
+                flow = (origin, destination)
+                table = flow_receipts.get(flow)
+                if table is None:
+                    table = flow_receipts[flow] = {}
+                table[(nid, intern(sender))] = volume
 
         # Checker-reported misroute flags feed straight into penalties.
         for node_id in node_ids:
@@ -682,46 +725,57 @@ class BankNode(ProtocolNode):
                 flags.append(flag)
                 tally.penalties[flag.principal].append(epsilon)
 
-        # -- ingest observations into parallel arrays, grouped by
-        #    (flow id, interned certified path) in canonical order --
-        obs_volume: List[float] = []
-        obs_charges: List[Sequence[Tuple[NodeId, float]]] = []
-        groups: Dict[
-            Tuple[int, Tuple[int, ...]],
-            Tuple[NodeId, NodeId, Tuple[NodeId, ...], List[int]],
-        ] = {}
+        # -- group observation rows by their raw (origin, destination,
+        #    certified path), in canonical order --
+        groups: Dict[Tuple[NodeId, NodeId, Tuple[NodeId, ...]], List[Sequence]] = {}
+        flows_settled = 0
         for checker_id in sorted(node_ids, key=repr):
-            for origin, destination, volume, path, charges in reports.get(
-                checker_id, {}
-            ).get("observations", ()):
-                path = tuple(path)
-                fid = intern_flow((origin, destination))
-                pkey = tuple(intern(hop) for hop in path)
-                row = len(obs_volume)
-                obs_volume.append(volume)
-                obs_charges.append(charges)
-                entry = groups.get((fid, pkey))
-                if entry is None:
-                    groups[(fid, pkey)] = (origin, destination, path, [row])
+            for observation in reports.get(checker_id, {}).get("observations", ()):
+                origin, destination, _volume, path, _charges = observation
+                flows_settled += 1
+                key = (origin, destination, tuple(path))
+                rows = groups.get(key)
+                if rows is None:
+                    groups[key] = [observation]
                 else:
-                    entry[3].append(row)
+                    rows.append(observation)
 
+        # (payer nid, payee nid) -> the ledger list its amounts join.
+        owed_lists: Dict[Tuple[int, int], Any] = {}
+
+        def owed(payer: int, payee: int) -> Any:
+            terms = owed_lists.get((payer, payee))
+            if terms is None:
+                if ledger is None or payer == payee:
+                    terms = discard
+                else:
+                    terms = ledger.obligation_terms(
+                        names[payer], names[payee], closure_time
+                    )
+                owed_lists[(payer, payee)] = terms
+            return terms
+
+        no_receipts: Dict[Tuple[int, int], float] = {}
         transfer_records = 0
-        for (fid, pkey), (origin, destination, path, rows) in groups.items():
-            receipts_f = flow_receipts[fid]
+        for (origin, destination, path), rows in groups.items():
+            receipts_f = flow_receipts.get((origin, destination), no_receipts)
+            pkey = tuple(intern(hop) for hop in path)
+            origin_nid = intern(origin)
 
             # Walk the certified path once per group: first hop whose
             # receipts from its predecessor are missing is the break,
             # and its predecessor the culprit.
             culprit: Optional[NodeId] = None
+            culprit_nid = -1
             culprit_kind = FlagKind.PACKET_DROP
             previous = pkey[0]
             for hop in pkey[1:]:
-                if receipts_f.get(hop, {}).get(previous, 0.0) <= 0:
+                if receipts_f.get((hop, previous), 0.0) <= 0:
                     misrouted = any(
-                        receiver != hop and senders.get(previous, 0.0) > 0
-                        for receiver, senders in receipts_f.items()
+                        receiver != hop and sender == previous and volume > 0
+                        for (receiver, sender), volume in receipts_f.items()
                     )
+                    culprit_nid = previous
                     culprit = names[previous]
                     culprit_kind = (
                         FlagKind.MISROUTE if misrouted else FlagKind.PACKET_DROP
@@ -730,13 +784,20 @@ class BankNode(ProtocolNode):
                 previous = hop
 
             # Carried-segment mask, with the per-node contribution
-            # lists resolved once per group.
-            carried: List[Tuple[NodeId, List[float]]] = []
+            # lists and ledger lists resolved once per group.
+            payees: List[Tuple[NodeId, NodeId]] = []
+            carried: List[Tuple[NodeId, List[float], Any]] = []
             for index in range(1, len(pkey) - 1):
                 transit_nid = pkey[index]
-                if receipts_f.get(pkey[index + 1], {}).get(transit_nid, 0.0) > 0:
+                if receipts_f.get((pkey[index + 1], transit_nid), 0.0) > 0:
+                    transit = path[index]
+                    payees.append((origin, transit))
                     carried.append(
-                        (path[index], tally.received[names[transit_nid]])
+                        (
+                            transit,
+                            tally.received[names[transit_nid]],
+                            owed(origin_nid, transit_nid),
+                        )
                     )
 
             expected_list = tally.expected[origin]
@@ -744,29 +805,39 @@ class BankNode(ProtocolNode):
 
             # Off-path reimbursements: only actual carriers of this
             # flow are scanned (the per-flow engine walks every node).
-            reimbursements: List[Tuple[NodeId, List[float], float]] = []
+            reimbursements: List[Tuple[List[float], Any, float]] = []
             culprit_penalties: List[float] = []
             if culprit is not None:
                 culprit_penalties = tally.penalties[culprit]
                 on_path = set(pkey)
                 destination_nid = intern(destination)
-                for receiver, senders in receipts_f.items():
-                    if receiver in on_path or receiver == destination_nid:
-                        continue
-                    volume_in = math.fsum(senders.values())
+                volumes_in: Dict[int, List[float]] = {}
+                for (receiver, _sender), volume in receipts_f.items():
+                    if receiver not in on_path and receiver != destination_nid:
+                        volumes_in.setdefault(receiver, []).append(volume)
+                for receiver, volumes in volumes_in.items():
+                    volume_in = math.fsum(volumes)
                     if volume_in > 0:
                         carrier = names[receiver]
+                        payees.append((culprit, carrier))
                         reimbursements.append(
                             (
-                                carrier,
                                 tally.received[carrier],
+                                owed(culprit_nid, receiver),
                                 declared_costs.get(carrier, 0.0) * volume_in,
                             )
                         )
+            if per_flow is not None and payees:
+                per_flow._groups.append((tuple(payees), len(rows)))
 
             culprit_is_origin = culprit == origin
-            for row in rows:
-                charge_map = dict(obs_charges[row])
+            transfer_records += len(carried) * len(rows)
+            last_charges: Any = None
+            for _origin, _destination, volume, _path, charges in rows:
+                # Repeated rows usually share one charges list.
+                if charges is not last_charges:
+                    last_charges = charges
+                    charge_map = dict(charges)
                 if culprit is not None:
                     culprit_penalties.append(epsilon)
                     flags.append(
@@ -777,18 +848,17 @@ class BankNode(ProtocolNode):
                             phase="execution",
                             origin=origin,
                             destination=destination,
-                            volume=obs_volume[row],
+                            volume=volume,
                         )
                     )
                 carried_charges = 0.0
-                for transit, received_list in carried:
+                for transit, received_list, owed_list in carried:
                     amount = charge_map.get(transit, 0.0)
                     received_list.append(amount)
                     expected_list.append(amount)
+                    owed_list.append(amount)
+                    flow_amounts.append(amount)
                     carried_charges += amount
-                    if transfers is not None:
-                        transfers.append((origin, transit, amount))
-                transfer_records += len(carried)
                 if culprit_is_origin:
                     full = math.fsum(charge_map.values())
                     shortfall = max(0.0, full - carried_charges)
@@ -796,21 +866,20 @@ class BankNode(ProtocolNode):
                     tally.penalties[origin].append(epsilon)
                 else:
                     charged_list.append(carried_charges)
-                if culprit is not None:
-                    for carrier, received_list, amount in reimbursements:
-                        received_list.append(amount)
-                        culprit_penalties.append(amount)
-                        if transfers is not None:
-                            transfers.append((culprit, carrier, amount))
+                for received_list, owed_list, amount in reimbursements:
+                    received_list.append(amount)
+                    culprit_penalties.append(amount)
+                    owed_list.append(amount)
+                    flow_amounts.append(amount)
 
         records, flags = self._finalize_settlement(
             node_ids, reports, tally, flags, epsilon, tolerance
         )
         stats = SettlementStats(
-            flows_settled=len(obs_volume),
+            flows_settled=flows_settled,
             flow_groups=len(groups),
             transfer_records=transfer_records,
-            transfers=transfers,
+            transfers=per_flow,
         )
         return records, flags, stats
 

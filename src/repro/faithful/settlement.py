@@ -14,24 +14,32 @@ debtor's deposit, epsilon-penalty preserved.
 Exactness contract
 ------------------
 All money reductions in this module use :func:`math.fsum`, which is
-exactly rounded over its input multiset.  Netting groups obligations
-by unordered principal pair and reduces each pair's *signed*
-contributions with one fsum; :func:`net_positions` performs the same
-pair-grouped reduction for any transfer list.  Per-flow transfers and
-the batch transfers netted from them therefore produce **bit-identical**
-net positions — the property `tests/faithful/test_settlement_
-equivalence.py` checks — and after :meth:`NettingLedger.close_epoch`
-every pair audits to an unpaid balance of exactly ``0.0``.
+exactly rounded over its input multiset.  The ledger stores raw
+amounts per unordered principal pair and acceptance time, one list per
+direction; netting reduces each pair's amounts with one fsum, the
+reverse-direction ones negated inside the fsum input, so the sum sees
+exactly the signed multiset a per-obligation reduction would.
+:func:`net_positions` performs the same pair-grouped reduction for any
+transfer list.  Per-flow transfers and the batch transfers netted from
+them therefore produce **bit-identical** net positions — the property
+`tests/faithful/test_settlement_equivalence.py` checks — and after
+:meth:`NettingLedger.close_epoch` every pair audits to an unpaid
+balance of exactly ``0.0``.  :meth:`NettingLedger.audit` reads only
+the audited pair's rows and fsums the same multisets as the full-scan
+:func:`settlement_audit`, so the two reports are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
+from operator import neg
 from typing import (
     Any,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     MutableMapping,
@@ -75,12 +83,6 @@ class BatchTransfer:
         """The lump sum the debtor pays out."""
         return math.fsum(amount for _creditor, amount in self.payouts)
 
-    def triples(self) -> List[Tuple[NodeId, NodeId, float]]:
-        """The transfer as (payer, payee, amount) rows."""
-        return [
-            (self.debtor, creditor, amount) for creditor, amount in self.payouts
-        ]
-
 
 @dataclass(frozen=True)
 class AuditReport:
@@ -119,42 +121,140 @@ class ForcedPayment:
     penalty: float
 
 
-def _pair_key(a: NodeId, b: NodeId) -> Tuple[NodeId, NodeId]:
+Pair = Tuple[NodeId, NodeId]
+
+#: One pair's amounts per time stamp: ``time -> (forward, reverse)``,
+#: where *forward* amounts are paid by the pair's repr-smaller endpoint
+#: to the repr-larger one and *reverse* amounts the other way round.
+_Cells = Dict[float, Tuple[List[float], List[float]]]
+
+
+def _pair_key(a: NodeId, b: NodeId) -> Pair:
     """Canonical unordered pair (repr-sorted endpoints)."""
     return (a, b) if repr(a) <= repr(b) else (b, a)
 
 
-@dataclass
+def _cell(
+    book: Dict[Pair, _Cells], key: Pair, time: float
+) -> Tuple[List[float], List[float]]:
+    """The (forward, reverse) amount lists of ``key`` at ``time``."""
+    cells = book.get(key)
+    if cells is None:
+        cells = book[key] = {}
+    cell = cells.get(time)
+    if cell is None:
+        cell = cells[time] = ([], [])
+    return cell
+
+
+def _signed_terms(
+    book: Dict[Pair, _Cells], debtor: NodeId, creditor: NodeId, at_time: float
+) -> List[float]:
+    """The pair's amounts up to ``at_time``, positive debtor->creditor."""
+    key = _pair_key(debtor, creditor)
+    along = 0 if debtor == key[0] else 1
+    terms: List[float] = []
+    for time, cell in book.get(key, {}).items():
+        if time <= at_time:
+            terms.extend(cell[along])
+            terms.extend(map(neg, cell[1 - along]))
+    return terms
+
+
+class ObligationTrace:
+    """Read-only view of a ledger's signed obligation trace.
+
+    ``len()`` is the number of recorded obligations.  Iterating yields
+    one :class:`Obligation` per recorded amount, built on demand,
+    grouped by pair and acceptance time rather than in recording
+    order: every reduction over the trace is an fsum, so only the
+    multiset matters.
+    """
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms: Dict[Pair, _Cells]) -> None:
+        self._terms = terms
+
+    def __len__(self) -> int:
+        return sum(
+            len(forward) + len(reverse)
+            for cells in self._terms.values()
+            for forward, reverse in cells.values()
+        )
+
+    def __iter__(self) -> Iterator[Obligation]:
+        for (low, high), cells in self._terms.items():
+            for accepted_at, (forward, reverse) in cells.items():
+                for amount in forward:
+                    yield Obligation(low, high, amount, accepted_at)
+                for amount in reverse:
+                    yield Obligation(high, low, amount, accepted_at)
+
+
 class NettingLedger:
     """Per-epoch accumulation of transit obligations between pairs.
 
-    Obligations recorded via :meth:`record` stay *pending* until
+    The unit of storage is the unordered principal pair: per ``(pair,
+    accepted_at)`` the ledger keeps two lists of raw amounts, one per
+    direction, and never builds a per-obligation object.  Amounts
+    recorded via :meth:`record` (or appended in bulk to the list
+    :meth:`obligation_terms` returns) stay *pending* until
     :meth:`close_epoch` nets them — one :class:`BatchTransfer` per net
-    debtor — and archives them on the signed ``trace`` for later
-    audit.  The ledger never forgets: ``trace`` and ``transfers`` are
-    the inputs to :func:`settlement_audit` and
-    :func:`forced_settlement`.
+    debtor.  The ledger never forgets: :attr:`trace` and ``transfers``
+    are the inputs to :func:`settlement_audit`, and :meth:`audit`
+    answers the same question reading only the audited pair's rows.
     """
 
-    #: Obligations recorded but not yet netted into a batch transfer.
-    _pending: List[Obligation] = field(default_factory=list)
-    #: The full signed obligation trace (append-only, audit input).
-    trace: List[Obligation] = field(default_factory=list)
-    #: Every batch transfer issued so far (append-only).
-    transfers: List[BatchTransfer] = field(default_factory=list)
-    epochs_closed: int = 0
+    def __init__(self) -> None:
+        #: pair -> accepted_at -> (forward, reverse) obligation amounts.
+        self._terms: Dict[Pair, _Cells] = {}
+        #: (pair, accepted_at) -> (cell, forward start, reverse start)
+        #: for every cell that took amounts since the last close; the
+        #: pending amounts are the list tails past the starts.
+        self._pending: Dict[
+            Tuple[Pair, float], Tuple[Tuple[List[float], List[float]], int, int]
+        ] = {}
+        #: Every batch transfer issued so far (append-only).
+        self.transfers: List[BatchTransfer] = []
+        #: pair -> closure_time -> (forward, reverse) payout amounts of
+        #: ``transfers[:_indexed]``, indexed on the next audit.
+        self._payouts: Dict[Pair, _Cells] = {}
+        self._indexed = 0
+        self.epochs_closed = 0
+        #: Obligation and payout amounts read by :meth:`audit` so far.
+        self.audit_term_visits = 0
+
+    @property
+    def trace(self) -> ObligationTrace:
+        """The full signed obligation trace (append-only, audit input)."""
+        return ObligationTrace(self._terms)
+
+    def obligation_terms(
+        self, debtor: NodeId, creditor: NodeId, accepted_at: float
+    ) -> List[float]:
+        """The open list of debtor->creditor amounts accepted at a time.
+
+        Appending an amount to it records one obligation; bulk writers
+        (the bank's netted settle) resolve the list once per pair and
+        append every amount straight into it.
+        """
+        if debtor == creditor:
+            raise ProtocolError(
+                f"obligation debtor and creditor are the same node: {debtor!r}"
+            )
+        key = _pair_key(debtor, creditor)
+        cell = _cell(self._terms, key, accepted_at)
+        slot = (key, accepted_at)
+        if slot not in self._pending:
+            self._pending[slot] = (cell, len(cell[0]), len(cell[1]))
+        return cell[0] if debtor == key[0] else cell[1]
 
     def record(
         self, debtor: NodeId, creditor: NodeId, amount: float, accepted_at: float
     ) -> None:
         """Accept one signed obligation into the open epoch."""
-        if debtor == creditor:
-            raise ProtocolError(
-                f"obligation debtor and creditor are the same node: {debtor!r}"
-            )
-        obligation = Obligation(debtor, creditor, amount, accepted_at)
-        self._pending.append(obligation)
-        self.trace.append(obligation)
+        self.obligation_terms(debtor, creditor, accepted_at).append(amount)
 
     def record_many(
         self,
@@ -168,38 +268,53 @@ class NettingLedger:
     @property
     def pending_count(self) -> int:
         """Obligations awaiting the next epoch close."""
-        return len(self._pending)
+        return sum(
+            len(forward) - forward_start + len(reverse) - reverse_start
+            for (forward, reverse), forward_start, reverse_start
+            in self._pending.values()
+        )
 
     def close_epoch(self, closure_time: float) -> List[BatchTransfer]:
         """Net all pending obligations into one transfer per debtor.
 
         ``closure_time`` must cover every pending obligation (none
         accepted after it) — the Concent rule that a batch payment's
-        closure time bounds what it discharges.  Pairwise nets are
-        fsum-exact; transfers and their payouts are repr-sorted.
+        closure time bounds what it discharges.  Each pair's net is
+        one fsum over its pending amounts, reverse ones negated, so it
+        sees the same signed multiset as a per-obligation reduction;
+        transfers and their payouts are repr-sorted.
         """
-        for obligation in self._pending:
-            if obligation.accepted_at > closure_time:
+        # pair -> (forward tails, reverse tails) of its pending cells.
+        tails: Dict[Pair, Tuple[List[List[float]], List[List[float]]]] = {}
+        for (key, accepted_at), (cell, forward_start, reverse_start) in (
+            self._pending.items()
+        ):
+            forward, reverse = cell
+            if forward_start:
+                forward = forward[forward_start:]
+            if reverse_start:
+                reverse = reverse[reverse_start:]
+            if not forward and not reverse:
+                continue
+            if accepted_at > closure_time:
                 raise ProtocolError(
                     "closure_time "
                     f"{closure_time} does not cover obligation accepted at "
-                    f"{obligation.accepted_at}"
+                    f"{accepted_at}"
                 )
-        # Signed contribution per unordered pair: positive means the
-        # repr-smaller endpoint owes the repr-larger one.
-        contributions: Dict[Tuple[NodeId, NodeId], List[float]] = {}
-        for obligation in self._pending:
-            key = _pair_key(obligation.debtor, obligation.creditor)
-            signed = (
-                obligation.amount
-                if obligation.debtor == key[0]
-                else -obligation.amount
-            )
-            contributions.setdefault(key, []).append(signed)
+            forwards, reverses = tails.setdefault(key, ([], []))
+            forwards.append(forward)
+            reverses.append(reverse)
 
         payouts: Dict[NodeId, List[Tuple[NodeId, float]]] = {}
-        for key in sorted(contributions, key=repr):
-            net = math.fsum(contributions[key])
+        for key in sorted(tails, key=repr):
+            forwards, reverses = tails[key]
+            net = math.fsum(
+                chain(
+                    chain.from_iterable(forwards),
+                    map(neg, chain.from_iterable(reverses)),
+                )
+            )
             if net > 0:
                 payouts.setdefault(key[0], []).append((key[1], net))
             elif net < 0:
@@ -217,6 +332,48 @@ class NettingLedger:
         self._pending.clear()
         self.epochs_closed += 1
         return transfers
+
+    def pairs(self, at_time: float) -> List[Pair]:
+        """Repr-sorted pairs with an obligation accepted by ``at_time``."""
+        return sorted(
+            (
+                key
+                for key, cells in self._terms.items()
+                if any(
+                    time <= at_time and (forward or reverse)
+                    for time, (forward, reverse) in cells.items()
+                )
+            ),
+            key=repr,
+        )
+
+    def audit(
+        self, debtor: NodeId, creditor: NodeId, at_time: float
+    ) -> AuditReport:
+        """The pair's :func:`settlement_audit`, reading only its rows.
+
+        Bit-identical to ``settlement_audit(self.trace, self.transfers,
+        debtor, creditor, at_time)``: both reductions fsum the same
+        signed multisets.  Transfers appended to ``transfers`` since
+        the last audit (forced ones included) are indexed by pair
+        first; :attr:`audit_term_visits` grows by the amounts read.
+        """
+        for transfer in self.transfers[self._indexed:]:
+            for payee, amount in transfer.payouts:
+                key = _pair_key(transfer.debtor, payee)
+                cell = _cell(self._payouts, key, transfer.closure_time)
+                cell[0 if transfer.debtor == key[0] else 1].append(amount)
+        self._indexed = len(self.transfers)
+        owed = _signed_terms(self._terms, debtor, creditor, at_time)
+        paid = _signed_terms(self._payouts, debtor, creditor, at_time)
+        self.audit_term_visits += len(owed) + len(paid)
+        return AuditReport(
+            debtor=debtor,
+            creditor=creditor,
+            at_time=at_time,
+            owed=math.fsum(owed),
+            paid=math.fsum(paid),
+        )
 
 
 TransferLike = Union[BatchTransfer, Tuple[NodeId, NodeId, float]]
@@ -236,23 +393,38 @@ def net_positions(
     ``nodes`` pre-seeds keys for nodes that may not appear in any
     transfer (their position is 0.0).
     """
-    contributions: Dict[Tuple[NodeId, NodeId], List[float]] = {}
+    # pair -> (forward, reverse) amounts; (payer, payee) -> the list of
+    # its direction, so the pair key and sign are resolved once per
+    # direction instead of once per triple.
+    contributions: Dict[Pair, Tuple[List[float], List[float]]] = {}
+    directed: Dict[Tuple[NodeId, NodeId], List[float]] = {}
+
+    def direction(payer: NodeId, payee: NodeId) -> List[float]:
+        terms = directed.get((payer, payee))
+        if terms is None:
+            key = _pair_key(payer, payee)
+            cell = contributions.setdefault(key, ([], []))
+            terms = directed[(payer, payee)] = cell[0 if payer == key[0] else 1]
+        return terms
+
     for transfer in transfers:
         if isinstance(transfer, BatchTransfer):
-            rows = transfer.triples()
-        else:
-            rows = [transfer]
-        for payer, payee, amount in rows:
-            key = _pair_key(payer, payee)
-            signed = amount if payer == key[0] else -amount
-            contributions.setdefault(key, []).append(signed)
+            for payee, amount in transfer.payouts:
+                direction(transfer.debtor, payee).append(amount)
+            continue
+        payer, payee, amount = transfer
+        terms = directed.get((payer, payee))
+        if terms is None:
+            terms = direction(payer, payee)
+        terms.append(amount)
 
     pair_terms: Dict[NodeId, List[float]] = {}
     if nodes is not None:
         for node in sorted(nodes, key=repr):
             pair_terms.setdefault(node, [])
     for key in sorted(contributions, key=repr):
-        value = math.fsum(contributions[key])
+        forward, reverse = contributions[key]
+        value = math.fsum(chain(forward, map(neg, reverse)))
         # key[0] pays value toward key[1] (negative when reversed).
         pair_terms.setdefault(key[0], []).append(-value)
         pair_terms.setdefault(key[1], []).append(value)
@@ -275,6 +447,9 @@ def settlement_audit(
     ``closure_time`` at or before ``at_time``.  Both reductions are
     fsum-exact, so right after an epoch close the unpaid balance of
     every settled pair is exactly ``0.0``.
+
+    This full scan is the independent reference that
+    :meth:`NettingLedger.audit` must match bit for bit.
     """
     owed_terms: List[float] = []
     for obligation in trace:
@@ -314,28 +489,21 @@ def forced_settlement(
     """Enforce audited shortfalls against the debtors' deposits.
 
     Audits every principal pair that appears in the signed trace up to
-    ``at_time``; where the unpaid balance exceeds ``tolerance``, draws
-    ``min(deposit, shortfall)`` from the defaulting debtor's deposit,
-    issues a covering :class:`BatchTransfer` for the drawn amount, and
-    applies the paper's epsilon penalty on top — deviation (here:
-    non-payment) must end strictly below the faithful outcome.
+    ``at_time`` with :meth:`NettingLedger.audit`, which reads only the
+    pair's own rows, so one pass is linear in the trace plus the
+    payouts rather than pairs x trace.  Where the unpaid balance
+    exceeds ``tolerance``, draws ``min(deposit, shortfall)`` from the
+    defaulting debtor's deposit, issues a covering
+    :class:`BatchTransfer` for the drawn amount, and applies the
+    paper's epsilon penalty on top — deviation (here: non-payment)
+    must end strictly below the faithful outcome.
 
     Money conservation: the sum of deposit draws equals the sum of
     forced transfer totals exactly, and no deposit goes negative.
     """
-    pairs: List[Tuple[NodeId, NodeId]] = []
-    seen: Dict[Tuple[NodeId, NodeId], bool] = {}
-    for obligation in ledger.trace:
-        if obligation.accepted_at > at_time:
-            continue
-        key = _pair_key(obligation.debtor, obligation.creditor)
-        if key not in seen:
-            seen[key] = True
-            pairs.append(key)
-
     outcomes: List[ForcedPayment] = []
-    for a, b in sorted(pairs, key=repr):
-        report = settlement_audit(ledger.trace, ledger.transfers, a, b, at_time)
+    for a, b in ledger.pairs(at_time):
+        report = ledger.audit(a, b, at_time)
         if abs(report.unpaid) <= tolerance:
             continue
         if report.unpaid > 0:

@@ -6,10 +6,14 @@ covers everything accepted before it; :func:`settlement_audit`
 reconstructs any pair's unpaid balance from the signed trace; and
 :func:`forced_settlement` draws audited shortfalls from deposits with
 the paper's epsilon penalty on top.  Money conservation of the forced
-path is property-tested.
+path is property-tested.  The ledger stores raw amounts per principal
+pair; :meth:`NettingLedger.audit` reads only the audited pair's rows
+and must match the full-scan :func:`settlement_audit` bit for bit,
+and the bank's netted settle must build no per-obligation object.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,16 +21,22 @@ from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
 from repro.faithful import (
+    DEVIATION_CATALOGUE,
     BankNode,
     BatchTransfer,
+    FaithfulFPSSProtocol,
     NettingLedger,
     forced_settlement,
+    faithful_deviant_factory,
     net_positions,
     settlement_audit,
     synthesize_execution_reports,
 )
+from repro.faithful import settlement
 from repro.routing import figure1_graph
-from repro.workloads import uniform_all_pairs
+from repro.workloads import random_biconnected_graph, uniform_all_pairs
+
+NAMES = [f"n{i}" for i in range(5)]
 
 
 class TestNettingLedger:
@@ -53,6 +63,21 @@ class TestNettingLedger:
         # The trace still remembers both obligations for audit.
         assert len(ledger.trace) == 2
 
+    def test_reused_acceptance_time_nets_only_new_amounts(self):
+        """A second close at the same acceptance time nets only what
+        arrived since the first, in both directions."""
+        ledger = NettingLedger()
+        ledger.record("A", "B", 1.0, accepted_at=0.0)
+        ledger.record("B", "A", 0.25, accepted_at=0.0)
+        (first,) = ledger.close_epoch(0.0)
+        assert first.payouts == (("B", 0.75),)
+        ledger.record("A", "B", 2.0, accepted_at=0.0)
+        ledger.record("B", "A", 0.5, accepted_at=0.0)
+        assert ledger.pending_count == 2
+        (second,) = ledger.close_epoch(0.0)
+        assert second.payouts == (("B", 1.5),)
+        assert len(ledger.trace) == 4
+
     def test_closure_time_must_cover_pending(self):
         ledger = NettingLedger()
         ledger.record("A", "B", 1.0, accepted_at=5.0)
@@ -72,6 +97,87 @@ class TestNettingLedger:
         assert ledger.pending_count == 2
         transfers = ledger.close_epoch(1.0)
         assert {t.debtor for t in transfers} == {"A", "B"}
+
+
+class TestObligationTrace:
+    def test_iteration_yields_recorded_multiset(self):
+        recorded = [
+            ("A", "B", 3.0, 0.0),
+            ("B", "A", 1.0, 0.0),
+            ("A", "B", 0.0, 0.0),
+            ("A", "B", 3.0, 0.0),
+            ("C", "A", 0.0, 2.0),
+            ("A", "C", 2.5, 2.0),
+            ("B", "A", 1.0, 1.0),
+        ]
+        ledger = NettingLedger()
+        for debtor, creditor, amount, accepted_at in recorded[:3]:
+            ledger.record(debtor, creditor, amount, accepted_at)
+        ledger.close_epoch(0.0)
+        for debtor, creditor, amount, accepted_at in recorded[3:]:
+            ledger.record(debtor, creditor, amount, accepted_at)
+        trace = ledger.trace
+        assert len(trace) == len(recorded)
+        got = [(o.debtor, o.creditor, o.amount, o.accepted_at) for o in trace]
+        # Zero amounts are obligations too: nothing is dropped.
+        assert sorted(got, key=repr) == sorted(recorded, key=repr)
+        assert ledger.pending_count == 4
+
+    def test_netted_settle_trace_is_the_per_flow_list(self):
+        graph = figure1_graph()
+        reports = synthesize_execution_reports(
+            graph, uniform_all_pairs(graph), repeats=2
+        )
+        bank = BankNode()
+        bank.reports["execution"] = reports
+        node_ids = tuple(sorted(graph.nodes, key=repr))
+        netted = bank.settle_netted(
+            node_ids, {n: graph.cost(n) for n in node_ids}, closure_time=3.0
+        )
+        rows = [
+            (payer, payee, amount, 3.0)
+            for payer, payee, amount in netted.per_flow_transfers
+            if payer != payee
+        ]
+        trace = [
+            (o.debtor, o.creditor, o.amount, o.accepted_at)
+            for o in netted.ledger.trace
+        ]
+        assert len(netted.ledger.trace) == len(rows)
+        assert sorted(trace, key=repr) == sorted(rows, key=repr)
+
+    def test_settle_netted_builds_no_obligation(self, monkeypatch):
+        """The bulk path appends raw amounts; trace rows are built lazily."""
+        built = []
+
+        class CountingObligation(settlement.Obligation):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(settlement, "Obligation", CountingObligation)
+        graph = figure1_graph()
+        protocol = FaithfulFPSSProtocol(
+            graph,
+            uniform_all_pairs(graph),
+            node_factory=faithful_deviant_factory(
+                DEVIATION_CATALOGUE["misroute"], "C"
+            ),
+        )
+        protocol.run()
+        node_ids = tuple(sorted(protocol.nodes, key=repr))
+        declared = {n: graph.cost(n) for n in node_ids}
+        netted = protocol.bank.settle_netted(node_ids, declared)
+        assert netted.flags  # the deviant's reimbursement rows are in
+        assert built == []
+        recorded = sum(
+            1 for payer, payee, _ in netted.per_flow_transfers if payer != payee
+        )
+        assert recorded > 0
+        assert len(netted.ledger.trace) == recorded
+        assert built == []
+        assert sum(1 for _ in netted.ledger.trace) == recorded
+        assert len(built) == recorded
 
 
 class TestSettlementAudit:
@@ -106,6 +212,113 @@ class TestSettlementAudit:
         report = settlement_audit(ledger.trace, ledger.transfers, "B", "A", 0.0)
         assert report.owed == pytest.approx(-3.0)
         assert report.shortfall == 0.0
+
+
+class TestLedgerAudit:
+    """``NettingLedger.audit`` against the full-scan reference."""
+
+    @staticmethod
+    def assert_audits_match(ledger, at_time):
+        trace = list(ledger.trace)
+        for debtor in NAMES:
+            for creditor in NAMES:
+                assert ledger.audit(debtor, creditor, at_time) == (
+                    settlement_audit(
+                        trace, ledger.transfers, debtor, creditor, at_time
+                    )
+                )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=4),
+                st.integers(min_value=0, max_value=4),
+                st.floats(
+                    min_value=0.0,
+                    max_value=100.0,
+                    allow_nan=False,
+                    allow_infinity=False,
+                ),
+                st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=4),
+                st.integers(min_value=0, max_value=4),
+                st.floats(
+                    min_value=0.01,
+                    max_value=50.0,
+                    allow_nan=False,
+                    allow_infinity=False,
+                ),
+            ),
+            max_size=6,
+        ),
+        st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+    )
+    def test_audit_matches_full_scan(self, rows, forced, at_time):
+        """Several epochs, mixed acceptance times, mid-pass forced rows."""
+        ledger = NettingLedger()
+        newest = 0.0
+        for debtor_i, creditor_i, amount, accepted_at, close in rows:
+            if debtor_i != creditor_i:
+                ledger.record(
+                    NAMES[debtor_i], NAMES[creditor_i], amount, accepted_at
+                )
+                newest = max(newest, accepted_at)
+            if close:
+                ledger.close_epoch(newest)
+        self.assert_audits_match(ledger, at_time)
+        # Forced transfers appended between audits, as a forced pass
+        # appends them, are seen by every later audit.
+        for debtor_i, creditor_i, amount in forced:
+            ledger.transfers.append(
+                BatchTransfer(
+                    debtor=NAMES[debtor_i],
+                    closure_time=at_time,
+                    payouts=((NAMES[creditor_i], amount),),
+                )
+            )
+            self.assert_audits_match(ledger, at_time)
+        forced_settlement(ledger, dict.fromkeys(NAMES, 10.0), at_time=at_time)
+        self.assert_audits_match(ledger, at_time)
+        self.assert_audits_match(ledger, 3.0)
+
+    def test_forced_pass_visits_trace_plus_payouts(self):
+        """One pass reads every obligation and payout once, not pairs x
+        trace: the audit-visit counter pins it."""
+        graph = random_biconnected_graph(12, random.Random(3))
+        reports = synthesize_execution_reports(graph, uniform_all_pairs(graph))
+        bank = BankNode()
+        bank.reports["execution"] = reports
+        node_ids = tuple(sorted(graph.nodes, key=repr))
+        netted = bank.settle_netted(
+            node_ids, {n: graph.cost(n) for n in node_ids}
+        )
+        ledger = netted.ledger
+        # A second, closed epoch and a third one left unpaid.
+        ledger.record(node_ids[0], node_ids[1], 4.0, accepted_at=1.0)
+        ledger.record(node_ids[1], node_ids[0], 1.5, accepted_at=1.0)
+        ledger.close_epoch(1.0)
+        ledger.record(node_ids[2], node_ids[3], 2.0, accepted_at=2.0)
+        ledger.record(node_ids[4], node_ids[2], 0.5, accepted_at=3.0)
+        payouts = sum(
+            len(t.payouts) for t in ledger.transfers if t.closure_time <= 2.0
+        )
+        bank.fund_deposit(node_ids[2], 1.0)
+        outcomes = bank.run_forced_settlement(ledger, at_time=2.0)
+        assert [(o.debtor, o.creditor, o.drawn) for o in outcomes] == [
+            (node_ids[2], node_ids[3], 1.0)
+        ]
+        assert ledger.audit_term_visits == len(ledger.trace) - 1 + payouts
+        # The forced draw is on the record: the pair audits to the rest.
+        report = ledger.audit(node_ids[2], node_ids[3], 2.0)
+        assert report.unpaid == 1.0
 
 
 class TestForcedSettlement:

@@ -10,6 +10,7 @@ epochs.  Both engines feed the same fsum-reduced contribution tally,
 so equality here is exact ``==``, never ``approx``.
 """
 
+import math
 import random
 
 import pytest
@@ -58,6 +59,17 @@ def assert_engines_equivalent(bank, node_ids, declared_costs, epsilon):
     )
     netted_positions = net_positions(netted.transfers, nodes=node_ids)
     assert netted_positions == per_flow_positions
+
+    # The compact per-flow view carries exactly the amounts the per-flow
+    # oracle credits: each node's received amounts, reimbursement rows
+    # included, sum to its record bit for bit.
+    received = {n: [] for n in node_ids}
+    for _payer, payee, amount in netted.per_flow_transfers:
+        received[payee].append(amount)
+    for node_id in node_ids:
+        assert math.fsum(received[node_id]) == (
+            per_flow_records[node_id].received
+        )
 
     # After the epoch close, every pair's audited unpaid balance is
     # exactly zero — the batch transfer discharged the whole epoch.
@@ -149,6 +161,48 @@ class TestRandomizedEquivalence:
         netted = assert_engines_equivalent(bank, node_ids, declared, 0.01)
         assert netted.flags == []
         assert netted.flows_settled == repeats * netted.flow_groups
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=100_000))
+    def test_arbitrary_reports_equivalent(self, seed):
+        """Reports no honest run produces: certified paths that start
+        away from the origin or revisit nodes (self-payment rows), list
+        paths, stray receipts and repeated rows."""
+        rng = random.Random(seed)
+        node_ids = ("A", "B", "C", "D", "E")
+        reports = {}
+        for node in node_ids:
+            observations = []
+            for _ in range(rng.randint(0, 5)):
+                origin, destination = rng.sample(node_ids, 2)
+                first = origin if rng.random() < 0.6 else rng.choice(node_ids)
+                middle = [rng.choice(node_ids) for _ in range(rng.randint(0, 3))]
+                path = (first, *middle, destination)
+                charges = [
+                    (transit, rng.choice([0.0, 1.5, 2.25]))
+                    for transit in path[1:-1]
+                ]
+                for _repeat in range(rng.randint(1, 3)):
+                    observations.append(
+                        (origin, destination, 1.0, list(path), charges)
+                    )
+            receipts = []
+            for _ in range(rng.randint(0, 8)):
+                origin, destination = rng.sample(node_ids, 2)
+                sender = rng.choice(node_ids)
+                receipts.append(
+                    (origin, destination, sender, rng.choice([0.0, 1.0, 2.0]))
+                )
+            reports[node] = {
+                "observations": observations,
+                "receipts": receipts,
+                "reported_payments": [],
+                "flags": [],
+            }
+        bank = BankNode()
+        bank.reports["execution"] = reports
+        declared = {n: rng.choice([1.0, 2.5]) for n in node_ids}
+        assert_engines_equivalent(bank, node_ids, declared, 0.01)
 
 
 class TestChurnNetting:
