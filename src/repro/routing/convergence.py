@@ -15,7 +15,8 @@ Oracles
 Both checks of a converged network read :mod:`repro.routing.engine`,
 never the replay kernel they check.  :func:`verify_against_oracle`
 compares routes and VCG prices entry by entry, with a float tolerance,
-and names the first wrong entry.
+and names the first wrong entry; a source's routes are all checked
+before its prices, which come from one payment sweep per source.
 :func:`~repro.routing.dynamic.verify_epoch_equivalence` compares the
 DATA1/DATA2/DATA3* digests, identity tags included, bit for bit against
 :func:`~repro.routing.engine.fixed_point_digests`.
@@ -32,7 +33,7 @@ from ..sim.simulator import Simulator
 from .engine import engine_for
 from .fpss import FPSSNode
 from .graph import ASGraph, Cost, NodeId
-from .vcg_payments import route_payments
+from .vcg_payments import _source_payments
 
 
 def topology_from_graph(graph: ASGraph, delay=1.0) -> NetworkTopology:
@@ -231,9 +232,8 @@ def verify_against_oracle(
         routing = node.routing_table()
         pricing = node.pricing_table()
         tree = engine.tree(source)
-        for destination in graph.nodes:
-            if destination == source:
-                continue
+        destinations = [other for other in graph.nodes if other != source]
+        for destination in destinations:
             oracle = tree.get(destination)
             entry = routing.entry(destination)
             if entry is None or oracle is None:
@@ -248,15 +248,14 @@ def verify_against_oracle(
                     f"{entry.path} @ {entry.cost}, oracle said "
                     f"{oracle.path} @ {oracle.cost}"
                 )
-            if not check_prices:
-                continue
-            bundle = route_payments(graph, source, destination)
-            for transit in oracle.transit_nodes:
-                expected = bundle.payments[transit]
+        if not check_prices:
+            continue
+        priced = _source_payments(engine, source, destinations)
+        for destination in destinations:
+            for transit, expected in priced[destination].payments.items():
                 actual = pricing.price(destination, transit)
                 if abs(expected - actual) > 1e-9:
                     raise ConvergenceError(
                         f"price {source!r}->{destination!r} via {transit!r}: "
                         f"protocol said {actual}, oracle said {expected}"
                     )
-

@@ -1,13 +1,13 @@
 """The memoizing routing engine: single-source LCP trees at scale.
 
-The seed oracle in :mod:`repro.routing.lcp` enumerated whole paths in
-its priority queue, which is exponential in the worst case and
-quadratic in path length even on friendly graphs.  This module replaces
-it with a proper node-weighted Dijkstra that keeps ``(cost, hops)``
-keys and predecessor pointers in the heap, resolves lexicographic ties
-once per settled node, and computes a *whole single-source tree* per
-run — including the ``LCP_{-k}`` avoidance trees the VCG payment
-formula needs.
+The seed repository's oracle enumerated whole paths in its priority
+queue, which is exponential in the worst case and quadratic in path
+length even on friendly graphs; it survives only as the test reference
+in ``tests/routing/test_engine.py``.  This module replaces it with a
+proper node-weighted Dijkstra that keeps ``(cost, hops)`` keys and
+predecessor pointers in the heap, resolves lexicographic ties once per
+settled node, and computes a *whole single-source tree* per run —
+including the ``LCP_{-k}`` avoidance trees.
 
 Tie-breaking is bit-identical to the seed oracle (and to
 :meth:`repro.routing.tables.RouteEntry.sort_key`): among equal-cost
@@ -16,22 +16,18 @@ paths prefer fewer hops, then the lexicographically smallest
 once per graph instead of once per heap operation.
 
 :class:`RoutingEngine` memoizes every tree it computes, keyed by
-``(source, avoiding)``.  All-pairs payments therefore cost one Dijkstra
-run per source plus one per *distinct transit node* of that source's
-tree, instead of one exponential search per (pair, transit) triple.
-Graphs are immutable, so a module-level weak cache
-(:func:`engine_for`) shares one engine per live graph across the
+``(source, avoiding)``.  Graphs are immutable, so a module-level weak
+cache (:func:`engine_for`) shares one engine per live graph across the
 functional APIs in :mod:`repro.routing.lcp` and
 :mod:`repro.routing.vcg_payments`.
 
-Cost-only queries are cheaper still.  Node-weighted path costs are
-direction-symmetric — reversing a path keeps its interior (transit)
-set, so ``cost(i, j, avoiding=k) == cost(j, i, avoiding=k)`` — which
-lets :meth:`RoutingEngine.cost` and the batched
-:meth:`RoutingEngine.detour_costs` serve a query from a tree rooted at
-*either* endpoint.  When no tree covers the pair, a cost-only Dijkstra
-(no path reconstruction, no lexicographic tie-breaks: the minimum cost
-is the same for every tying path) fills a separate, lighter cache.
+The VCG payment rule needs ``cost(LCP_{-k}(i, j))`` for every transit
+``k`` of every route, and :meth:`RoutingEngine.source_detour_labels`
+is its one source: a decremental repair sweep over the source's base
+tree that re-relaxes only the destinations routed through ``k``.  Its
+labels are left-to-right sums from the source, bit-equal to the seed
+formula, so every payment is computed the same way and in the same
+order.
 
 :func:`fixed_point_digests` turns the trees into the protocol's own
 currency: the DATA1/DATA2/DATA3* digests every node must hold at the
@@ -54,10 +50,6 @@ from .graph import ASGraph, Cost, NodeId, PathCost
 from .tables import PricingTable, RouteEntry, RoutingTable, TransitCostTable
 
 _INF = float("inf")
-
-#: Cache-miss sentinel for cost lookups, distinct from ``None`` (which
-#: is an authoritative "disconnected" answer from a complete tree).
-_MISS = object()
 
 
 class RoutingEngine:
@@ -90,26 +82,14 @@ class RoutingEngine:
         self._partials: Dict[
             Tuple[int, int, frozenset], Mapping[NodeId, PathCost]
         ] = {}
-        #: (source index, avoided index or -1) -> (labels, complete):
-        #: cost-only labels by node index — no paths, so far cheaper
-        #: than ``_trees``.  ``complete`` False marks an early-exit
-        #: run, where an absent index means "not settled", not
-        #: "disconnected".
-        self._cost_trees: Dict[
-            Tuple[int, int], Tuple[Dict[int, Cost], bool]
-        ] = {}
         #: Dijkstra runs actually performed (cache misses).
         self.runs = 0
         #: Early-exit (partial) runs among ``runs``.
         self.partial_runs = 0
-        #: Cost-only runs (tracked separately from ``runs``).
-        self.cost_runs = 0
         #: Nodes settled across all runs (early exit keeps this low).
         self.settled = 0
         #: Tree queries served from cache.
         self.hits = 0
-        #: Cost queries served from a tree rooted at the other endpoint.
-        self.symmetry_hits = 0
 
     # ------------------------------------------------------------------
     # queries
@@ -147,6 +127,8 @@ class RoutingEngine:
         self._trees[key] = tree
         return tree
 
+    # No library caller; the benchmark reads ``partial_runs`` and its
+    # tracer's wrap list names this method.
     def partial_tree(
         self,
         source: NodeId,
@@ -253,123 +235,18 @@ class RoutingEngine:
         destination: NodeId,
         avoiding: Optional[NodeId] = None,
     ) -> Cost:
-        """Just the LCP cost for one pair (cost-only, symmetry-aware).
+        """Just the LCP cost for one pair; same contract as :meth:`path`."""
+        return self.path(source, destination, avoiding).cost
 
-        A path's cost is the sum of its interior node costs, and
-        reversing a path keeps its interior set, so
-        ``cost(i, j, -k) == cost(j, i, -k)``: a cached tree rooted at
-        either endpoint answers the query.  When neither endpoint has
-        one, a cost-only Dijkstra runs from ``source`` — no path
-        reconstruction and no lexicographic tie-breaks, because every
-        tying path has the same (minimum) cost.  Validation matches
-        :meth:`path` exactly.
-        """
-        src = self._index.get(source)
-        if src is None:
-            raise GraphError(f"unknown source {source!r}")
-        dst = self._index.get(destination)
-        if dst is None:
-            raise GraphError(f"unknown destination {destination!r}")
-        if avoiding is not None and avoiding in (source, destination):
-            raise RoutingError(
-                f"cannot avoid endpoint {avoiding!r} of pair "
-                f"({source!r}, {destination!r})"
-            )
-        if src == dst:
-            return 0.0
-        avoid = -1
-        if avoiding is not None:
-            maybe = self._index.get(avoiding)
-            if maybe is None:
-                raise GraphError(f"unknown node {avoiding!r}")
-            avoid = maybe
-        found = self._pair_cost(src, dst, avoid)
-        if found is None:
-            detail = f" avoiding {avoiding!r}" if avoiding is not None else ""
-            raise RoutingError(
-                f"no path from {source!r} to {destination!r}{detail}"
-            )
-        return found
-
+    # No library caller; the benchmark tracer's wrap list still names it.
     def detour_costs(
         self,
         source: NodeId,
         avoiding: NodeId,
         destinations: Iterable[NodeId],
     ) -> Dict[NodeId, Cost]:
-        """Batched ``LCP_{-k}`` costs: one source, many destinations.
-
-        The batch shape of the VCG payment rule — every destination
-        routed through transit node ``avoiding`` needs the detour cost
-        around it.  Each destination is served from any cached tree
-        rooted at either endpoint (cost symmetry); the remainder, if
-        any, is covered by a *single* cost-only Dijkstra from
-        ``source``.  Raises :class:`RoutingError` when a destination is
-        disconnected by the restriction or coincides with an endpoint.
-        """
-        src = self._index.get(source)
-        if src is None:
-            raise GraphError(f"unknown source {source!r}")
-        avoid = self._index.get(avoiding)
-        if avoid is None:
-            raise GraphError(f"unknown node {avoiding!r}")
-        result: Dict[NodeId, Cost] = {}
-        missing: List[Tuple[NodeId, int]] = []
-        full = self._trees.get((src, avoid))
-        cached = None if full is not None else self._cost_trees.get(
-            (src, avoid)
-        )
-        for destination in destinations:
-            dst = self._index.get(destination)
-            if dst is None:
-                raise GraphError(f"unknown destination {destination!r}")
-            if destination in (source, avoiding):
-                raise RoutingError(
-                    f"cannot avoid endpoint {avoiding!r} of pair "
-                    f"({source!r}, {destination!r})"
-                )
-            found: object
-            if full is not None:
-                entry = full.get(destination)
-                found = None if entry is None else entry.cost
-                self.hits += 1
-            elif cached is not None:
-                labels, labels_complete = cached
-                found = labels.get(dst)
-                if found is None and not labels_complete:
-                    found = _MISS
-                else:
-                    self.hits += 1
-            else:
-                found = self._reverse_cost(src, dst, avoid)
-            if found is _MISS:
-                missing.append((destination, dst))
-                continue
-            if found is None:
-                raise RoutingError(
-                    f"no path from {source!r} to {destination!r} "
-                    f"avoiding {avoiding!r}"
-                )
-            result[destination] = found
-        if missing:
-            fresh, complete = self._sssp_costs(
-                src, avoid, until=[dst for _, dst in missing]
-            )
-            if cached is not None:
-                stale, stale_complete = cached
-                merged = dict(stale)
-                merged.update(fresh)
-                fresh, complete = merged, complete or stale_complete
-            self._cost_trees[(src, avoid)] = (fresh, complete)
-            for destination, dst in missing:
-                found = fresh.get(dst)
-                if found is None:
-                    raise RoutingError(
-                        f"no path from {source!r} to {destination!r} "
-                        f"avoiding {avoiding!r}"
-                    )
-                result[destination] = found
-        return result
+        """``LCP_{-k}`` costs from one source to many destinations."""
+        return {d: self.path(source, d, avoiding).cost for d in destinations}
 
     def source_detour_labels(
         self, source: NodeId
@@ -388,8 +265,9 @@ class RoutingEngine:
         run — every label is the minimum over the same set of
         left-to-right path-cost sums.
 
-        Raises :class:`RoutingError` naming the first destination a
-        restriction disconnects (impossible on biconnected graphs).
+        A destination that ``k`` cuts off from the source (possible
+        only when the graph is not biconnected) is absent from
+        ``k``'s mapping; the caller decides whether that pair matters.
         """
         base = self.tree(source)
         index = self._index
@@ -449,67 +327,12 @@ class RoutingEngine:
                             dist[v] = through
                             dist_stamp[v] = k
                             push(heap, (through, v))
-            detours: Dict[NodeId, Cost] = {}
-            for u in members:
-                if settled_stamp[u] != k:
-                    raise RoutingError(
-                        f"no path from {source!r} to {ids[u]!r} "
-                        f"avoiding {ids[k]!r}"
-                    )
-                detours[ids[u]] = settled_val[u]
-            out[ids[k]] = detours
+            out[ids[k]] = {
+                ids[u]: settled_val[u]
+                for u in members
+                if settled_stamp[u] == k
+            }
         return out
-
-    def _pair_cost(self, src: int, dst: int, avoid: int) -> Optional[Cost]:
-        """Cost label for one indexed pair; ``None`` when disconnected.
-
-        Lookup order: full tree at either endpoint, cost-only labels at
-        either endpoint, then one fresh cost-only run from ``src``.
-        """
-        full = self._trees.get((src, avoid))
-        if full is not None:
-            self.hits += 1
-            entry = full.get(self._ids[dst])
-            return None if entry is None else entry.cost
-        cached = self._cost_trees.get((src, avoid))
-        if cached is not None:
-            labels, complete = cached
-            found = labels.get(dst)
-            if found is not None or complete:
-                self.hits += 1
-                return found
-        found = self._reverse_cost(src, dst, avoid)
-        if found is not _MISS:
-            return found
-        labels, complete = self._sssp_costs(src, avoid)
-        if cached is not None:
-            merged = dict(cached[0])
-            merged.update(labels)
-            labels = merged
-        self._cost_trees[(src, avoid)] = (labels, True)
-        return labels.get(dst)
-
-    def _reverse_cost(self, src: int, dst: int, avoid: int):
-        """Serve ``cost(src -> dst, -avoid)`` from a tree rooted at
-        ``dst``, or return the ``_MISS`` sentinel when none is cached.
-
-        ``None`` (as opposed to ``_MISS``) is an authoritative answer:
-        the reverse tree is complete and does not reach ``src``, so by
-        cost symmetry the forward pair is disconnected too.
-        """
-        full = self._trees.get((dst, avoid))
-        if full is not None:
-            self.symmetry_hits += 1
-            entry = full.get(self._ids[src])
-            return None if entry is None else entry.cost
-        cached = self._cost_trees.get((dst, avoid))
-        if cached is not None:
-            labels, complete = cached
-            found = labels.get(src)
-            if found is not None or complete:
-                self.symmetry_hits += 1
-                return found
-        return _MISS
 
     def node_cost(self, node: NodeId) -> Cost:
         """The declared transit cost of one node."""
@@ -526,17 +349,11 @@ class RoutingEngine:
         """Drop every memoized tree (the graph index is kept)."""
         self._trees.clear()
         self._partials.clear()
-        self._cost_trees.clear()
 
     @property
     def cached_trees(self) -> int:
         """How many single-source trees are currently memoized."""
         return len(self._trees)
-
-    @property
-    def cached_cost_trees(self) -> int:
-        """How many cost-only label sets are currently memoized."""
-        return len(self._cost_trees)
 
     # ------------------------------------------------------------------
     # the Dijkstra core
@@ -640,64 +457,6 @@ class RoutingEngine:
                     push(heap, (base, next_length, seq, v))
                     seq += 1
         return result
-
-    def _sssp_costs(
-        self, src: int, avoid: int, until: Optional[Iterable[int]] = None
-    ) -> Tuple[Dict[int, Cost], bool]:
-        """One cost-only Dijkstra run from ``src`` (indexed labels).
-
-        No predecessor pointers, no path tuples, no lexicographic
-        resolution: the returned label is the *cost* of the LCP, which
-        is identical for every tying path, so the result is bit-equal
-        to the ``.cost`` fields of the corresponding :meth:`_sssp`
-        tree.  Unreachable nodes (and ``src`` itself) are absent.
-
-        With ``until`` (node indices) the run stops once every listed
-        index has settled.  The second component reports whether the
-        labels are *complete*: only then does an absent index mean
-        "disconnected" rather than "not settled before the early
-        exit".  An unreachable ``until`` member simply drains the heap,
-        so exhaustion always yields a complete label set.
-        """
-        self.cost_runs += 1
-        costs = self._costs
-        adj = self._adj
-        dist: List[Cost] = [_INF] * len(self._ids)
-        dist[src] = 0.0
-        heap: List[Tuple[Cost, int]] = [(0.0, src)]
-        push = heapq.heappush
-        pop = heapq.heappop
-        result: Dict[int, Cost] = {}
-        remaining = None
-        if until is not None:
-            remaining = set(until)
-            remaining.discard(src)
-            remaining.discard(avoid)
-        complete = True
-        while heap:
-            label, node = pop(heap)
-            if node == src:
-                base = 0.0
-            else:
-                if node in result:
-                    continue
-                result[node] = label
-                if remaining is not None:
-                    remaining.discard(node)
-                    if not remaining:
-                        # Conservative: stale heap entries alone would
-                        # still make a complete set, but flagging them
-                        # partial only costs a future re-run.
-                        complete = not heap
-                        break
-                base = label + costs[node]
-            for v in adj[node]:
-                if v == avoid:
-                    continue
-                if base < dist[v]:
-                    dist[v] = base
-                    push(heap, (base, v))
-        return result, complete
 
 
 #: One shared engine per live graph; graphs are immutable, so trees

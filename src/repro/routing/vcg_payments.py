@@ -10,6 +10,13 @@ where ``LCP_{-k}`` is the lowest-cost path avoiding ``k``.  Nodes not
 on the LCP receive nothing.  Biconnectivity guarantees ``LCP_{-k}``
 exists, so every payment is well-defined.
 
+Every payment here comes from one helper, :func:`_source_payments`:
+one LCP tree per source for the routes and one
+:meth:`~repro.routing.engine.RoutingEngine.source_detour_labels`
+repair sweep per source for every ``LCP_{-k}`` cost.  Both sum path
+costs left to right from the source, so each payment is bit-equal to
+the formula above evaluated on the seed oracle's paths.
+
 This module is the centralized oracle; the distributed protocol in
 :mod:`repro.routing.fpss` must converge to the same values, and the
 strategyproofness benchmark (experiment E3) sweeps misreports against
@@ -19,7 +26,7 @@ these payments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from ..errors import RoutingError
 from .engine import RoutingEngine, engine_for
@@ -47,119 +54,69 @@ def vcg_transit_payment(
     """The per-packet VCG payment to one transit node.
 
     Returns 0 for nodes not on the LCP (their marginal contribution is
-    nil).  Raises :class:`RoutingError` if ``transit`` is an endpoint.
+    nil).  Raises :class:`RoutingError` if ``transit`` is an endpoint,
+    or, as :func:`route_payments` does, if any transit node of the LCP
+    cuts the pair off.
     """
     if transit in (source, destination):
         raise RoutingError(f"{transit!r} is an endpoint, not a transit node")
-    engine = engine_for(graph)
-    route = engine.path(source, destination)
-    if transit not in route.transit_nodes:
-        return 0.0
-    without_k = engine.cost(source, destination, avoiding=transit)
-    return graph.cost(transit) + without_k - route.cost
+    return route_payments(graph, source, destination).payments.get(transit, 0.0)
 
 
-def _lazy_path(
-    engine: RoutingEngine,
-    source: NodeId,
-    destination: NodeId,
-    avoiding: Optional[NodeId] = None,
-) -> PathCost:
-    """One pair's LCP via an early-exit (partial) tree.
+def _source_payments(
+    engine: RoutingEngine, source: NodeId, destinations: Iterable[NodeId]
+) -> Dict[NodeId, RoutePayments]:
+    """Route and transit payments from one source to each destination.
 
-    Same contract as :meth:`RoutingEngine.path`, but the Dijkstra run
-    stops as soon as ``destination`` settles instead of finishing the
-    whole tree — the right trade when a source only ever routes to a
-    few destinations.
+    The source's cached tree gives every route and one repair sweep
+    gives every ``LCP_{-k}`` cost, so pairs sharing a source share
+    both.  Raises :class:`RoutingError` when a requested pair is
+    disconnected, or when one of its transit nodes cuts it off (the
+    graph is then not biconnected); cut pairs that were not requested
+    do not matter.
     """
-    if source == destination:
-        return PathCost(path=(source,), cost=0.0)
-    found = engine.partial_tree(source, (destination,), avoiding=avoiding).get(
-        destination
-    )
-    if found is None:
-        detail = f" avoiding {avoiding!r}" if avoiding is not None else ""
-        raise RoutingError(
-            f"no path from {source!r} to {destination!r}{detail}"
+    base = engine.tree(source)
+    detours = engine.source_detour_labels(source)
+    result: Dict[NodeId, RoutePayments] = {}
+    for destination in destinations:
+        route = base.get(destination)
+        if route is None:
+            # The trivial pair, an unknown node or a disconnected pair.
+            route = engine.path(source, destination)
+        payments: Dict[NodeId, Cost] = {}
+        for transit in route.transit_nodes:
+            without_k = detours[transit].get(destination)
+            if without_k is None:
+                raise RoutingError(
+                    f"no path from {source!r} to {destination!r} "
+                    f"avoiding {transit!r}"
+                )
+            payments[transit] = engine.node_cost(transit) + without_k - route.cost
+        result[destination] = RoutePayments(
+            source=source, destination=destination, route=route, payments=payments
         )
-    return found
-
-
-def _route_payments(
-    engine: RoutingEngine,
-    source: NodeId,
-    destination: NodeId,
-    lazy: bool = False,
-) -> RoutePayments:
-    """:func:`route_payments` against an already-built engine.
-
-    With ``lazy=False`` every ``LCP_{-k}`` lookup is a whole cached
-    avoidance tree, so pairs sharing a source and a transit node share
-    one Dijkstra run — the right shape for dense (all-pairs) traffic.
-    With ``lazy=True`` each lookup early-exits at the destination,
-    which wins when the traffic matrix is sparse.
-    """
-    if lazy:
-        route = _lazy_path(engine, source, destination)
-    else:
-        route = engine.path(source, destination)
-    payments: Dict[NodeId, Cost] = {}
-    for transit in route.transit_nodes:
-        if lazy:
-            without_k = _lazy_path(
-                engine, source, destination, avoiding=transit
-            ).cost
-        else:
-            without_k = engine.cost(source, destination, avoiding=transit)
-        payments[transit] = engine.node_cost(transit) + without_k - route.cost
-    return RoutePayments(
-        source=source, destination=destination, route=route, payments=payments
-    )
+    return result
 
 
 def route_payments(
     graph: ASGraph, source: NodeId, destination: NodeId
 ) -> RoutePayments:
     """LCP and all transit payments for one ordered pair."""
-    return _route_payments(engine_for(graph), source, destination)
+    return _source_payments(engine_for(graph), source, (destination,))[destination]
 
 
 def all_pairs_payments(
     graph: ASGraph,
 ) -> Dict[Tuple[NodeId, NodeId], RoutePayments]:
-    """Route payments for every ordered pair (requires biconnectivity).
-
-    Batched per source: one full Dijkstra tree gives every route, and
-    one :meth:`RoutingEngine.source_detour_labels` repair sweep gives
-    every ``LCP_{-k}`` cost the payment rule needs — the below-``k``
-    group of each transit node is re-relaxed from its frozen boundary
-    instead of re-running Dijkstra per (source, transit).
-    """
+    """Route payments for every ordered pair (requires biconnectivity)."""
     graph.require_biconnected()
     engine = engine_for(graph)
     result: Dict[Tuple[NodeId, NodeId], RoutePayments] = {}
     nodes = graph.nodes
-    node_cost = {node: graph.cost(node) for node in nodes}
     for source in nodes:
-        base = engine.tree(source)
-        detours = engine.source_detour_labels(source)
-        for destination in nodes:
-            if destination == source:
-                continue
-            route = base[destination]
-            route_cost = route.cost
-            payments = {
-                transit: node_cost[transit]
-                + detours[transit][destination]
-                - route_cost
-                for transit in route.transit_nodes
-            }
-            result[(source, destination)] = RoutePayments(
-                source=source,
-                destination=destination,
-                route=route,
-                payments=payments,
-            )
+        others = [node for node in nodes if node != source]
+        for destination, bundle in _source_payments(engine, source, others).items():
+            result[(source, destination)] = bundle
     return result
 
 
@@ -192,7 +149,6 @@ def economics_under_traffic(
     true_graph: ASGraph,
     traffic: Mapping[Tuple[NodeId, NodeId], float],
     payment_rule: str = "vcg",
-    sparse: Optional[bool] = None,
 ) -> Dict[NodeId, NodeEconomics]:
     """Per-node economics when routes/payments follow declared costs.
 
@@ -205,17 +161,14 @@ def economics_under_traffic(
         Same topology with *true* costs; real transit expenses come
         from these.
     traffic:
-        Mapping (source, destination) -> packet volume.
+        Mapping (source, destination) -> packet volume.  Under
+        ``"vcg"`` the flows are priced per source (one tree and one
+        repair sweep each); amounts accumulate in ``repr`` order of
+        the flows, so the totals do not depend on the mapping's order.
     payment_rule:
         ``"vcg"`` for the FPSS payment above, or ``"declared-cost"``
         for the naive scheme that simply reimburses each transit node
         its declared cost — the scheme Example 1 shows is manipulable.
-    sparse:
-        ``True`` routes every lookup through early-exit partial trees
-        (wins when few pairs carry traffic), ``False`` uses full cached
-        trees (wins for dense matrices).  ``None`` — the default —
-        picks partial trees when the matrix has at most as many flows
-        as the graph has nodes.
 
     Returns
     -------
@@ -228,31 +181,29 @@ def economics_under_traffic(
         node: NodeEconomics() for node in declared_graph.nodes
     }
     engine = engine_for(declared_graph)
-    if sparse is None:
-        sparse = len(traffic) <= len(declared_graph.nodes)
+    flows = []
+    wanted: Dict[NodeId, List[NodeId]] = {}
     for (source, destination), volume in sorted(traffic.items(), key=repr):
         if volume == 0:
             continue
         if volume < 0:
             raise RoutingError(f"negative traffic volume for {(source, destination)}")
+        flows.append((source, destination, volume))
+        wanted.setdefault(source, []).append(destination)
+    if payment_rule == "vcg":
+        priced = {
+            source: _source_payments(engine, source, destinations)
+            for source, destinations in wanted.items()
+        }
+    for source, destination, volume in flows:
         if payment_rule == "vcg":
-            # One payment bundle per pair: the base LCP is computed once
-            # and shared across its transit nodes instead of re-derived
-            # inside a per-transit payment query.
-            bundle = _route_payments(engine, source, destination, lazy=sparse)
-            pair_payments = bundle.payments
-            transit_nodes = bundle.route.transit_nodes
+            pair_payments = priced[source][destination].payments
         else:
-            if sparse:
-                route = _lazy_path(engine, source, destination)
-            else:
-                route = engine.path(source, destination)
-            transit_nodes = route.transit_nodes
             pair_payments = {
-                transit: declared_graph.cost(transit) for transit in transit_nodes
+                transit: declared_graph.cost(transit)
+                for transit in engine.path(source, destination).transit_nodes
             }
-        for transit in transit_nodes:
-            payment = pair_payments[transit]
+        for transit, payment in pair_payments.items():
             economics[source].paid += volume * payment
             economics[transit].received += volume * payment
             economics[transit].true_transit_cost += volume * true_graph.cost(transit)

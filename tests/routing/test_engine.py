@@ -13,7 +13,7 @@ import heapq
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphError, RoutingError
@@ -91,6 +91,31 @@ def _tie_heavy_graph(seed):
     return graph
 
 
+def _cut_vertex_graph():
+    """An a-b-c-d square whose vertex c also closes a c-e-f triangle:
+    a->c routes via b and detours via d, but c cuts a off from e."""
+    from repro.routing import ASGraph
+
+    return ASGraph(
+        {"a": 1.0, "b": 1.0, "c": 1.0, "d": 2.0, "e": 1.0, "f": 1.0},
+        [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
+         ("c", "e"), ("e", "f"), ("f", "c")],
+    )
+
+
+#: ``_tie_heavy_graph`` seeds whose payments once differed from the seed
+#: formula in the last bit, when ``LCP_{-k}`` costs were read from trees
+#: rooted at the destination (a right-to-left sum).
+PINNED_PAYMENT_SEEDS = (237, 743, 825, 1189, 1562, 1618, 1633, 1859, 1994, 4127)
+
+
+def pin_payment_seeds(test):
+    """Run a seed-taking hypothesis test on every pinned seed too."""
+    for seed in PINNED_PAYMENT_SEEDS:
+        test = example(seed)(test)
+    return test
+
+
 # ----------------------------------------------------------------------
 # Bit-identical parity with the seed algorithm
 # ----------------------------------------------------------------------
@@ -162,6 +187,7 @@ class TestSeedParity:
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
+    @pin_payment_seeds
     def test_random_graph_payments_byte_identical(self, seed):
         """Property: VCG payments equal the seed formula exactly."""
         graph = _tie_heavy_graph(seed)
@@ -183,6 +209,40 @@ class TestSeedParity:
                     - ref_route.cost
                 )
                 assert bundle.payments[transit] == expected
+
+
+# ----------------------------------------------------------------------
+# The repair sweep behind every VCG payment
+# ----------------------------------------------------------------------
+
+
+class TestDetourSweep:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    @pin_payment_seeds
+    def test_sweep_equals_avoidance_trees(self, seed):
+        """Property: every on-path ``(k, d)`` label of the sweep is
+        bit-equal to the full ``LCP_{-k}`` tree's cost, and the sweep
+        covers exactly those pairs."""
+        graph = _tie_heavy_graph(seed)
+        engine = RoutingEngine(graph)
+        for source in graph.nodes:
+            detours = engine.source_detour_labels(source)
+            expected = {}
+            for destination, entry in engine.tree(source).items():
+                for transit in entry.transit_nodes:
+                    expected.setdefault(transit, {})[destination] = engine.path(
+                        source, destination, avoiding=transit
+                    ).cost
+            assert detours == expected
+
+    def test_cut_destinations_are_absent(self):
+        """A transit that cuts the source off leaves its destinations
+        out instead of failing the whole sweep."""
+        graph = _cut_vertex_graph()
+        detours = RoutingEngine(graph).source_detour_labels("a")
+        assert detours["b"] == {"c": 2.0, "e": 3.0, "f": 3.0}
+        assert detours["c"] == {}
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,8 @@ from repro.routing import (
     utility_of_misreport,
     vcg_transit_payment,
 )
-from repro.workloads import random_biconnected_graph, uniform_all_pairs
+from repro.workloads import random_biconnected_graph, random_pairs, uniform_all_pairs
+from test_engine import _cut_vertex_graph, _tie_heavy_graph, pin_payment_seeds
 
 
 class TestPaymentFormula:
@@ -195,52 +196,92 @@ class TestStrategyproofnessProperty:
                 assert lied <= truthful + 1e-9
 
 
-class TestSparseEconomics:
-    """The early-exit (sparse) routing mode must be output-identical."""
+def _expected_bundle(graph, source, destination):
+    """The VCG payments of one pair from whole LCP / LCP_{-k} trees."""
+    route = lowest_cost_path(graph, source, destination)
+    payments = {
+        transit: graph.cost(transit)
+        + lowest_cost_path(graph, source, destination, avoiding=transit).cost
+        - route.cost
+        for transit in route.transit_nodes
+    }
+    return route, payments
+
+
+def _expected_economics(graph, traffic):
+    """``economics_under_traffic``'s sums, re-added in its flow order."""
+    received = {node: 0.0 for node in graph.nodes}
+    paid = {node: 0.0 for node in graph.nodes}
+    for (source, destination), volume in sorted(traffic.items(), key=repr):
+        if volume == 0:
+            continue
+        _, payments = _expected_bundle(graph, source, destination)
+        for transit, payment in payments.items():
+            paid[source] += volume * payment
+            received[transit] += volume * payment
+    return received, paid
+
+
+class TestOnePaymentPath:
+    """Every public payment API prices a pair the same way, bit for bit."""
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
-    def test_sparse_matches_full_on_random_traffic(self, seed):
-        from repro.workloads import random_pairs
+    @pin_payment_seeds
+    def test_payment_apis_agree_exactly(self, seed):
+        graph = _tie_heavy_graph(seed)
+        everything = all_pairs_payments(graph)
+        for (source, destination), bundle in everything.items():
+            # Priced before the reference builds this pair's LCP_{-k}
+            # trees, so the APIs cannot lean on them.
+            single = route_payments(graph, source, destination)
+            per_transit = {
+                transit: vcg_transit_payment(graph, source, destination, transit)
+                for transit in graph.nodes
+                if transit not in (source, destination)
+            }
+            route, payments = _expected_bundle(graph, source, destination)
+            assert bundle.route == single.route == route
+            assert bundle.payments == single.payments == payments
+            assert per_transit == {
+                transit: payments.get(transit, 0.0) for transit in per_transit
+            }
 
-        rng = random.Random(seed)
-        graph = random_biconnected_graph(rng.randint(4, 10), rng)
-        traffic = random_pairs(graph, rng, rng.randint(1, 6))
-        full = economics_under_traffic(graph, graph, traffic, sparse=False)
-        sparse = economics_under_traffic(graph, graph, traffic, sparse=True)
-        assert set(full) == set(sparse)
-        for node in full:
-            assert full[node].received == pytest.approx(sparse[node].received)
-            assert full[node].paid == pytest.approx(sparse[node].paid)
-            assert full[node].true_transit_cost == pytest.approx(
-                sparse[node].true_transit_cost
-            )
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    @pin_payment_seeds
+    def test_economics_sums_payments_exactly(self, seed):
+        graph = _tie_heavy_graph(seed)
+        rng = random.Random(seed ^ 0xC0FFEE)
+        for traffic in (
+            uniform_all_pairs(graph, volume=1.5),
+            random_pairs(graph, rng, rng.randint(1, 2 * len(graph.nodes))),
+        ):
+            economics = economics_under_traffic(graph, graph, traffic)
+            received, paid = _expected_economics(graph, traffic)
+            for node in graph.nodes:
+                assert economics[node].received == received[node]
+                assert economics[node].paid == paid[node]
 
-    def test_sparse_matches_full_declared_cost_rule(self, fig1):
-        traffic = {("X", "Z"): 2.0, ("Z", "D"): 1.0}
-        full = economics_under_traffic(
-            fig1, fig1, traffic, payment_rule="declared-cost", sparse=False
+    def test_cut_vertex_prices_requested_pairs_only(self):
+        graph = _cut_vertex_graph()
+        square = [
+            (s, d) for s in "abcd" for d in "abcd" if s != d
+        ]
+        economics = economics_under_traffic(
+            graph, graph, {pair: 1.0 for pair in square}
         )
-        sparse = economics_under_traffic(
-            fig1, fig1, traffic, payment_rule="declared-cost", sparse=True
-        )
-        for node in full:
-            assert full[node].utility == pytest.approx(sparse[node].utility)
+        assert economics["b"].received == route_payments(
+            graph, "a", "c"
+        ).payments["b"] + route_payments(graph, "c", "a").payments["b"]
+        assert route_payments(graph, "a", "c").payments == {"b": 2.0}
+        assert vcg_transit_payment(graph, "a", "c", "b") == 2.0
 
-    def test_auto_mode_picks_sparse_for_few_flows(self, fig1):
-        from repro.routing import engine_for
-
-        engine = engine_for(fig1)
-        engine.clear_cache()
-        engine.partial_runs = 0
-        economics_under_traffic(fig1, fig1, {("X", "Z"): 1.0})
-        assert engine.partial_runs > 0
-
-    def test_auto_mode_stays_full_for_dense_traffic(self, fig1):
-        from repro.routing import engine_for
-
-        engine = engine_for(fig1)
-        engine.clear_cache()
-        engine.partial_runs = 0
-        economics_under_traffic(fig1, fig1, uniform_all_pairs(fig1))
-        assert engine.partial_runs == 0
+    def test_cut_vertex_detour_raises(self):
+        graph = _cut_vertex_graph()
+        with pytest.raises(RoutingError, match="avoiding 'c'"):
+            route_payments(graph, "a", "e")
+        with pytest.raises(RoutingError, match="avoiding 'c'"):
+            economics_under_traffic(graph, graph, {("a", "c"): 1.0, ("a", "e"): 1.0})
+        with pytest.raises(RoutingError, match="avoiding 'c'"):
+            vcg_transit_payment(graph, "a", "e", "b")
