@@ -32,6 +32,7 @@ the audited pair's rows and fsums the same multisets as the full-scan
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
 from operator import neg
@@ -49,7 +50,7 @@ from typing import (
     Union,
 )
 
-from ..errors import ProtocolError
+from ..errors import GraphError, ProtocolError
 from ..sim.messages import NodeId
 
 
@@ -550,69 +551,75 @@ def synthesize_execution_reports(
     bank millions of observation rows cheaply.  ``repeats`` replays
     each traffic flow that many times (distinct observation rows, one
     aggregated receipt row per hop).
+
+    One pass over the flows, sorted once by ``repr``, appends every
+    row straight to its node's list, so each node's ``receipts``,
+    ``delivered`` and ``observations`` are in ``repr`` flow order: a
+    simple path gives each receiver one sender per flow, so that is
+    also the order a per-receiver ``repr`` sort would give.  Only
+    ``reported_payments`` is sorted, by payee ``repr``, after each
+    ``(source, payee)`` charge list is reduced with ``math.fsum``.
+    Each repeat gets its own observation tuple (sharing one charge
+    list): the bank's settle pays for full garbage collections
+    according to how many tracked objects the caller keeps alive, and
+    with one tuple shared across repeats perfbench's settle-256 ran 6
+    full collections instead of 2 (about 1.8 s instead of 0.7 s).
+    Zero- and
+    negative-volume flows and self-pairs are skipped; a pair with an
+    endpoint outside ``graph`` raises :class:`GraphError`.
     """
     from ..routing.vcg_payments import all_pairs_payments
 
     if repeats < 1:
         raise ProtocolError(f"repeats must be >= 1, got {repeats}")
     payments = all_pairs_payments(graph)
-    receipts: Dict[NodeId, Dict[Tuple[NodeId, NodeId], Dict[NodeId, float]]] = {}
-    observations: Dict[NodeId, List[Tuple]] = {}
-    delivered: Dict[NodeId, Dict[Tuple[NodeId, NodeId], float]] = {}
-    paid: Dict[NodeId, Dict[NodeId, List[float]]] = {}
+    nodes = sorted(graph.nodes, key=repr)
+    receipts: Dict[NodeId, List[Tuple]] = {node: [] for node in nodes}
+    observations: Dict[NodeId, List[Tuple]] = {node: [] for node in nodes}
+    delivered: Dict[NodeId, List[Tuple]] = {node: [] for node in nodes}
+    paid: Dict[NodeId, Dict[NodeId, List[float]]] = {
+        node: defaultdict(list) for node in nodes
+    }
 
-    for (source, destination), volume in sorted(traffic.items(), key=repr):
+    for flow, volume in sorted(traffic.items(), key=repr):
+        source, destination = flow
         if volume <= 0 or source == destination:
             continue
-        bundle = payments[(source, destination)]
+        bundle = payments.get(flow)
+        if bundle is None:
+            raise GraphError(
+                f"traffic pair {flow!r} has an endpoint outside the graph"
+            )
         path = bundle.route.path
-        flow = (source, destination)
-        charges = [
-            (transit, bundle.payments[transit] * volume)
-            for transit in path[1:-1]
-        ]
-        first_hop = path[1]
-        rows = observations.setdefault(first_hop, [])
+        prices = bundle.payments
+        charges = [(transit, prices[transit] * volume) for transit in path[1:-1]]
+        total = volume * repeats
+        rows = observations[path[1]]
         for _repeat in range(repeats):
             rows.append((source, destination, volume, path, charges))
-        for index in range(1, len(path)):
-            receiver = path[index]
-            sender = path[index - 1]
-            receipts.setdefault(receiver, {}).setdefault(flow, {})[sender] = (
-                volume * repeats
-            )
-        flows = delivered.setdefault(path[-1], {})
-        flows[flow] = flows.get(flow, 0.0) + volume * repeats
-        payees = paid.setdefault(source, {})
+        sender = source
+        for receiver in path[1:]:
+            receipts[receiver].append((source, destination, sender, total))
+            sender = receiver
+        # ``0.0 +`` keeps delivered volumes floats for integer traffic.
+        delivered[destination].append((source, destination, 0.0 + total))
+        payees = paid[source]
         for transit, amount in charges:
-            terms = payees.setdefault(transit, [])
-            for _repeat in range(repeats):
-                terms.append(amount)
+            payees[transit].extend([amount] * repeats)
 
-    reports: Dict[NodeId, Dict[str, Any]] = {}
-    for node in sorted(graph.nodes, key=repr):
-        reports[node] = {
+    return {
+        node: {
             "reported_payments": sorted(
                 (
                     (payee, math.fsum(terms))
-                    for payee, terms in paid.get(node, {}).items()
+                    for payee, terms in paid[node].items()
                 ),
                 key=repr,
             ),
-            "receipts": [
-                (origin, dest, sender, volume)
-                for (origin, dest), senders in sorted(
-                    receipts.get(node, {}).items(), key=repr
-                )
-                for sender, volume in sorted(senders.items(), key=repr)
-            ],
-            "delivered": [
-                (origin, dest, volume)
-                for (origin, dest), volume in sorted(
-                    delivered.get(node, {}).items(), key=repr
-                )
-            ],
-            "observations": observations.get(node, []),
+            "receipts": receipts[node],
+            "delivered": delivered[node],
+            "observations": observations[node],
             "flags": [],
         }
-    return reports
+        for node in nodes
+    }

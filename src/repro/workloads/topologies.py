@@ -172,18 +172,23 @@ def random_biconnected_graph(
         names, rng, cost_range, cost_dist=cost_dist, cost_param=cost_param
     )
 
-    order = list(names)
+    order = list(range(count))
     rng.shuffle(order)
-    cycle_edges = {
-        frozenset((order[i], order[(i + 1) % count])) for i in range(count)
-    }
-    edges = [tuple(sorted(e)) for e in cycle_edges]
+    # Each index's two cycle neighbours: a pair (i, j) is a cycle edge
+    # iff j is one of i's, so the chord loop below allocates nothing.
+    cycle_neighbours: List[Tuple[int, int]] = [(0, 0)] * count
+    edges = []
+    for position, index in enumerate(order):
+        successor = order[(position + 1) % count]
+        cycle_neighbours[index] = (order[position - 1], successor)
+        edges.append(tuple(sorted((names[index], names[successor]))))
+    draw = rng.random
     for i in range(count):
+        before, after = cycle_neighbours[i]
         for j in range(i + 1, count):
-            pair = frozenset((names[i], names[j]))
-            if pair in cycle_edges:
+            if j == before or j == after:
                 continue
-            if rng.random() < extra_edge_prob:
+            if draw() < extra_edge_prob:
                 edges.append((names[i], names[j]))
     graph = ASGraph(costs, sorted(edges))
     assert graph.is_biconnected()

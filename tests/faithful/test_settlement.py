@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ProtocolError
+from repro.errors import GraphError, ProtocolError
 from repro.faithful import (
     DEVIATION_CATALOGUE,
     BankNode,
@@ -34,6 +34,7 @@ from repro.faithful import (
 )
 from repro.faithful import settlement
 from repro.routing import figure1_graph
+from repro.routing.vcg_payments import all_pairs_payments
 from repro.workloads import random_biconnected_graph, uniform_all_pairs
 
 NAMES = [f"n{i}" for i in range(5)]
@@ -480,6 +481,177 @@ class TestSynthesizedReports:
         graph = figure1_graph()
         with pytest.raises(ProtocolError, match="repeats"):
             synthesize_execution_reports(graph, {}, repeats=0)
+
+
+def reference_synthesize(graph, traffic, repeats=1):
+    """The per-receiver-dict synthesizer the one-pass rewrite replaced.
+
+    Kept verbatim as the test-side reference: it accumulates receipts
+    as receiver -> flow -> {sender: volume} and delivered volumes from
+    ``0.0``, then sorts every table by ``repr``.
+    """
+    if repeats < 1:
+        raise ProtocolError(f"repeats must be >= 1, got {repeats}")
+    payments = all_pairs_payments(graph)
+    receipts = {}
+    observations = {}
+    delivered = {}
+    paid = {}
+
+    for (source, destination), volume in sorted(traffic.items(), key=repr):
+        if volume <= 0 or source == destination:
+            continue
+        bundle = payments[(source, destination)]
+        path = bundle.route.path
+        flow = (source, destination)
+        charges = [
+            (transit, bundle.payments[transit] * volume)
+            for transit in path[1:-1]
+        ]
+        first_hop = path[1]
+        rows = observations.setdefault(first_hop, [])
+        for _repeat in range(repeats):
+            rows.append((source, destination, volume, path, charges))
+        for index in range(1, len(path)):
+            receiver = path[index]
+            sender = path[index - 1]
+            receipts.setdefault(receiver, {}).setdefault(flow, {})[sender] = (
+                volume * repeats
+            )
+        flows = delivered.setdefault(path[-1], {})
+        flows[flow] = flows.get(flow, 0.0) + volume * repeats
+        payees = paid.setdefault(source, {})
+        for transit, amount in charges:
+            terms = payees.setdefault(transit, [])
+            for _repeat in range(repeats):
+                terms.append(amount)
+
+    reports = {}
+    for node in sorted(graph.nodes, key=repr):
+        reports[node] = {
+            "reported_payments": sorted(
+                (
+                    (payee, math.fsum(terms))
+                    for payee, terms in paid.get(node, {}).items()
+                ),
+                key=repr,
+            ),
+            "receipts": [
+                (origin, dest, sender, volume)
+                for (origin, dest), senders in sorted(
+                    receipts.get(node, {}).items(), key=repr
+                )
+                for sender, volume in sorted(senders.items(), key=repr)
+            ],
+            "delivered": [
+                (origin, dest, volume)
+                for (origin, dest), volume in sorted(
+                    delivered.get(node, {}).items(), key=repr
+                )
+            ],
+            "observations": observations.get(node, []),
+            "flags": [],
+        }
+    return reports
+
+
+def _mixed_traffic(graph, seed):
+    """Random non-uniform volumes plus zero, negative and self-pair
+    entries, inserted in shuffled (non-sorted) order."""
+    rng = random.Random(seed)
+    nodes = list(graph.nodes)
+    traffic = {
+        (source, destination): rng.uniform(0.01, 7.5)
+        for source in nodes
+        for destination in nodes
+        if source != destination
+    }
+    pairs = sorted(traffic, key=repr)
+    for pair in rng.sample(pairs, 3):
+        traffic[pair] = 0.0
+    for pair in rng.sample(pairs, 3):
+        traffic[pair] = -rng.uniform(0.1, 2.0)
+    for node in rng.sample(nodes, 2):
+        traffic[(node, node)] = 1.0
+    items = list(traffic.items())
+    rng.shuffle(items)
+    return dict(items)
+
+
+class TestSynthesizerMatchesReference:
+    """The one-pass synthesizer equals the per-receiver-dict reference:
+    ``==`` and ``repr`` (every list order and float bit)."""
+
+    GRAPHS = [
+        ("figure1", figure1_graph),
+        ("random6-s0", lambda: random_biconnected_graph(6, random.Random(0))),
+        ("random10-s3", lambda: random_biconnected_graph(10, random.Random(3))),
+        (
+            "random24-s5",
+            lambda: random_biconnected_graph(
+                24, random.Random(5), extra_edge_prob=4.0 / 23
+            ),
+        ),
+    ]
+
+    @staticmethod
+    def _assert_identical(graph, traffic, repeats):
+        expected = reference_synthesize(graph, traffic, repeats=repeats)
+        actual = synthesize_execution_reports(graph, traffic, repeats=repeats)
+        assert actual == expected
+        assert repr(actual) == repr(expected)
+
+    @pytest.mark.parametrize("repeats", [1, 3])
+    @pytest.mark.parametrize("name, build", GRAPHS, ids=[g[0] for g in GRAPHS])
+    def test_uniform_traffic(self, name, build, repeats):
+        graph = build()
+        self._assert_identical(graph, uniform_all_pairs(graph), repeats)
+
+    @pytest.mark.parametrize("repeats", [1, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name, build", GRAPHS, ids=[g[0] for g in GRAPHS])
+    def test_mixed_traffic(self, name, build, seed, repeats):
+        graph = build()
+        self._assert_identical(graph, _mixed_traffic(graph, seed), repeats)
+
+    def test_integer_volumes(self):
+        # The reference accumulated delivered volumes from 0.0, so an
+        # integer volume reports as a float there; receipts keep ints.
+        graph = figure1_graph()
+        traffic = {pair: 2 for pair in uniform_all_pairs(graph)}
+        self._assert_identical(graph, traffic, 3)
+
+    def test_repeated_observation_rows_are_distinct_objects(self):
+        # Sharing one row tuple across repeats made settle-256 set-up
+        # faster, but the reports then held fewer GC-tracked objects
+        # and the settle that follows ran 6 full collections instead
+        # of 2 (about 1.8 s instead of 0.7 s of GC on settle-256):
+        # every repeat gets its own tuple.
+        graph = figure1_graph()
+        reports = synthesize_execution_reports(
+            graph, uniform_all_pairs(graph), repeats=3
+        )
+        rows = [row for report in reports.values() for row in report["observations"]]
+        assert rows
+        assert len({id(row) for row in rows}) == len(rows)
+
+
+class TestSynthesizerEndpoints:
+    def test_unknown_destination_raises_graph_error(self):
+        with pytest.raises(GraphError, match="'ZZ'"):
+            synthesize_execution_reports(figure1_graph(), {("A", "ZZ"): 1.0})
+
+    def test_unknown_source_raises_graph_error(self):
+        with pytest.raises(GraphError, match="'ZZ'"):
+            synthesize_execution_reports(figure1_graph(), {("ZZ", "A"): 1.0})
+
+    def test_skipped_entries_need_no_route(self):
+        # Zero, negative and self-pair entries are skipped before the
+        # route lookup, even with endpoints outside the graph.
+        graph = figure1_graph()
+        skipped = {("A", "ZZ"): 0.0, ("ZZ", "A"): -1.0, ("ZZ", "ZZ"): 1.0}
+        reports = synthesize_execution_reports(graph, skipped)
+        assert reports == synthesize_execution_reports(graph, {})
 
 
 class TestNetPositions:

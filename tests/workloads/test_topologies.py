@@ -1,5 +1,6 @@
 """Tests for topology generators."""
 
+import hashlib
 import random
 
 import pytest
@@ -85,6 +86,26 @@ class TestRandomBiconnected:
         two = random_biconnected_graph(8, random.Random(42))
         assert one.edges == two.edges
         assert one.costs == two.costs
+
+    # Digests of (edges, sorted costs, the rng's next draw), recorded
+    # with the frozenset-based generator: a faster chord loop must
+    # give the same graphs and consume the same rng.random() draws.
+    @pytest.mark.parametrize(
+        "count, seed, prob, digest",
+        [
+            (3, 0, 0.25, "b1507d69c16028c5c78fe3d97f07309a"),
+            (5, 1, 0.0, "93b85b613edc1cd1fb1c353ebb5ccf69"),
+            (10, 2, 0.5, "daa09406e3cb2c05019b2b4806af9253"),
+            (17, 3, 1.0, "ffa8d65081e83685941b60ef6b74bd95"),
+            (64, 5, 4.0 / 63, "7ecc40140b846afb1b78c61358d65dbc"),
+            (256, 1, 4.0 / 255, "8baedc298d63a3eca0077fb56293c1c7"),
+        ],
+    )
+    def test_golden_graphs(self, count, seed, prob, digest):
+        rng = random.Random(seed)
+        graph = random_biconnected_graph(count, rng, extra_edge_prob=prob)
+        payload = repr((graph.edges, sorted(graph.costs.items()), rng.random()))
+        assert hashlib.sha256(payload.encode()).hexdigest()[:32] == digest
 
     def test_probability_bounds_enforced(self):
         with pytest.raises(GraphError):
