@@ -38,12 +38,22 @@ Two engines reconcile the execution reports:
   observed origination one at a time, re-tracing its certified path.
   Retained as the property-tested oracle.
 * :meth:`BankNode._settle_impl` (behind :meth:`BankNode.settle` and
-  :meth:`BankNode.settle_netted`) — the columnar engine: receipts are
-  ingested once into flat per-flow tables keyed by interned node ids,
-  and observation rows are *grouped* by their raw (origin,
-  destination, certified path) — interned once per group — so the path
-  walk, the carried mask, and the off-path reimbursement scan run once
-  per group instead of once per observation row.
+  :meth:`BankNode.settle_netted`) — the columnar engine: observation
+  rows are *grouped* by their raw (origin, destination, certified
+  path) and reordered group-major into one flat row list, node ids are
+  interned to dense integers, and receipts are ingested once into one
+  dict keyed by an int code of ``(sender, origin, destination,
+  receiver)``, so the path walk and the carried mask run once per
+  group instead of once per observation row.  A group whose walk
+  breaks scans its flow's receipts for misroutes and off-path carriers
+  through a per-flow index built on the first break; honest settles
+  never build it.
+
+The columnar engine's working state is a few flat containers — no
+dict, list or tuple per flow, group or ledger pair — so the GC-tracked
+objects a settle keeps alive grow with the ledger's directions only,
+and perfbench's 261 k-row settle-256 runs without a full (generation-2)
+collection of the cyclic garbage collector.
 
 Both engines append every monetary effect to a per-node contribution
 list and materialise records with :func:`math.fsum`, which is exactly
@@ -55,13 +65,14 @@ equivalence.py`` enforces across the manipulation catalogue.
 The netted settle extends the same contract to the ledger: each
 per-flow transfer amount (carried charge or reimbursement) is appended
 straight into the :class:`~repro.faithful.settlement.NettingLedger`'s
-list for its principal pair — the very float the tally holds — so the
-epoch close fsums the same signed multiset per pair that one recorded
-obligation per transfer would give, without building any per-obligation
-object.  The per-flow transfer list itself is kept as a compact
-:class:`PerFlowTransfers` view, collected by the settle rather than
-derived from the ledger, so comparing its net positions with the batch
-transfers' still checks the netting independently.
+list for its ``(debtor, creditor, accepted_at)`` direction — the very
+float the tally holds — so the epoch close fsums the same signed
+multiset per pair that one recorded obligation per transfer would give,
+without building any per-obligation object.  The per-flow transfer
+list itself is kept as a flat :class:`PerFlowTransfers` view, collected
+by the settle rather than derived from the ledger, so comparing its net
+positions with the batch transfers' still checks the netting
+independently.
 """
 
 from __future__ import annotations
@@ -69,6 +80,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from collections import deque
+from itertools import accumulate, chain, repeat
+from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ProtocolError
@@ -104,31 +117,44 @@ class _SettlementTally:
 
 
 class PerFlowTransfers:
-    """The per-flow transfer list of one settle, stored compactly.
+    """The per-flow transfer list of one settle, stored flat.
 
-    One header per observation group — its ``(payer, payee)`` pairs
-    in row order and its row count — plus one flat list of amounts
-    (the float objects the settlement tally holds), rows back to back.
-    Iterating yields the ``(payer, payee, amount)`` triples the
-    per-flow scheme would execute, in settle order; ``len()`` counts
-    them.
+    Five flat lists, whatever the number of flows: each observation
+    group with transfers contributes its ``(payer, payee)`` pairs in
+    row order to the parallel payer and payee lists, the end of its run
+    in them to the group-end list, and its row count to the row-count
+    list; the amount list holds the float objects the settlement tally
+    holds, rows back to back.  Iterating yields the ``(payer, payee,
+    amount)`` triples the per-flow scheme would execute, in settle
+    order; ``len()`` counts them.
     """
 
-    __slots__ = ("_groups", "_amounts")
+    __slots__ = ("_payers", "_payees", "_group_ends", "_row_counts", "_amounts")
 
     def __init__(self) -> None:
-        self._groups: List[Tuple[Tuple[Tuple[NodeId, NodeId], ...], int]] = []
+        self._payers: List[NodeId] = []
+        self._payees: List[NodeId] = []
+        self._group_ends: List[int] = []
+        self._row_counts: List[int] = []
         self._amounts: List[float] = []
 
     def __len__(self) -> int:
         return len(self._amounts)
 
     def __iter__(self) -> Iterator[Tuple[NodeId, NodeId, float]]:
-        amounts = iter(self._amounts)
-        for payees, rows in self._groups:
-            for _row in range(rows):
-                for payer, payee in payees:
-                    yield payer, payee, next(amounts)
+        return zip(
+            self._per_row(self._payers), self._per_row(self._payees), self._amounts
+        )
+
+    def _per_row(self, column: List[NodeId]) -> Iterator[NodeId]:
+        """``column`` in settle order: each group's run, once per row."""
+        runs = map(
+            column.__getitem__,
+            map(slice, chain((0,), self._group_ends), self._group_ends),
+        )
+        return chain.from_iterable(
+            chain.from_iterable(map(repeat, runs, self._row_counts))
+        )
 
 
 @dataclass
@@ -661,62 +687,138 @@ class BankNode(ProtocolNode):
     ) -> Tuple[Dict[NodeId, SettlementRecord], List[Flag], SettlementStats]:
         """Grouped single-pass reconciliation over interned node ids.
 
-        Node ids are interned to dense integers (the
-        :mod:`repro.routing.kernel` trick); receipts live in flat
-        per-flow tables keyed by ``(origin, destination)`` and interned
-        ids, and observation rows are grouped by their raw (origin,
-        destination, certified path) — interned once per group — so
-        the path walk, the carried-segment mask, and the off-path
-        reimbursement scan are computed once per group and replayed
-        per row.  Contribution multisets — and therefore the
-        materialised records and the flag multiset — are identical to
-        :meth:`settle_per_flow`'s.
+        The working state is a few flat containers, so the tracked
+        objects a settle keeps alive scale with ledger directions, not
+        with flows or groups:
+
+        * observation rows are grouped by their raw (origin,
+          destination, certified path) — a dict from key to group id —
+          and reordered group-major into one flat row list by a stable
+          counting sort, so the path walk and the carried-segment mask
+          run once per group and are replayed per row;
+        * the settlement set and every id a group names are interned to
+          the dense integers ``0 .. n-1`` before any receipt is read,
+          so the receipt of ``receiver`` from ``sender`` for flow
+          ``(origin, destination)`` lives in one dict under the int
+          code ``((sender * n + origin) * n + destination) * n +
+          receiver``; a sender outside those ids is interned on demand
+          into the code's top digit, which no id width bounds;
+        * the misroute and off-path scans, which need a flow's whole
+          receipt set, run only when a group's walk breaks, and read a
+          per-flow index of the receipt dict built on the first break.
+
+        Contribution multisets — and therefore the materialised records
+        and the flag multiset — are identical to :meth:`settle_per_flow`'s.
 
         With a ``ledger``, every per-flow transfer amount is appended
-        straight into the ledger's pair list at ``closure_time`` (pair
-        lists resolved once per group and payee; ``payer == payee``
+        straight into the ledger's direction list at ``closure_time``
+        (lists resolved once per payer and payee; ``payer == payee``
         rows never reach the ledger) and collected in the returned
         :class:`PerFlowTransfers`.
         """
         reports = self._stage_reports("execution")
         tally = _SettlementTally(node_ids)
         flags: List[Flag] = []
-        # Without a ledger, transfer amounts go to a list that keeps
-        # nothing.
+        # Without a ledger, transfer amounts and payees go to a list
+        # that keeps nothing.
         discard: deque = deque(maxlen=0)
         per_flow = PerFlowTransfers() if ledger is not None else None
-        flow_amounts = per_flow._amounts if per_flow is not None else discard
+        if per_flow is not None:
+            payers, payees = per_flow._payers, per_flow._payees
+            flow_amounts = per_flow._amounts
+        else:
+            payers = payees = flow_amounts = discard
 
-        # -- intern node ids: repr-sorted settlement set first, then
-        #    any foreign id (senders/hops outside the set) on demand --
+        # -- group observation rows by their raw (origin, destination,
+        #    certified path): a group id per key and one per row --
+        group_of: Dict[Tuple[NodeId, NodeId, Tuple[NodeId, ...]], int] = {}
+        sizes: List[int] = []
+        arrival: List[Sequence] = []
+        arrival_groups: List[int] = []
+        for checker_id in sorted(node_ids, key=repr):
+            for observation in reports.get(checker_id, {}).get("observations", ()):
+                origin, destination, _volume, path, _charges = observation
+                key = (origin, destination, tuple(path))
+                gid = group_of.get(key)
+                if gid is None:
+                    gid = group_of[key] = len(sizes)
+                    sizes.append(1)
+                else:
+                    sizes[gid] += 1
+                arrival.append(observation)
+                arrival_groups.append(gid)
+
+        # Stable counting sort into group-major order; afterwards
+        # ``ends[gid]`` is one past group ``gid``'s last row.
+        ends = list(accumulate(sizes, initial=0))
+        ends.pop()
+        ordered: List[Any] = [None] * len(arrival)
+        for observation, gid in zip(arrival, arrival_groups):
+            ordered[ends[gid]] = observation
+            ends[gid] += 1
+        flows_settled = len(arrival)
+        del arrival, arrival_groups
+
+        # -- intern the settlement set, repr-sorted, then the foreign ids
+        #    (outside it) that groups name, repr-sorted: ``n`` ids in
+        #    all.  Receipt senders outside them are interned on demand
+        #    past ``n`` --
         rank: Dict[NodeId, int] = {}
         names: List[NodeId] = []
-        for node_id in sorted(node_ids, key=repr):
+        group_ids = set(map(itemgetter(0), group_of))
+        group_ids.update(map(itemgetter(1), group_of))
+        group_ids.update(chain.from_iterable(map(itemgetter(2), group_of)))
+        group_ids.difference_update(node_ids)
+        for node_id in chain(
+            sorted(node_ids, key=repr), sorted(group_ids, key=repr)
+        ):
             if node_id not in rank:
                 rank[node_id] = len(names)
                 names.append(node_id)
+        n = len(names)
+        nnn = n * n * n
 
-        def intern(node_id: NodeId) -> int:
-            nid = rank.get(node_id)
-            if nid is None:
-                nid = len(names)
-                rank[node_id] = nid
-                names.append(node_id)
-            return nid
-
-        # -- ingest receipts into flat per-flow tables:
-        #    (origin, destination) -> (receiver nid, sender nid) -> volume --
-        flow_receipts: Dict[Tuple[NodeId, NodeId], Dict[Tuple[int, int], float]] = {}
+        # -- ingest receipts into one dict keyed by the int code
+        #    ``((sender * n + origin) * n + destination) * n + receiver``.
+        #    The sender is the top digit, so a sender interned on demand
+        #    cannot overflow into the others; a receipt whose origin or
+        #    destination is not among the first ``n`` ids (no group
+        #    names it) matches no flow and is skipped --
+        receipts: Dict[int, float] = {}
+        get_rank = rank.get
         for node_id in node_ids:
-            nid = intern(node_id)
+            receiver = rank[node_id]
             for origin, destination, sender, volume in reports.get(
                 node_id, {}
             ).get("receipts", ()):
-                flow = (origin, destination)
-                table = flow_receipts.get(flow)
-                if table is None:
-                    table = flow_receipts[flow] = {}
-                table[(nid, intern(sender))] = volume
+                origin_nid = get_rank(origin, n)
+                destination_nid = get_rank(destination, n)
+                if origin_nid >= n or destination_nid >= n:
+                    continue
+                sender_nid = get_rank(sender)
+                if sender_nid is None:
+                    sender_nid = rank[sender] = len(names)
+                    names.append(sender)
+                receipts[
+                    ((sender_nid * n + origin_nid) * n + destination_nid) * n
+                    + receiver
+                ] = volume
+
+        flow_index: Dict[int, List[Tuple[int, int, float]]] = {}
+
+        def flow_receipts(flow: int) -> List[Tuple[int, int, float]]:
+            """A flow's ``(receiver, sender, volume)`` receipts, in ingest
+            order; the index is built on the first call."""
+            if not flow_index and receipts:
+                for code, volume in receipts.items():
+                    sender, rest = divmod(code, nnn)
+                    flow_code, receiver = divmod(rest, n)
+                    entries = flow_index.get(flow_code)
+                    if entries is None:
+                        flow_index[flow_code] = [(receiver, sender, volume)]
+                    else:
+                        entries.append((receiver, sender, volume))
+            return flow_index.get(flow, [])
 
         # Checker-reported misroute flags feed straight into penalties.
         for node_id in node_ids:
@@ -725,26 +827,11 @@ class BankNode(ProtocolNode):
                 flags.append(flag)
                 tally.penalties[flag.principal].append(epsilon)
 
-        # -- group observation rows by their raw (origin, destination,
-        #    certified path), in canonical order --
-        groups: Dict[Tuple[NodeId, NodeId, Tuple[NodeId, ...]], List[Sequence]] = {}
-        flows_settled = 0
-        for checker_id in sorted(node_ids, key=repr):
-            for observation in reports.get(checker_id, {}).get("observations", ()):
-                origin, destination, _volume, path, _charges = observation
-                flows_settled += 1
-                key = (origin, destination, tuple(path))
-                rows = groups.get(key)
-                if rows is None:
-                    groups[key] = [observation]
-                else:
-                    rows.append(observation)
-
-        # (payer nid, payee nid) -> the ledger list its amounts join.
-        owed_lists: Dict[Tuple[int, int], Any] = {}
+        # payer nid * n + payee nid -> the ledger list its amounts join.
+        owed_lists: Dict[int, Any] = {}
 
         def owed(payer: int, payee: int) -> Any:
-            terms = owed_lists.get((payer, payee))
+            terms = owed_lists.get(payer * n + payee)
             if terms is None:
                 if ledger is None or payer == payee:
                     terms = discard
@@ -752,15 +839,17 @@ class BankNode(ProtocolNode):
                     terms = ledger.obligation_terms(
                         names[payer], names[payee], closure_time
                     )
-                owed_lists[(payer, payee)] = terms
+                owed_lists[payer * n + payee] = terms
             return terms
 
-        no_receipts: Dict[Tuple[int, int], float] = {}
         transfer_records = 0
-        for (origin, destination, path), rows in groups.items():
-            receipts_f = flow_receipts.get((origin, destination), no_receipts)
-            pkey = tuple(intern(hop) for hop in path)
-            origin_nid = intern(origin)
+        for gid, (origin, destination, path) in enumerate(group_of):
+            end = ends[gid]
+            rows = ordered[end - sizes[gid]:end]
+            origin_nid = rank[origin]
+            flow = origin_nid * n + rank[destination]
+            flow_n = flow * n
+            pkey = [rank[hop] for hop in path]
 
             # Walk the certified path once per group: first hop whose
             # receipts from its predecessor are missing is the break,
@@ -770,10 +859,10 @@ class BankNode(ProtocolNode):
             culprit_kind = FlagKind.PACKET_DROP
             previous = pkey[0]
             for hop in pkey[1:]:
-                if receipts_f.get((hop, previous), 0.0) <= 0:
+                if receipts.get(previous * nnn + flow_n + hop, 0.0) <= 0:
                     misrouted = any(
                         receiver != hop and sender == previous and volume > 0
-                        for (receiver, sender), volume in receipts_f.items()
+                        for receiver, sender, volume in flow_receipts(flow)
                     )
                     culprit_nid = previous
                     culprit = names[previous]
@@ -785,13 +874,13 @@ class BankNode(ProtocolNode):
 
             # Carried-segment mask, with the per-node contribution
             # lists and ledger lists resolved once per group.
-            payees: List[Tuple[NodeId, NodeId]] = []
             carried: List[Tuple[NodeId, List[float], Any]] = []
             for index in range(1, len(pkey) - 1):
                 transit_nid = pkey[index]
-                if receipts_f.get((pkey[index + 1], transit_nid), 0.0) > 0:
+                if receipts.get(transit_nid * nnn + flow_n + pkey[index + 1], 0.0) > 0:
                     transit = path[index]
-                    payees.append((origin, transit))
+                    payers.append(origin)
+                    payees.append(transit)
                     carried.append(
                         (
                             transit,
@@ -810,16 +899,17 @@ class BankNode(ProtocolNode):
             if culprit is not None:
                 culprit_penalties = tally.penalties[culprit]
                 on_path = set(pkey)
-                destination_nid = intern(destination)
+                destination_nid = rank[destination]
                 volumes_in: Dict[int, List[float]] = {}
-                for (receiver, _sender), volume in receipts_f.items():
+                for receiver, _sender, volume in flow_receipts(flow):
                     if receiver not in on_path and receiver != destination_nid:
                         volumes_in.setdefault(receiver, []).append(volume)
                 for receiver, volumes in volumes_in.items():
                     volume_in = math.fsum(volumes)
                     if volume_in > 0:
                         carrier = names[receiver]
-                        payees.append((culprit, carrier))
+                        payers.append(culprit)
+                        payees.append(carrier)
                         reimbursements.append(
                             (
                                 tally.received[carrier],
@@ -827,8 +917,9 @@ class BankNode(ProtocolNode):
                                 declared_costs.get(carrier, 0.0) * volume_in,
                             )
                         )
-            if per_flow is not None and payees:
-                per_flow._groups.append((tuple(payees), len(rows)))
+            if per_flow is not None and (carried or reimbursements):
+                per_flow._group_ends.append(len(payers))
+                per_flow._row_counts.append(len(rows))
 
             culprit_is_origin = culprit == origin
             transfer_records += len(carried) * len(rows)
@@ -877,7 +968,7 @@ class BankNode(ProtocolNode):
         )
         stats = SettlementStats(
             flows_settled=flows_settled,
-            flow_groups=len(groups),
+            flow_groups=len(group_of),
             transfer_records=transfer_records,
             transfers=per_flow,
         )

@@ -15,13 +15,16 @@ Exactness contract
 ------------------
 All money reductions in this module use :func:`math.fsum`, which is
 exactly rounded over its input multiset.  The ledger stores raw
-amounts per unordered principal pair and acceptance time, one list per
-direction; netting reduces each pair's amounts with one fsum, the
-reverse-direction ones negated inside the fsum input, so the sum sees
-exactly the signed multiset a per-obligation reduction would.
-:func:`net_positions` performs the same pair-grouped reduction for any
-transfer list.  Per-flow transfers and the batch transfers netted from
-them therefore produce **bit-identical** net positions — the property
+amounts in one flat list per ``(debtor, creditor, accepted_at)``
+direction — no container per pair or per obligation — and netting
+reduces each unordered pair's amounts, both directions and every
+acceptance time, with one fsum, the reverse-direction ones negated
+inside the fsum input, so the sum sees exactly the signed multiset a
+per-obligation reduction would.  :func:`net_positions` performs the
+same pair-grouped reduction for any transfer list, from one list per
+``(payer, payee)`` direction.  Per-flow transfers and the batch
+transfers netted from them therefore produce **bit-identical** net
+positions — the property
 `tests/faithful/test_settlement_equivalence.py` checks — and after
 :meth:`NettingLedger.close_epoch` every pair audits to an unpaid
 balance of exactly ``0.0``.  :meth:`NettingLedger.audit` reads only
@@ -34,7 +37,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby, islice
 from operator import neg
 from typing import (
     Any,
@@ -124,10 +127,9 @@ class ForcedPayment:
 
 Pair = Tuple[NodeId, NodeId]
 
-#: One pair's amounts per time stamp: ``time -> (forward, reverse)``,
-#: where *forward* amounts are paid by the pair's repr-smaller endpoint
-#: to the repr-larger one and *reverse* amounts the other way round.
-_Cells = Dict[float, Tuple[List[float], List[float]]]
+#: One ledger direction: ``(debtor, creditor, accepted_at)`` — or
+#: ``(debtor, payee, closure_time)`` for payouts.
+Direction = Tuple[NodeId, NodeId, float]
 
 
 def _pair_key(a: NodeId, b: NodeId) -> Pair:
@@ -135,30 +137,48 @@ def _pair_key(a: NodeId, b: NodeId) -> Pair:
     return (a, b) if repr(a) <= repr(b) else (b, a)
 
 
-def _cell(
-    book: Dict[Pair, _Cells], key: Pair, time: float
-) -> Tuple[List[float], List[float]]:
-    """The (forward, reverse) amount lists of ``key`` at ``time``."""
-    cells = book.get(key)
-    if cells is None:
-        cells = book[key] = {}
-    cell = cells.get(time)
-    if cell is None:
-        cell = cells[time] = ([], [])
-    return cell
+def _direction_pair(key: Direction) -> Pair:
+    """The unordered pair a ledger direction belongs to."""
+    return _pair_key(key[0], key[1])
+
+
+def _direction_pair_repr(key: Direction) -> str:
+    """Sort key that makes each pair's directions adjacent."""
+    return repr(_pair_key(key[0], key[1]))
+
+
+def _index_times(
+    times: Dict[Pair, List[float]], directions: Iterable[Direction]
+) -> None:
+    """Add each direction's time to its ``(debtor, creditor)`` entry."""
+    for debtor, creditor, time in directions:
+        entry = times.get((debtor, creditor))
+        if entry is None:
+            times[(debtor, creditor)] = [time]
+        else:
+            entry.append(time)
 
 
 def _signed_terms(
-    book: Dict[Pair, _Cells], debtor: NodeId, creditor: NodeId, at_time: float
+    book: Dict[Direction, List[float]],
+    times: Dict[Pair, List[float]],
+    debtor: NodeId,
+    creditor: NodeId,
+    at_time: float,
 ) -> List[float]:
-    """The pair's amounts up to ``at_time``, positive debtor->creditor."""
-    key = _pair_key(debtor, creditor)
-    along = 0 if debtor == key[0] else 1
+    """The pair's amounts up to ``at_time``, positive debtor->creditor.
+
+    A self-pair (``debtor == creditor``) has one direction: its amounts
+    count once, positive, as in :func:`settlement_audit`.
+    """
     terms: List[float] = []
-    for time, cell in book.get(key, {}).items():
+    for time in times.get((debtor, creditor), ()):
         if time <= at_time:
-            terms.extend(cell[along])
-            terms.extend(map(neg, cell[1 - along]))
+            terms.extend(book[(debtor, creditor, time)])
+    if debtor != creditor:
+        for time in times.get((creditor, debtor), ()):
+            if time <= at_time:
+                terms.extend(map(neg, book[(creditor, debtor, time)]))
     return terms
 
 
@@ -167,60 +187,60 @@ class ObligationTrace:
 
     ``len()`` is the number of recorded obligations.  Iterating yields
     one :class:`Obligation` per recorded amount, built on demand,
-    grouped by pair and acceptance time rather than in recording
+    grouped by direction and acceptance time rather than in recording
     order: every reduction over the trace is an fsum, so only the
     multiset matters.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Dict[Pair, _Cells]) -> None:
+    def __init__(self, terms: Dict[Direction, List[float]]) -> None:
         self._terms = terms
 
     def __len__(self) -> int:
-        return sum(
-            len(forward) + len(reverse)
-            for cells in self._terms.values()
-            for forward, reverse in cells.values()
-        )
+        return sum(map(len, self._terms.values()))
 
     def __iter__(self) -> Iterator[Obligation]:
-        for (low, high), cells in self._terms.items():
-            for accepted_at, (forward, reverse) in cells.items():
-                for amount in forward:
-                    yield Obligation(low, high, amount, accepted_at)
-                for amount in reverse:
-                    yield Obligation(high, low, amount, accepted_at)
+        for (debtor, creditor, accepted_at), amounts in self._terms.items():
+            for amount in amounts:
+                yield Obligation(debtor, creditor, amount, accepted_at)
 
 
 class NettingLedger:
     """Per-epoch accumulation of transit obligations between pairs.
 
-    The unit of storage is the unordered principal pair: per ``(pair,
-    accepted_at)`` the ledger keeps two lists of raw amounts, one per
-    direction, and never builds a per-obligation object.  Amounts
-    recorded via :meth:`record` (or appended in bulk to the list
-    :meth:`obligation_terms` returns) stay *pending* until
-    :meth:`close_epoch` nets them — one :class:`BatchTransfer` per net
-    debtor.  The ledger never forgets: :attr:`trace` and ``transfers``
-    are the inputs to :func:`settlement_audit`, and :meth:`audit`
-    answers the same question reading only the audited pair's rows.
+    The unit of storage is the direction: per ``(debtor, creditor,
+    accepted_at)`` the ledger keeps one flat list of raw amounts, and
+    never builds a per-obligation or per-pair object, so a settle that
+    fills it leaves one tracked container per nonempty direction.
+    Amounts recorded via :meth:`record` (or appended in bulk to the
+    list :meth:`obligation_terms` returns) stay *pending* — each
+    direction remembers where its pending tail starts — until
+    :meth:`close_epoch` nets them, one :class:`BatchTransfer` per net
+    debtor.  The ledger never forgets: :attr:`trace` and
+    ``transfers`` are the inputs to :func:`settlement_audit`, and
+    :meth:`audit` answers the same question reading only the audited
+    pair's rows, through a per-direction time index built by the
+    audits themselves.
     """
 
     def __init__(self) -> None:
-        #: pair -> accepted_at -> (forward, reverse) obligation amounts.
-        self._terms: Dict[Pair, _Cells] = {}
-        #: (pair, accepted_at) -> (cell, forward start, reverse start)
-        #: for every cell that took amounts since the last close; the
-        #: pending amounts are the list tails past the starts.
-        self._pending: Dict[
-            Tuple[Pair, float], Tuple[Tuple[List[float], List[float]], int, int]
-        ] = {}
+        #: (debtor, creditor, accepted_at) -> obligation amounts.
+        self._terms: Dict[Direction, List[float]] = {}
+        #: direction -> index where its amounts pending since the last
+        #: close start.
+        self._pending: Dict[Direction, int] = {}
+        #: Directions of ``_terms`` not yet in ``_owed_times``.
+        self._unindexed: List[Direction] = []
+        #: (debtor, creditor) -> acceptance times of its ``_terms``.
+        self._owed_times: Dict[Pair, List[float]] = {}
         #: Every batch transfer issued so far (append-only).
         self.transfers: List[BatchTransfer] = []
-        #: pair -> closure_time -> (forward, reverse) payout amounts of
+        #: (debtor, payee, closure_time) -> payout amounts of
         #: ``transfers[:_indexed]``, indexed on the next audit.
-        self._payouts: Dict[Pair, _Cells] = {}
+        self._paid: Dict[Direction, List[float]] = {}
+        #: (debtor, payee) -> closure times of its ``_paid`` lists.
+        self._paid_times: Dict[Pair, List[float]] = {}
         self._indexed = 0
         self.epochs_closed = 0
         #: Obligation and payout amounts read by :meth:`audit` so far.
@@ -237,19 +257,21 @@ class NettingLedger:
         """The open list of debtor->creditor amounts accepted at a time.
 
         Appending an amount to it records one obligation; bulk writers
-        (the bank's netted settle) resolve the list once per pair and
-        append every amount straight into it.
+        (the bank's netted settle) resolve the list once per direction
+        and append every amount straight into it.
         """
         if debtor == creditor:
             raise ProtocolError(
                 f"obligation debtor and creditor are the same node: {debtor!r}"
             )
-        key = _pair_key(debtor, creditor)
-        cell = _cell(self._terms, key, accepted_at)
-        slot = (key, accepted_at)
-        if slot not in self._pending:
-            self._pending[slot] = (cell, len(cell[0]), len(cell[1]))
-        return cell[0] if debtor == key[0] else cell[1]
+        key = (debtor, creditor, accepted_at)
+        terms = self._terms.get(key)
+        if terms is None:
+            terms = self._terms[key] = []
+            self._unindexed.append(key)
+        if key not in self._pending:
+            self._pending[key] = len(terms)
+        return terms
 
     def record(
         self, debtor: NodeId, creditor: NodeId, amount: float, accepted_at: float
@@ -269,10 +291,9 @@ class NettingLedger:
     @property
     def pending_count(self) -> int:
         """Obligations awaiting the next epoch close."""
+        terms = self._terms
         return sum(
-            len(forward) - forward_start + len(reverse) - reverse_start
-            for (forward, reverse), forward_start, reverse_start
-            in self._pending.values()
+            len(terms[key]) - start for key, start in self._pending.items()
         )
 
     def close_epoch(self, closure_time: float) -> List[BatchTransfer]:
@@ -281,45 +302,37 @@ class NettingLedger:
         ``closure_time`` must cover every pending obligation (none
         accepted after it) — the Concent rule that a batch payment's
         closure time bounds what it discharges.  Each pair's net is
-        one fsum over its pending amounts, reverse ones negated, so it
-        sees the same signed multiset as a per-obligation reduction;
-        transfers and their payouts are repr-sorted.
+        one fsum over the pending tails of both its directions, the
+        reverse ones negated, so it sees the same signed multiset as a
+        per-obligation reduction; transfers and their payouts are
+        repr-sorted.
         """
-        # pair -> (forward tails, reverse tails) of its pending cells.
-        tails: Dict[Pair, Tuple[List[List[float]], List[List[float]]]] = {}
-        for (key, accepted_at), (cell, forward_start, reverse_start) in (
-            self._pending.items()
-        ):
-            forward, reverse = cell
-            if forward_start:
-                forward = forward[forward_start:]
-            if reverse_start:
-                reverse = reverse[reverse_start:]
-            if not forward and not reverse:
-                continue
+        terms = self._terms
+        pending = self._pending
+        open_keys = [key for key, start in pending.items() if len(terms[key]) > start]
+        for _debtor, _creditor, accepted_at in open_keys:
             if accepted_at > closure_time:
                 raise ProtocolError(
                     "closure_time "
                     f"{closure_time} does not cover obligation accepted at "
                     f"{accepted_at}"
                 )
-            forwards, reverses = tails.setdefault(key, ([], []))
-            forwards.append(forward)
-            reverses.append(reverse)
 
         payouts: Dict[NodeId, List[Tuple[NodeId, float]]] = {}
-        for key in sorted(tails, key=repr):
-            forwards, reverses = tails[key]
+        open_keys.sort(key=_direction_pair_repr)
+        for (low, high), keys in groupby(open_keys, key=_direction_pair):
             net = math.fsum(
-                chain(
-                    chain.from_iterable(forwards),
-                    map(neg, chain.from_iterable(reverses)),
+                chain.from_iterable(
+                    islice(terms[key], pending[key], None)
+                    if key[0] == low
+                    else map(neg, islice(terms[key], pending[key], None))
+                    for key in keys
                 )
             )
             if net > 0:
-                payouts.setdefault(key[0], []).append((key[1], net))
+                payouts.setdefault(low, []).append((high, net))
             elif net < 0:
-                payouts.setdefault(key[1], []).append((key[0], -net))
+                payouts.setdefault(high, []).append((low, -net))
 
         transfers = [
             BatchTransfer(
@@ -330,21 +343,18 @@ class NettingLedger:
             for debtor in sorted(payouts, key=repr)
         ]
         self.transfers.extend(transfers)
-        self._pending.clear()
+        pending.clear()
         self.epochs_closed += 1
         return transfers
 
     def pairs(self, at_time: float) -> List[Pair]:
         """Repr-sorted pairs with an obligation accepted by ``at_time``."""
         return sorted(
-            (
-                key
-                for key, cells in self._terms.items()
-                if any(
-                    time <= at_time and (forward or reverse)
-                    for time, (forward, reverse) in cells.items()
-                )
-            ),
+            {
+                _pair_key(debtor, creditor)
+                for (debtor, creditor, time), amounts in self._terms.items()
+                if time <= at_time and amounts
+            },
             key=repr,
         )
 
@@ -355,25 +365,37 @@ class NettingLedger:
 
         Bit-identical to ``settlement_audit(self.trace, self.transfers,
         debtor, creditor, at_time)``: both reductions fsum the same
-        signed multisets.  Transfers appended to ``transfers`` since
-        the last audit (forced ones included) are indexed by pair
-        first; :attr:`audit_term_visits` grows by the amounts read.
+        signed multisets.  Directions and transfers added since the
+        last audit (forced transfers included) are indexed first;
+        :attr:`audit_term_visits` grows by the amounts read.
         """
+        if self._unindexed:
+            _index_times(self._owed_times, self._unindexed)
+            self._unindexed.clear()
+        paid = self._paid
         for transfer in self.transfers[self._indexed:]:
             for payee, amount in transfer.payouts:
-                key = _pair_key(transfer.debtor, payee)
-                cell = _cell(self._payouts, key, transfer.closure_time)
-                cell[0 if transfer.debtor == key[0] else 1].append(amount)
+                key = (transfer.debtor, payee, transfer.closure_time)
+                amounts = paid.get(key)
+                if amounts is None:
+                    paid[key] = [amount]
+                    _index_times(self._paid_times, (key,))
+                else:
+                    amounts.append(amount)
         self._indexed = len(self.transfers)
-        owed = _signed_terms(self._terms, debtor, creditor, at_time)
-        paid = _signed_terms(self._payouts, debtor, creditor, at_time)
-        self.audit_term_visits += len(owed) + len(paid)
+        owed_terms = _signed_terms(
+            self._terms, self._owed_times, debtor, creditor, at_time
+        )
+        paid_terms = _signed_terms(
+            paid, self._paid_times, debtor, creditor, at_time
+        )
+        self.audit_term_visits += len(owed_terms) + len(paid_terms)
         return AuditReport(
             debtor=debtor,
             creditor=creditor,
             at_time=at_time,
-            owed=math.fsum(owed),
-            paid=math.fsum(paid),
+            owed=math.fsum(owed_terms),
+            paid=math.fsum(paid_terms),
         )
 
 
@@ -394,41 +416,39 @@ def net_positions(
     ``nodes`` pre-seeds keys for nodes that may not appear in any
     transfer (their position is 0.0).
     """
-    # pair -> (forward, reverse) amounts; (payer, payee) -> the list of
-    # its direction, so the pair key and sign are resolved once per
-    # direction instead of once per triple.
-    contributions: Dict[Pair, Tuple[List[float], List[float]]] = {}
-    directed: Dict[Tuple[NodeId, NodeId], List[float]] = {}
-
-    def direction(payer: NodeId, payee: NodeId) -> List[float]:
-        terms = directed.get((payer, payee))
-        if terms is None:
-            key = _pair_key(payer, payee)
-            cell = contributions.setdefault(key, ([], []))
-            terms = directed[(payer, payee)] = cell[0 if payer == key[0] else 1]
-        return terms
-
+    # (payer, payee) -> amounts: one list per direction, never one
+    # container per pair or per triple.
+    directed: Dict[Pair, List[float]] = {}
     for transfer in transfers:
         if isinstance(transfer, BatchTransfer):
             for payee, amount in transfer.payouts:
-                direction(transfer.debtor, payee).append(amount)
+                terms = directed.get((transfer.debtor, payee))
+                if terms is None:
+                    directed[(transfer.debtor, payee)] = [amount]
+                else:
+                    terms.append(amount)
             continue
         payer, payee, amount = transfer
         terms = directed.get((payer, payee))
         if terms is None:
-            terms = direction(payer, payee)
-        terms.append(amount)
+            directed[(payer, payee)] = [amount]
+        else:
+            terms.append(amount)
 
     pair_terms: Dict[NodeId, List[float]] = {}
     if nodes is not None:
         for node in sorted(nodes, key=repr):
             pair_terms.setdefault(node, [])
-    for key in sorted(contributions, key=repr):
-        forward, reverse = contributions[key]
-        value = math.fsum(chain(forward, map(neg, reverse)))
-        # key[0] pays value toward key[1] (negative when reversed).
-        pair_terms.setdefault(key[0], []).append(-value)
-        pair_terms.setdefault(key[1], []).append(value)
+    # Repr-sorted pairs, each netted with one fsum over both directions
+    # (a self-pair has only the one).
+    for low, high in sorted({_pair_key(a, b) for a, b in directed}, key=repr):
+        reverse = directed.get((high, low), ()) if low != high else ()
+        value = math.fsum(
+            chain(directed.get((low, high), ()), map(neg, reverse))
+        )
+        # low pays value toward high (negative when reversed).
+        pair_terms.setdefault(low, []).append(-value)
+        pair_terms.setdefault(high, []).append(value)
     return {node: math.fsum(terms) for node, terms in pair_terms.items()}
 
 
@@ -560,13 +580,14 @@ def synthesize_execution_reports(
     ``reported_payments`` is sorted, by payee ``repr``, after each
     ``(source, payee)`` charge list is reduced with ``math.fsum``.
     Each repeat gets its own observation tuple (sharing one charge
-    list): the bank's settle pays for full garbage collections
-    according to how many tracked objects the caller keeps alive, and
-    with one tuple shared across repeats perfbench's settle-256 ran 6
-    full collections instead of 2 (about 1.8 s instead of 0.7 s).
-    Zero- and
-    negative-volume flows and self-pairs are skipped; a pair with an
-    endpoint outside ``graph`` raises :class:`GraphError`.
+    list), as each observed origination is its own wire row.  While
+    the bank's settle kept per-flow and per-pair containers alive,
+    sharing one tuple across repeats made perfbench's settle-256
+    settle run 6 full garbage collections instead of 2 (about 1.8 s
+    instead of 0.7 s); the flat settle runs none either way (seeds 1
+    and 7, counted with ``gc.callbacks``).  Zero- and negative-volume
+    flows and self-pairs are skipped; a pair with an endpoint outside
+    ``graph`` raises :class:`GraphError`.
     """
     from ..routing.vcg_payments import all_pairs_payments
 

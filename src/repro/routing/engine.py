@@ -90,6 +90,14 @@ class RoutingEngine:
         self.settled = 0
         #: Tree queries served from cache.
         self.hits = 0
+        #: The last source's detour labels, ``(source, labels)``: one
+        #: entry, so a source-major loop of per-pair payment queries
+        #: sweeps once per source without pinning every source's labels.
+        self._last_sweep: Optional[
+            Tuple[NodeId, Dict[NodeId, Dict[NodeId, Cost]]]
+        ] = None
+        #: Repair sweeps actually run (one-entry memo misses).
+        self.sweeps = 0
 
     # ------------------------------------------------------------------
     # queries
@@ -268,7 +276,18 @@ class RoutingEngine:
         A destination that ``k`` cuts off from the source (possible
         only when the graph is not biconnected) is absent from
         ``k``'s mapping; the caller decides whether that pair matters.
+
+        The last source's labels are memoized (one entry, dropped by
+        :meth:`clear_cache`) and handed to every caller asking for that
+        source, so they must not be mutated; :attr:`sweeps` counts the
+        sweeps actually run.  They stay plain dicts of node ids and
+        floats, which the cyclic garbage collector does not track (a
+        read-only proxy per inner dict would be tracked, and cost
+        settle-256's set-up one more full collection).
         """
+        last = self._last_sweep
+        if last is not None and last[0] == source:
+            return last[1]
         base = self.tree(source)
         index = self._index
         ids = self._ids
@@ -332,6 +351,8 @@ class RoutingEngine:
                 for u in members
                 if settled_stamp[u] == k
             }
+        self.sweeps += 1
+        self._last_sweep = (source, out)
         return out
 
     def node_cost(self, node: NodeId) -> Cost:
@@ -346,9 +367,11 @@ class RoutingEngine:
     # ------------------------------------------------------------------
 
     def clear_cache(self) -> None:
-        """Drop every memoized tree (the graph index is kept)."""
+        """Drop every memoized tree and detour sweep (the graph index
+        is kept)."""
         self._trees.clear()
         self._partials.clear()
+        self._last_sweep = None
 
     @property
     def cached_trees(self) -> int:

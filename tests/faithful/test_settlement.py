@@ -9,14 +9,16 @@ the paper's epsilon penalty on top.  Money conservation of the forced
 path is property-tested.  The ledger stores raw amounts per principal
 pair; :meth:`NettingLedger.audit` reads only the audited pair's rows
 and must match the full-scan :func:`settlement_audit` bit for bit,
-and the bank's netted settle must build no per-obligation object.
+and the bank's netted settle must build no per-obligation object and
+keep alive only one container per ledger direction.
 """
 
+import gc
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphError, ProtocolError
@@ -181,6 +183,43 @@ class TestObligationTrace:
         assert len(built) == recorded
 
 
+class TestRetainedContainers:
+    """The netted settle's working state is flat: what a
+    :class:`NettedSettlement` keeps alive is one tracked amount list per
+    nonempty ledger direction plus its outputs, nothing per flow, group
+    or pair.  The gate counts objects, not time."""
+
+    @staticmethod
+    def retained(repeats):
+        graph = random_biconnected_graph(
+            48, random.Random(5), extra_edge_prob=4 / 47
+        )
+        reports = synthesize_execution_reports(
+            graph, uniform_all_pairs(graph), repeats=repeats
+        )
+        bank = BankNode()
+        bank.reports["execution"] = reports
+        node_ids = tuple(sorted(graph.nodes, key=repr))
+        declared = {n: graph.cost(n) for n in node_ids}
+        gc.collect()
+        before = len(gc.get_objects())
+        netted = bank.settle_netted(node_ids, declared)
+        gc.collect()
+        kept = len(gc.get_objects()) - before
+        directions = len(
+            {(o.debtor, o.creditor, o.accepted_at) for o in netted.ledger.trace}
+        )
+        return kept, directions, len(node_ids)
+
+    def test_settle_retains_one_container_per_direction(self):
+        once = self.retained(1)
+        kept, directions, nodes = once
+        # One record per node and at most one batch transfer per node
+        # are the settle's output; 32 covers its fixed containers.
+        assert kept <= directions + 2 * nodes + 32
+        assert self.retained(4) == once
+
+
 class TestSettlementAudit:
     def test_unpaid_before_close_zero_after(self):
         ledger = NettingLedger()
@@ -262,6 +301,10 @@ class TestLedgerAudit:
         ),
         st.sampled_from([0.5, 1.0, 2.0, 3.0]),
     )
+    # A forced self-payout audits to +1.0 in the full scan: a ledger
+    # keyed by direction must not also count it as the reverse
+    # direction, negated, when debtor == creditor.
+    @example(rows=[(0, 0, 0.0, 0.0, False)], forced=[(0, 0, 1.0)], at_time=0.5)
     def test_audit_matches_full_scan(self, rows, forced, at_time):
         """Several epochs, mixed acceptance times, mid-pass forced rows."""
         ledger = NettingLedger()
@@ -622,11 +665,11 @@ class TestSynthesizerMatchesReference:
         self._assert_identical(graph, traffic, 3)
 
     def test_repeated_observation_rows_are_distinct_objects(self):
-        # Sharing one row tuple across repeats made settle-256 set-up
-        # faster, but the reports then held fewer GC-tracked objects
-        # and the settle that follows ran 6 full collections instead
-        # of 2 (about 1.8 s instead of 0.7 s of GC on settle-256):
-        # every repeat gets its own tuple.
+        # Every repeat gets its own tuple, as each observation is its
+        # own wire row.  Before the settle's state was flat, sharing
+        # one tuple across repeats made the settle-256 settle run 6
+        # full collections instead of 2; the flat settle runs none
+        # either way.
         graph = figure1_graph()
         reports = synthesize_execution_reports(
             graph, uniform_all_pairs(graph), repeats=3

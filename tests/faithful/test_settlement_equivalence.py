@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.faithful import (
     DEVIATION_CATALOGUE,
     BankNode,
+    FlagKind,
     FaithfulFPSSProtocol,
     faithful_deviant_factory,
     net_positions,
@@ -34,6 +35,63 @@ from repro.workloads import random_biconnected_graph, uniform_all_pairs
 GRAPH = figure1_graph()
 TRAFFIC = uniform_all_pairs(GRAPH)
 TARGET = "C"  # the paper's Example 1 manipulator
+
+
+def reference_transfers(reports, node_ids, declared_costs):
+    """The per-flow transfer triples in settle order, one row at a time.
+
+    Rows are grouped by their raw (origin, destination, path) in
+    first-seen order over the repr-sorted checkers; each row pays its
+    carried transits in path order, then — when the walk broke — the
+    culprit reimburses the off-path carriers in ``node_ids`` order.
+    """
+    receipts = {}
+    for node in node_ids:
+        for origin, destination, sender, volume in reports.get(node, {}).get(
+            "receipts", ()
+        ):
+            receipts.setdefault((node, origin, destination), {})[sender] = volume
+
+    def received(node, flow, sender):
+        return receipts.get((node, *flow), {}).get(sender, 0.0)
+
+    groups = {}
+    for checker in sorted(node_ids, key=repr):
+        for row in reports.get(checker, {}).get("observations", ()):
+            origin, destination, _volume, path, _charges = row
+            groups.setdefault((origin, destination, tuple(path)), []).append(row)
+
+    triples = []
+    for (origin, destination, path), rows in groups.items():
+        flow = (origin, destination)
+        culprit = next(
+            (
+                previous
+                for previous, node in zip(path, path[1:])
+                if received(node, flow, previous) <= 0
+            ),
+            None,
+        )
+        carried = [
+            path[index]
+            for index in range(1, len(path) - 1)
+            if received(path[index + 1], flow, path[index]) > 0
+        ]
+        off_path = []
+        if culprit is not None:
+            for node in node_ids:
+                if node in path or node == destination:
+                    continue
+                volume_in = math.fsum(receipts.get((node, *flow), {}).values())
+                if volume_in > 0:
+                    off_path.append((node, declared_costs.get(node, 0.0) * volume_in))
+        for *_row, charges in rows:
+            charge_map = dict(charges)
+            triples.extend(
+                (origin, transit, charge_map.get(transit, 0.0)) for transit in carried
+            )
+            triples.extend((culprit, node, amount) for node, amount in off_path)
+    return triples
 
 
 def assert_engines_equivalent(bank, node_ids, declared_costs, epsilon):
@@ -60,6 +118,14 @@ def assert_engines_equivalent(bank, node_ids, declared_costs, epsilon):
     netted_positions = net_positions(netted.transfers, nodes=node_ids)
     assert netted_positions == per_flow_positions
 
+    # The flat per-flow view iterates to the reference triples, in order.
+    assert list(netted.per_flow_transfers) == reference_transfers(
+        bank.reports["execution"], node_ids, declared_costs
+    )
+    assert len(netted.per_flow_transfers) == len(
+        list(netted.per_flow_transfers)
+    )
+
     # The compact per-flow view carries exactly the amounts the per-flow
     # oracle credits: each node's received amounts, reimbursement rows
     # included, sum to its record bit for bit.
@@ -73,10 +139,11 @@ def assert_engines_equivalent(bank, node_ids, declared_costs, epsilon):
 
     # After the epoch close, every pair's audited unpaid balance is
     # exactly zero — the batch transfer discharged the whole epoch.
+    trace = list(netted.ledger.trace)
     for transfer in netted.transfers:
         for payee, _amount in transfer.payouts:
             report = settlement_audit(
-                netted.ledger.trace,
+                trace,
                 netted.ledger.transfers,
                 transfer.debtor,
                 payee,
@@ -167,16 +234,21 @@ class TestRandomizedEquivalence:
     def test_arbitrary_reports_equivalent(self, seed):
         """Reports no honest run produces: certified paths that start
         away from the origin or revisit nodes (self-payment rows), list
-        paths, stray receipts and repeated rows."""
+        paths, stray receipts and repeated rows, plus ids outside
+        ``node_ids`` (interned on demand): receipt senders and flow
+        endpoints from one foreign set, path hops from another, so a
+        foreign hop is never a paid transit."""
         rng = random.Random(seed)
         node_ids = ("A", "B", "C", "D", "E")
+        senders = node_ids + ("X1", "X2")
+        hops = node_ids + ("Y1", "Y2")
         reports = {}
         for node in node_ids:
             observations = []
             for _ in range(rng.randint(0, 5)):
                 origin, destination = rng.sample(node_ids, 2)
                 first = origin if rng.random() < 0.6 else rng.choice(node_ids)
-                middle = [rng.choice(node_ids) for _ in range(rng.randint(0, 3))]
+                middle = [rng.choice(hops) for _ in range(rng.randint(0, 3))]
                 path = (first, *middle, destination)
                 charges = [
                     (transit, rng.choice([0.0, 1.5, 2.25]))
@@ -188,8 +260,8 @@ class TestRandomizedEquivalence:
                     )
             receipts = []
             for _ in range(rng.randint(0, 8)):
-                origin, destination = rng.sample(node_ids, 2)
-                sender = rng.choice(node_ids)
+                origin, destination = rng.sample(senders, 2)
+                sender = rng.choice(senders)
                 receipts.append(
                     (origin, destination, sender, rng.choice([0.0, 1.0, 2.0]))
                 )
@@ -203,6 +275,37 @@ class TestRandomizedEquivalence:
         bank.reports["execution"] = reports
         declared = {n: rng.choice([1.0, 2.5]) for n in node_ids}
         assert_engines_equivalent(bank, node_ids, declared, 0.01)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_broken_walks_on_a_large_graph(self, seed):
+        """Honest 44-node reports with receipt rows dropped (packet
+        drops) or moved to another receiver (misroutes): the broken
+        walks read the lazily built per-flow receipt index far beyond
+        a 5-node alphabet."""
+        rng = random.Random(seed)
+        graph = random_biconnected_graph(44, rng, extra_edge_prob=4 / 43)
+        reports = synthesize_execution_reports(graph, uniform_all_pairs(graph))
+        node_ids = tuple(sorted(graph.nodes, key=repr))
+        moved = {node: [] for node in node_ids}
+        for node in node_ids:
+            kept = []
+            for row in reports[node]["receipts"]:
+                roll = rng.random()
+                if roll < 0.03:
+                    continue
+                if roll < 0.06:
+                    moved[rng.choice(node_ids)].append(row)
+                else:
+                    kept.append(row)
+            reports[node]["receipts"] = kept
+        for node, rows in moved.items():
+            reports[node]["receipts"].extend(rows)
+        bank = BankNode()
+        bank.reports["execution"] = reports
+        declared = {n: graph.cost(n) for n in node_ids}
+        netted = assert_engines_equivalent(bank, node_ids, declared, 0.01)
+        kinds = {flag.kind for flag in netted.flags}
+        assert {FlagKind.MISROUTE, FlagKind.PACKET_DROP} <= kinds
 
 
 class TestChurnNetting:

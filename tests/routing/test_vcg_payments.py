@@ -16,6 +16,7 @@ from repro.routing import (
     utility_of_misreport,
     vcg_transit_payment,
 )
+from repro.routing.engine import engine_for
 from repro.workloads import random_biconnected_graph, random_pairs, uniform_all_pairs
 from test_engine import _cut_vertex_graph, _tie_heavy_graph, pin_payment_seeds
 
@@ -285,3 +286,42 @@ class TestOnePaymentPath:
             economics_under_traffic(graph, graph, {("a", "c"): 1.0, ("a", "e"): 1.0})
         with pytest.raises(RoutingError, match="avoiding 'c'"):
             vcg_transit_payment(graph, "a", "e", "b")
+
+
+class TestPerPairSweepMemo:
+    """Per-pair payment queries share the source's repair sweep."""
+
+    def test_source_major_loop_sweeps_once_per_source(self):
+        graph = random_biconnected_graph(32, random.Random(7))
+        engine = engine_for(graph)
+        per_pair = {}
+        for source in graph.nodes:
+            for destination in graph.nodes:
+                if destination == source:
+                    continue
+                bundle = route_payments(graph, source, destination)
+                per_pair[(source, destination)] = bundle
+                for transit in bundle.payments:
+                    assert vcg_transit_payment(
+                        graph, source, destination, transit
+                    ) == bundle.payments[transit]
+        nodes = len(graph.nodes)
+        assert engine.sweeps == nodes
+        # One base tree per source; the memo adds no Dijkstra run.
+        assert engine.runs == nodes
+        # A fresh graph (so a fresh engine) prices every pair at once.
+        reference = all_pairs_payments(
+            random_biconnected_graph(32, random.Random(7))
+        )
+        assert per_pair == reference
+
+    def test_clear_cache_drops_the_memo(self):
+        graph = random_biconnected_graph(8, random.Random(1))
+        engine = engine_for(graph)
+        source, destination = graph.nodes[0], graph.nodes[4]
+        first = route_payments(graph, source, destination)
+        route_payments(graph, source, destination)
+        assert (engine.sweeps, engine.runs) == (1, 1)
+        engine.clear_cache()
+        assert route_payments(graph, source, destination) == first
+        assert (engine.sweeps, engine.runs) == (2, 2)
