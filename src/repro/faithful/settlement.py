@@ -569,8 +569,8 @@ def synthesize_execution_reports(
     consistent ``reported_payments`` — without simulating packet
     events, so settlement benchmarks and the sweep probe can feed the
     bank millions of observation rows cheaply.  ``repeats`` replays
-    each traffic flow that many times (distinct observation rows, one
-    aggregated receipt row per hop).
+    each traffic flow that many times (one observation row per repeat,
+    one aggregated receipt row per hop).
 
     One pass over the flows, sorted once by ``repr``, appends every
     row straight to its node's list, so each node's ``receipts``,
@@ -579,14 +579,11 @@ def synthesize_execution_reports(
     also the order a per-receiver ``repr`` sort would give.  Only
     ``reported_payments`` is sorted, by payee ``repr``, after each
     ``(source, payee)`` charge list is reduced with ``math.fsum``.
-    Each repeat gets its own observation tuple (sharing one charge
-    list), as each observed origination is its own wire row.  While
-    the bank's settle kept per-flow and per-pair containers alive,
-    sharing one tuple across repeats made perfbench's settle-256
-    settle run 6 full garbage collections instead of 2 (about 1.8 s
-    instead of 0.7 s); the flat settle runs none either way (seeds 1
-    and 7, counted with ``gc.callbacks``).  Zero- and negative-volume
-    flows and self-pairs are skipped; a pair with an endpoint outside
+    A flow's repeats share one observation tuple: the rows are equal
+    and the bank never tells them apart by identity, and the flat
+    settle runs no full garbage collection on shared rows (perfbench
+    settle-256, seeds 1 and 7).  Zero- and negative-volume flows and
+    self-pairs are skipped; a pair with an endpoint outside
     ``graph`` raises :class:`GraphError`.
     """
     from ..routing.vcg_payments import all_pairs_payments
@@ -615,9 +612,9 @@ def synthesize_execution_reports(
         prices = bundle.payments
         charges = [(transit, prices[transit] * volume) for transit in path[1:-1]]
         total = volume * repeats
-        rows = observations[path[1]]
-        for _repeat in range(repeats):
-            rows.append((source, destination, volume, path, charges))
+        observations[path[1]].extend(
+            [(source, destination, volume, path, charges)] * repeats
+        )
         sender = source
         for receiver in path[1:]:
             receipts[receiver].append((source, destination, sender, total))

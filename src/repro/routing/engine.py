@@ -21,20 +21,22 @@ cache (:func:`engine_for`) shares one engine per live graph across the
 functional APIs in :mod:`repro.routing.lcp` and
 :mod:`repro.routing.vcg_payments`.
 
-The VCG payment rule needs ``cost(LCP_{-k}(i, j))`` for every transit
-``k`` of every route, and :meth:`RoutingEngine.source_detour_labels`
-is its one source: a decremental repair sweep over the source's base
-tree that re-relaxes only the destinations routed through ``k``.  Its
-labels are left-to-right sums from the source, bit-equal to the seed
-formula, so every payment is computed the same way and in the same
-order.
+The VCG payment rule needs ``LCP_{-k}(i, j)`` for every transit ``k``
+of every route, and one decremental repair sweep per source is its
+one source: it re-relaxes only the destinations routed through ``k``,
+ranked and tie-broken as the trees are.
+:meth:`RoutingEngine.source_detour_labels` reads the sweep's costs,
+left-to-right sums from the source, bit-equal to the seed formula, so
+every payment is computed the same way and in the same order;
+:meth:`RoutingEngine.source_detour_paths` rebuilds its paths from one
+predecessor per settled node, equal to the ``avoiding`` trees' paths.
 
-:func:`fixed_point_digests` turns the trees into the protocol's own
-currency: the DATA1/DATA2/DATA3* digests every node must hold at the
-FPSS fixed point, identity tags included.  It shares no code with the
-replay kernel, so it is an independent oracle for the kernel's
-relaxation, pricing and tag semantics, not only for the distribution
-layer around it.
+:func:`fixed_point_digests` turns one tree and one sweep per source
+into the protocol's own currency: the DATA1/DATA2/DATA3* digests every
+node must hold at the FPSS fixed point, identity tags included.  It
+shares no code with the replay kernel, so it is an independent oracle
+for the kernel's relaxation, pricing and tag semantics, not only for
+the distribution layer around it.
 """
 
 from __future__ import annotations
@@ -50,6 +52,12 @@ from .graph import ASGraph, Cost, NodeId, PathCost
 from .tables import PricingTable, RouteEntry, RoutingTable, TransitCostTable
 
 _INF = float("inf")
+
+
+def _lex_prefers(challenger: Tuple[str, ...], incumbent: Tuple[str, ...]) -> bool:
+    """Whether a tying detour path beats the current one: the smaller
+    ``repr``-keyed node sequence wins, as in :meth:`RoutingEngine._sssp`."""
+    return challenger < incumbent
 
 
 class RoutingEngine:
@@ -90,11 +98,16 @@ class RoutingEngine:
         self.settled = 0
         #: Tree queries served from cache.
         self.hits = 0
-        #: The last source's detour labels, ``(source, labels)``: one
-        #: entry, so a source-major loop of per-pair payment queries
-        #: sweeps once per source without pinning every source's labels.
+        #: The last source's repair sweep, ``(source, labels,
+        #: predecessors)``: one entry, so a source-major loop of per-pair
+        #: payment queries sweeps once per source without pinning every
+        #: source's labels.
         self._last_sweep: Optional[
-            Tuple[NodeId, Dict[NodeId, Dict[NodeId, Cost]]]
+            Tuple[
+                NodeId,
+                Dict[NodeId, Dict[NodeId, Cost]],
+                Optional[Dict[int, Dict[int, int]]],
+            ]
         ] = None
         #: Repair sweeps actually run (one-entry memo misses).
         self.sweeps = 0
@@ -265,29 +278,91 @@ class RoutingEngine:
         transit node ``k`` of the source's LCP tree, covering exactly
         the destinations routed through ``k``.  Instead of one Dijkstra
         per transit node, each ``LCP_{-k}`` is obtained by *decremental
-        repair* of the base labels: a node whose tree path avoids ``k``
-        keeps its label in the ``-k`` subgraph (its witness path
-        survives, and labels cannot drop when paths are removed), so
+        repair* of the base tree: a node whose tree path avoids ``k``
+        keeps its path in the ``-k`` subgraph (its witness path
+        survives, and no path can beat it once paths are removed), so
         only the below-``k`` group is re-relaxed, seeded from its
-        frozen boundary.  Labels are bit-identical to a from-scratch
-        run — every label is the minimum over the same set of
-        left-to-right path-cost sums.
+        frozen boundary.  Group members are ranked as :meth:`_sssp`
+        ranks them — cost, then hop count, then the ``repr``-lex order
+        of the whole path — so each settled member's one predecessor
+        (:meth:`source_detour_paths`) gives the same path as
+        ``tree(source, avoiding=k)``.  Labels are bit-identical to a
+        from-scratch run: every label is the minimum over the same set
+        of left-to-right path-cost sums.
 
         A destination that ``k`` cuts off from the source (possible
         only when the graph is not biconnected) is absent from
         ``k``'s mapping; the caller decides whether that pair matters.
 
-        The last source's labels are memoized (one entry, dropped by
+        The last source's sweep is memoized (one entry, dropped by
         :meth:`clear_cache`) and handed to every caller asking for that
-        source, so they must not be mutated; :attr:`sweeps` counts the
-        sweeps actually run.  They stay plain dicts of node ids and
-        floats, which the cyclic garbage collector does not track (a
-        read-only proxy per inner dict would be tracked, and cost
-        settle-256's set-up one more full collection).
+        source, so its labels must not be mutated; :attr:`sweeps`
+        counts the sweeps actually run.  Labels and predecessors stay
+        plain dicts of node ids, ints and floats, which the cyclic
+        garbage collector does not track (a read-only proxy per inner
+        dict would be tracked, and cost settle-256's set-up one more
+        full collection).
+        """
+        return self._sweep(source, False)[1]
+
+    def source_detour_paths(
+        self, source: NodeId
+    ) -> Dict[NodeId, Dict[NodeId, Tuple[NodeId, ...]]]:
+        """The ``LCP_{-k}`` paths behind :meth:`source_detour_labels`.
+
+        Returns ``{k: {d: path}}`` over the same ``(k, d)`` pairs, each
+        path equal to ``tree(source, avoiding=k)[d].path``.  The paths
+        are rebuilt on each call from the sweep's predecessor chains (a
+        group member's chain ends at a frozen node, whose path is its
+        base-tree path).  Only a sweep run for this method keeps its
+        predecessors, so cost-only callers never pay for them; a
+        memoized cost-only sweep of the same source is run again.
+        """
+        _, _, preds = self._sweep(source, True)
+        base = self.tree(source)
+        ids = self._ids
+        root = (source,)
+        out: Dict[NodeId, Dict[NodeId, Tuple[NodeId, ...]]] = {}
+        for k, group in preds.items():
+            built: Dict[int, Tuple[NodeId, ...]] = {}
+            for member in group:
+                chain = []
+                node = member
+                while node in group and node not in built:
+                    chain.append(node)
+                    node = group[node]
+                if node in built:
+                    path = built[node]
+                else:
+                    found = base.get(ids[node])
+                    path = root if found is None else found.path
+                for node in reversed(chain):
+                    path = path + (ids[node],)
+                    built[node] = path
+            out[ids[k]] = {ids[member]: built[member] for member in group}
+        return out
+
+    def _sweep(
+        self, source: NodeId, keep_preds: bool
+    ) -> Tuple[
+        NodeId,
+        Dict[NodeId, Dict[NodeId, Cost]],
+        Optional[Dict[int, Dict[int, int]]],
+    ]:
+        """The source's repair sweep: ``(source, labels, predecessors)``.
+
+        ``labels`` is :meth:`source_detour_labels`' result.  With
+        ``keep_preds``, ``predecessors`` maps each transit index to
+        ``{member index: predecessor index}`` over the members it does
+        not cut off; otherwise it is ``None``.
         """
         last = self._last_sweep
-        if last is not None and last[0] == source:
-            return last[1]
+        if (
+            last is not None
+            and last[0] == source
+            and (last[2] is not None or not keep_preds)
+        ):
+            return last
         base = self.tree(source)
         index = self._index
         ids = self._ids
@@ -297,11 +372,16 @@ class RoutingEngine:
         n = len(ids)
         base_label: List[Cost] = [_INF] * n
         base_label[src] = 0.0
+        # Node counts of the base paths (the source's own path is 1).
+        base_plen = [0] * n
+        base_plen[src] = 1
         groups: Dict[int, List[int]] = {}
         for destination, entry in base.items():
             d = index[destination]
+            path = entry.path
             base_label[d] = entry.cost
-            for transit in entry.transit_nodes:
+            base_plen[d] = len(path)
+            for transit in path[1:-1]:
                 groups.setdefault(index[transit], []).append(d)
         push = heapq.heappush
         pop = heapq.heappop
@@ -310,57 +390,102 @@ class RoutingEngine:
         # its stamp matches (``k`` values are distinct node indices).
         member_of = [-1] * n
         dist: List[Cost] = [0.0] * n
+        plen = [0] * n
+        pred = [-1] * n
         dist_stamp = [-1] * n
         settled_val: List[Cost] = [0.0] * n
         settled_stamp = [-1] * n
         out: Dict[NodeId, Dict[NodeId, Cost]] = {}
+        preds: Optional[Dict[int, Dict[int, int]]] = {} if keep_preds else None
+        rkeys = self._rkeys
+
+        def lex_path(node: int, k: int) -> Tuple[str, ...]:
+            # The repr keys of ``node``'s current path in the ``-k``
+            # sweep: its member chain, then a frozen node's base path.
+            tail = []
+            while member_of[node] == k:
+                tail.append(rkeys[node])
+                node = pred[node]
+            if node == src:
+                head: Tuple[str, ...] = (rkeys[src],)
+            else:
+                head = tuple(
+                    rkeys[index[hop]] for hop in base[ids[node]].path
+                )
+            return head + tuple(reversed(tail))
+
         for k, members in groups.items():
             for u in members:
                 member_of[u] = k
-            heap: List[Tuple[Cost, int]] = []
-            # Boundary seeds: the cheapest single step from any frozen
+            heap: List[Tuple[Cost, int, int]] = []
+            # Boundary seeds: the best single step from any frozen
             # neighbour into each group member.
             for u in members:
                 best = _INF
+                best_len = 0
+                best_m = -1
                 for m in adj[u]:
                     if m == k or member_of[m] == k:
                         continue
                     cand = 0.0 if m == src else base_label[m] + costs[m]
-                    if cand < best:
+                    if cand > best:
+                        continue
+                    length = base_plen[m] + 1
+                    if cand < best or length < best_len:
                         best = cand
+                        best_len = length
+                        best_m = m
+                    elif length == best_len and _lex_prefers(
+                        lex_path(m, k), lex_path(best_m, k)
+                    ):
+                        best_m = m
                 if best < _INF:
                     dist[u] = best
+                    plen[u] = best_len
+                    pred[u] = best_m
                     dist_stamp[u] = k
-                    heap.append((best, u))
+                    heap.append((best, best_len, u))
             heapq.heapify(heap)
             while heap:
-                label, u = pop(heap)
+                label, length, u = pop(heap)
                 if settled_stamp[u] == k:
                     continue
                 settled_stamp[u] = k
                 settled_val[u] = label
                 through = label + costs[u]
+                longer = length + 1
                 for v in adj[u]:
-                    if member_of[v] == k and settled_stamp[v] != k:
-                        if dist_stamp[v] != k or through < dist[v]:
-                            dist[v] = through
-                            dist_stamp[v] = k
-                            push(heap, (through, v))
+                    if member_of[v] != k or settled_stamp[v] == k:
+                        continue
+                    if (
+                        dist_stamp[v] != k
+                        or through < dist[v]
+                        or (through == dist[v] and longer < plen[v])
+                    ):
+                        dist[v] = through
+                        plen[v] = longer
+                        pred[v] = u
+                        dist_stamp[v] = k
+                        push(heap, (through, longer, v))
+                    elif (
+                        through == dist[v]
+                        and longer == plen[v]
+                        and _lex_prefers(lex_path(u, k), lex_path(pred[v], k))
+                    ):
+                        pred[v] = u
             out[ids[k]] = {
                 ids[u]: settled_val[u]
                 for u in members
                 if settled_stamp[u] == k
             }
+            if preds is not None:
+                preds[k] = {
+                    u: pred[u] for u in members if settled_stamp[u] == k
+                }
         self.sweeps += 1
-        self._last_sweep = (source, out)
-        return out
-
-    def node_cost(self, node: NodeId) -> Cost:
-        """The declared transit cost of one node."""
-        index = self._index.get(node)
-        if index is None:
-            raise GraphError(f"unknown node {node!r}")
-        return self._costs[index]
+        memo = (source, out, preds)
+        self._last_sweep = memo
+        return memo
 
     # ------------------------------------------------------------------
     # cache control
@@ -512,7 +637,8 @@ class TableDigests:
 
 
 def fixed_point_digests(graph: ASGraph) -> Dict[NodeId, TableDigests]:
-    """Every node's DATA1/DATA2/DATA3* digests, derived from LCP trees.
+    """Every node's DATA1/DATA2/DATA3* digests, from one LCP tree and
+    one repair sweep per source.
 
     The centralized counterpart of a converged FPSS network, bit-exact
     with the distributed relaxation (identity tags included):
@@ -529,7 +655,9 @@ def fixed_point_digests(graph: ASGraph) -> Dict[NodeId, TableDigests]:
       rounding, and integer-valued costs (where ties are common) sum
       exactly in either order.
     * **DATA3*** holds one cell per transit ``k`` of ``P(i, j)``: with
-      ``Q`` the ``LCP_{-k}`` from ``i`` to ``j``, the price is
+      ``Q`` the ``LCP_{-k}`` from ``i`` to ``j`` (read from
+      :meth:`RoutingEngine.source_detour_paths`, the path
+      ``tree(i, avoiding=k)`` would give), the price is
       ``c_k + cost(Q) - d(i, j)`` (same fold, same operation order as
       the protocol) and the tag is ``{Q[1]}``.  Each neighbour offers a
       path that starts with itself, so the argmin supplier of an
@@ -538,7 +666,11 @@ def fixed_point_digests(graph: ASGraph) -> Dict[NodeId, TableDigests]:
 
     Each call uses a private :class:`RoutingEngine`, released per
     source, so no tree outlives the call (:func:`engine_for` would pin
-    every tree for as long as the graph lives).
+    every tree for as long as the graph lives).  It runs ``n`` Dijkstras
+    and ``n`` sweeps and no ``avoiding`` tree: on perfbench's 64-node
+    graphs that is about 0.12-0.15 s of CPU where one ``-k`` tree per
+    cell took 0.30-0.39 s, and 0.75-0.85 s against 3.5-3.7 s at 128
+    nodes (one core of a 2-vCPU VM, seeds 1 and 7).
     """
     engine = RoutingEngine(graph)
     costs = graph.costs
@@ -557,16 +689,17 @@ def fixed_point_digests(graph: ASGraph) -> Dict[NodeId, TableDigests]:
     for source in graph.nodes:
         routing = RoutingTable(source)
         pricing = PricingTable(source)
+        detours = engine.source_detour_paths(source)
         for destination, entry in engine.tree(source).items():
             distance = folded(entry.path)
             routing.update(destination, RouteEntry(cost=distance, path=entry.path))
             for transit in entry.transit_nodes:
-                detour = engine.tree(source, avoiding=transit).get(destination)
+                detour = detours[transit].get(destination)
                 if detour is None:
                     continue
-                price = costs[transit] + folded(detour.path) - distance
+                price = costs[transit] + folded(detour) - distance
                 pricing.set_price(
-                    destination, transit, price, frozenset((detour.path[1],))
+                    destination, transit, price, frozenset((detour[1],))
                 )
         engine.clear_cache()
         digests[source] = TableDigests(

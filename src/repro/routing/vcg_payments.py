@@ -77,6 +77,10 @@ def _source_payments(
     """
     base = engine.tree(source)
     detours = engine.source_detour_labels(source)
+    # Transit costs straight from the engine's arrays: a transit of a
+    # tree route is always a graph node.
+    index = engine._index
+    costs = engine._costs
     result: Dict[NodeId, RoutePayments] = {}
     for destination in destinations:
         route = base.get(destination)
@@ -91,7 +95,7 @@ def _source_payments(
                     f"no path from {source!r} to {destination!r} "
                     f"avoiding {transit!r}"
                 )
-            payments[transit] = engine.node_cost(transit) + without_k - route.cost
+            payments[transit] = costs[index[transit]] + without_k - route.cost
         result[destination] = RoutePayments(
             source=source, destination=destination, route=route, payments=payments
         )

@@ -664,19 +664,23 @@ class TestSynthesizerMatchesReference:
         traffic = {pair: 2 for pair in uniform_all_pairs(graph)}
         self._assert_identical(graph, traffic, 3)
 
-    def test_repeated_observation_rows_are_distinct_objects(self):
-        # Every repeat gets its own tuple, as each observation is its
-        # own wire row.  Before the settle's state was flat, sharing
-        # one tuple across repeats made the settle-256 settle run 6
-        # full collections instead of 2; the flat settle runs none
-        # either way.
+    def test_repeated_observation_rows_share_one_tuple(self):
+        # A flow's repeats are one shared tuple: the flat settle runs
+        # no full collection either way, so distinct tuples were only
+        # set-up work and tracked objects.
         graph = figure1_graph()
+        repeats = 3
         reports = synthesize_execution_reports(
-            graph, uniform_all_pairs(graph), repeats=3
+            graph, uniform_all_pairs(graph), repeats=repeats
         )
         rows = [row for report in reports.values() for row in report["observations"]]
         assert rows
-        assert len({id(row) for row in rows}) == len(rows)
+        assert len({id(row) for row in rows}) * repeats == len(rows)
+        for report in reports.values():
+            observed = report["observations"]
+            for start in range(0, len(observed), repeats):
+                group = observed[start:start + repeats]
+                assert all(row is group[0] for row in group)
 
 
 class TestSynthesizerEndpoints:

@@ -244,6 +244,63 @@ class TestDetourSweep:
         assert detours["b"] == {"c": 2.0, "e": 3.0, "f": 3.0}
         assert detours["c"] == {}
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    @pin_payment_seeds
+    def test_sweep_paths_equal_avoidance_trees(self, seed):
+        """Property: every detour path the sweep's predecessors give is
+        the ``LCP_{-k}`` tree's path, ties included."""
+        _assert_sweep_paths_match_trees(_tie_heavy_graph(seed))
+
+    @pytest.mark.parametrize("cost_range", [(1.0, 1.0), (0.0, 0.0)])
+    @pytest.mark.parametrize("size,seed", [(8, 0), (12, 1), (16, 2), (24, 3)])
+    def test_sweep_paths_on_tied_costs(self, size, seed, cost_range):
+        """Unit costs tie every path of equal hop count and zero costs
+        tie every path: hop count and then ``repr`` order decide."""
+        graph = random_biconnected_graph(
+            size,
+            random.Random(seed),
+            extra_edge_prob=0.3,
+            cost_range=cost_range,
+        )
+        _assert_sweep_paths_match_trees(graph)
+
+    def test_sweep_paths_skip_cut_destinations(self):
+        graph = _cut_vertex_graph()
+        _assert_sweep_paths_match_trees(graph)
+        paths = RoutingEngine(graph).source_detour_paths("a")
+        assert paths["b"]["c"] == ("a", "d", "c")
+        assert paths["c"] == {}
+
+    def test_cost_only_sweep_keeps_no_predecessors(self, fig1):
+        """Payment callers never pay for paths: a memoized cost-only
+        sweep is run again when paths are asked for, and a path sweep
+        serves later cost queries."""
+        engine = RoutingEngine(fig1)
+        labels = engine.source_detour_labels("X")
+        engine.source_detour_paths("X")
+        assert engine.sweeps == 2
+        assert engine.source_detour_labels("X") == labels
+        engine.source_detour_paths("X")
+        assert engine.sweeps == 2
+
+
+def _assert_sweep_paths_match_trees(graph):
+    engine = RoutingEngine(graph)
+    for source in graph.nodes:
+        paths = engine.source_detour_paths(source)
+        labels = engine.source_detour_labels(source)
+        assert paths.keys() == labels.keys()
+        for transit, detours in paths.items():
+            assert detours.keys() == labels[transit].keys()
+            avoiding = engine.tree(source, avoiding=transit)
+            for destination, path in detours.items():
+                assert path == avoiding[destination].path, (
+                    source,
+                    transit,
+                    destination,
+                )
+
 
 # ----------------------------------------------------------------------
 # Engine-specific behaviour: trees, caching, validation

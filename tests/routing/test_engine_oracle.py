@@ -3,11 +3,14 @@
 Reproduces: the BANK1/BANK2 comparison material of Shneidman & Parkes
 (PODC'04) Section 4 — DATA2 and DATA3* digests, identity tags included.
 :func:`~repro.routing.engine.fixed_point_digests` derives them from
-Dijkstra trees; :func:`~repro.routing.kernel.kernel_fixed_point`
-iterates the replay kernel.  The two share no code, so they must agree
-node by node on every graph (the parity suite), and a bug planted in
-the kernel must show up as a disagreement (the planted-bug tests): the
-protocol reproduces the kernel's bug, the engine oracle does not.
+one Dijkstra tree and one repair sweep per source (no ``-k`` tree);
+:func:`~repro.routing.kernel.kernel_fixed_point` iterates the replay
+kernel.  The two share no code, so they must agree node by node on
+every graph (the parity suite), and a bug planted in either must show
+up as a disagreement (the planted-bug tests): the protocol reproduces
+the kernel's bug, the engine oracle does not, and a tie bug planted in
+the sweep fails the parity suite.  A counter gate pins the oracle's
+work at one tree and one sweep per source.
 """
 
 import json
@@ -18,6 +21,7 @@ import sys
 
 import pytest
 
+import repro.routing.engine as engine_module
 import repro.routing.kernel as kernel_module
 from repro.errors import ConvergenceError
 from repro.routing import (
@@ -170,6 +174,53 @@ class TestPlantedKernelBugs:
     def test_unpatched_kernel_passes(self, tied_graph):
         _, nodes, _ = run_plain_fpss(tied_graph)
         verify_epoch_equivalence(tied_graph, nodes)
+
+
+class TestPlantedOracleBugs:
+    """The parity suite exercises the oracle's own tie-breaking, not
+    only the kernel's: a tie bug planted in the repair sweep fails it."""
+
+    def test_first_tying_predecessor_is_caught(self, monkeypatch):
+        # Unit costs: most detours are decided by the tie-break.
+        graph = random_biconnected_graph(
+            10, random.Random(4), extra_edge_prob=0.3, cost_range=(1.0, 1.0)
+        )
+        assert_parity(graph)
+        monkeypatch.setattr(
+            engine_module, "_lex_prefers", lambda challenger, incumbent: False
+        )
+        with pytest.raises(AssertionError, match="pricing_digest"):
+            assert_parity(graph)
+
+
+class _CountingEngine(engine_module.RoutingEngine):
+    """Records the ``avoid`` index of every Dijkstra run."""
+
+    instances = []
+
+    def __init__(self, graph):
+        super().__init__(graph)
+        self.avoided = []
+        self.instances.append(self)
+
+    def _sssp(self, src, avoid, until=None):
+        self.avoided.append(avoid)
+        return super()._sssp(src, avoid, until)
+
+
+class TestOracleWork:
+    @pytest.mark.parametrize("size,seed", [(12, 0), (32, 1)])
+    def test_one_tree_and_one_sweep_per_source(self, monkeypatch, size, seed):
+        """Exact counter gate: ``n`` base Dijkstras, ``n`` repair
+        sweeps and no avoiding Dijkstra."""
+        graph = random_biconnected_graph(size, random.Random(seed))
+        monkeypatch.setattr(_CountingEngine, "instances", [])
+        monkeypatch.setattr(engine_module, "RoutingEngine", _CountingEngine)
+        fixed_point_digests(graph)
+        (engine,) = _CountingEngine.instances
+        assert engine.runs == size
+        assert engine.avoided == [-1] * size
+        assert engine.sweeps == size
 
 
 class TestOracleErrors:
