@@ -54,11 +54,13 @@ rows (the sparse wire of :mod:`repro.routing.kernel`).
 Identity tags (DATA3*)
 ----------------------
 Each pricing entry carries the set of neighbours that *triggered* its
-current value — the argmin suppliers in the relaxation, with ties
-unioned — exactly the DATA3* extension of Section 4.3 ("this tag
+current value — the DATA3* extension of Section 4.3 ("this tag
 identifies the node that triggered the most recent FPSS pricing table
 update; in the case of a pricing tie, this tag field actually contains
-the union of the nodes that suggested the same pricing entry").
+the union of the nodes that suggested the same pricing entry").  Under
+the (cost, hops, lex) total order no two neighbours tie, since each
+offers a path that starts with itself, so the tag is the singleton
+argmin supplier of the avoidance entry.
 """
 
 from __future__ import annotations

@@ -157,6 +157,19 @@ def _lex_key(path: Tuple) -> Tuple[str, ...]:
     return tuple(_sort_key(node) for node in path)
 
 
+def _tag_of(state: Tuple, destination: NodeId) -> FrozenSet[NodeId]:
+    """The DATA3* identity tag of an avoidance entry: its supplier.
+
+    ``state`` is the key's relaxation state.  Every neighbour offers a
+    path that starts with itself, so no two suppliers tie on the full
+    (cost, hops, lex) order: the argmin supplier is unique and the tag
+    is the singleton ``{Q[1]}`` of the entry's path ``Q``, with the
+    base case standing for the destination itself.
+    """
+    supplier = state[0]
+    return frozenset((destination if supplier is _BASE else supplier,))
+
+
 def _stripped_worse(cand: Tuple, state: Tuple) -> bool:
     """True if candidate ``cand`` orders strictly after ``state``.
 
@@ -694,17 +707,13 @@ class ReplayKernel:
     # sort keys) would dominate the hot path.  Entries are only
     # materialised for adopted winners.
 
-    def _route_offer_moved(
-        self, neighbor: NodeId, did: int, old: Optional[Tuple]
-    ) -> None:
+    def _route_offer_moved(self, neighbor: NodeId, did: int) -> None:
         """Fuse a neighbour's changed route offer into the keys of ``did``.
 
         The route offer is the neighbour's candidate for every active
         key whose avoided node is off that route, and for the others it
         selects the neighbour's avoidance row; either way one candidate
         per key changed, and :meth:`_fuse_candidate` settles it.
-        ``old`` is the route row this one replaced (``None`` if there
-        was none).
         """
         ncost = self.costs.get(neighbor)
         if ncost is None:
@@ -726,12 +735,7 @@ class ReplayKernel:
                     path = row[-1]
                     if owner not in path and avoided not in path:
                         cand = (neighbor, ncost + row[-2], len(path), path)
-            old_total = None
-            if old is not None:
-                row = offers_get(key) if avoided in old[2] else old
-                if row is not None:
-                    old_total = ncost + row[-2]
-            self._fuse_candidate(aid, did, key, neighbor, cand, old_total)
+            self._fuse_candidate(aid, did, key, neighbor, cand)
 
     def _fuse_candidate(
         self,
@@ -740,19 +744,18 @@ class ReplayKernel:
         key: AvoidKey,
         neighbor: NodeId,
         cand: Optional[Tuple],
-        old_total: Optional[Cost],
     ) -> None:
         """The fused relaxation step for one active key.
 
         ``cand`` is ``neighbor``'s new stripped candidate (``None`` when
-        it has none) and ``old_total`` the cost of the candidate it
-        replaced.  An improvement on the reigning argmin is adopted
+        it has none).  An improvement on the reigning argmin is adopted
         immediately — a running min, confluent, so the batch-boundary
         result equals a batch-end relaxation; a worsened or withdrawn
         reigning candidate schedules a full rescan of the key; anything
-        else costs a comparison.  The pricing row is marked only when
-        the old or new candidate can join, leave or move the argmin
-        tie, since DATA3* tags depend on exactly that set.
+        else costs a comparison.  Only an adopted entry marks the
+        pricing row: a DATA3* cell reads the entry and its reigning
+        supplier, and a candidate that loses changes neither (the rescan
+        marks the row if the entry moves).
         """
         st = self._avoid_state_col[aid]
         if st is None or (cand is not None and _stripped_worse(st, cand)):
@@ -765,14 +768,8 @@ class ReplayKernel:
                 self._avoid_changed = True
                 self._dirty_pricing.add(did)
             return
-        if st[0] == neighbor:
-            if cand is None or _stripped_worse(cand, st):
-                self._avoid_rescan.add(aid)  # the reigning input worsened
-            self._dirty_pricing.add(did)
-        elif (cand is not None and cand[1] == st[1]) or (
-            old_total is not None and old_total <= st[1]
-        ):
-            self._dirty_pricing.add(did)  # joins, or may leave, the argmin tie
+        if st[0] == neighbor and (cand is None or _stripped_worse(cand, st)):
+            self._avoid_rescan.add(aid)  # the reigning input worsened
 
     def apply_route_delta(self, neighbor: NodeId, rows: Sequence[Tuple]) -> None:
         """Ingest a wire delta produced by ``encode_route_delta``.
@@ -819,7 +816,7 @@ class ReplayKernel:
                 elif did not in dirty:
                     dirty[did] = {neighbor}
                 if did in dest_keys:
-                    self._route_offer_moved(neighbor, did, old)
+                    self._route_offer_moved(neighbor, did)
 
     def apply_avoid_delta(self, neighbor: NodeId, rows: Sequence[Tuple]) -> None:
         """Ingest a wire delta, fusing the monotone relaxation step.
@@ -847,18 +844,15 @@ class ReplayKernel:
         owner = self.owner
         active = self._avoid_active
         dest_col = self._avoid_dest
-        stored_get = stored.get
         avoid_ids_get = self._avoid_ids.get
         fuse = self._fuse_candidate
         self.stats.rows_ingested += len(rows)
         for row in rows:
             dest, avoided, cost, path = row
             key = (dest, avoided)
-            old = stored_get(key)
             if cost is None:  # withdrawal
-                if old is None:
+                if stored.pop(key, None) is None:
                     continue
-                del stored[key]
             else:
                 stored[key] = row  # rows are shared across receivers
             if ncost is None:
@@ -873,7 +867,7 @@ class ReplayKernel:
             cand = None
             if cost is not None and owner not in path and avoided not in path:
                 cand = (neighbor, ncost + cost, len(path), path)
-            fuse(aid, did, key, neighbor, cand, None if old is None else ncost + old[2])
+            fuse(aid, did, key, neighbor, cand)
 
     # --- routing relaxation -------------------------------------------
     #
@@ -1196,14 +1190,14 @@ class ReplayKernel:
 
             price = c_k + d^{-k}(owner, j) - d(owner, j)
 
-        with the identity tag set to the argmin suppliers of the
-        avoidance entry; a dirty destination without a route has its
-        row cleared.  A row depends on its destination's DATA2 entry,
-        the avoidance entries along that path, and the supplier tags
-        (which read the avoidance *inputs* directly — a tie union can
-        change a tag without changing any avoidance entry, which is why
-        vector ingestion marks rows dirty by input key, not by entry
-        change).
+        tagged with the avoidance entry's reigning supplier
+        (:func:`_tag_of`); a dirty destination without a route has its
+        row cleared.  A row reads only its destination's DATA2 entry,
+        the avoidance entries along that path (each with its supplier)
+        and DATA1, so it is marked dirty exactly when one of those
+        changes: route adoption or withdrawal, an avoidance entry
+        adopted, rescanned to a new value or dropped, and any DATA1 or
+        topology change (:meth:`_mark_all_dirty`).
         """
         self.computation_count += 1
         dirty = self._dirty_pricing
@@ -1238,11 +1232,12 @@ class ReplayKernel:
         assert entry is not None
         desired: Dict[NodeId, Tuple[Cost, FrozenSet[NodeId]]] = {}
         for transit in entry.path[1:-1]:
-            avoid_entry = self.avoid.get((destination, transit))
+            key = (destination, transit)
+            avoid_entry = self.avoid.get(key)
             if avoid_entry is None or not self.costs.knows(transit):
                 continue
             price = self.costs.cost(transit) + avoid_entry.cost - entry.cost
-            tag = self._supplier_tag(destination, transit)
+            tag = _tag_of(self._avoid_state_col[self._avoid_ids[key]], destination)
             desired[transit] = (price, tag)
         current_row = self.pricing.row(destination)
         current_view = {
@@ -1254,69 +1249,6 @@ class ReplayKernel:
         for transit, (price, tag) in desired.items():
             self.pricing.set_price(destination, transit, price, tag)
         return True
-
-    def _supplier_tag(self, destination: NodeId, avoided: NodeId) -> FrozenSet[NodeId]:
-        """Argmin suppliers of one avoidance entry (union on ties).
-
-        Candidates follow the same case split as :meth:`_relax_avoid`.
-        """
-        owner = self.owner
-        did = self._node_ids.get(destination)
-        key = (destination, avoided)
-        best = None  # (cost, hops, path)
-        tag: List[NodeId] = []
-        costs_get = self.costs.get
-        routes_get = self._route_offers.get
-        offers_get = self._avoid_offers.get
-        for neighbor in self.neighbors:
-            if neighbor == avoided:
-                continue
-            if neighbor == destination:
-                cand = (0.0, 1, (destination,))
-            else:
-                vec = routes_get(neighbor)
-                route = vec.get(did) if vec else None
-                if route is None:
-                    continue
-                ncost = costs_get(neighbor)
-                if ncost is None:
-                    continue
-                opath = route[2]
-                cost = route[1]
-                if avoided in opath:
-                    vec = offers_get(neighbor)
-                    offer = vec.get(key) if vec else None
-                    if offer is None:
-                        continue
-                    cost = offer[2]
-                    opath = offer[3]
-                if owner in opath or avoided in opath:
-                    continue
-                cand = (ncost + cost, len(opath), opath)
-            if best is None:
-                best = cand
-                tag = [neighbor]
-                continue
-            if cand[0] != best[0]:
-                if cand[0] < best[0]:
-                    best = cand
-                    tag = [neighbor]
-                continue
-            if cand[1] != best[1]:
-                if cand[1] < best[1]:
-                    best = cand
-                    tag = [neighbor]
-                continue
-            if cand[2] is best[2]:
-                tag.append(neighbor)
-                continue
-            lex_c, lex_b = _lex_key(cand[2]), _lex_key(best[2])
-            if lex_c < lex_b:
-                best = cand
-                tag = [neighbor]
-            elif lex_c == lex_b:
-                tag.append(neighbor)
-        return frozenset(tag)
 
     # ------------------------------------------------------------------
     # digests for bank comparison, snapshots

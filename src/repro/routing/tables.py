@@ -188,7 +188,9 @@ class PricingEntry:
 
     price: Cost
     #: Identity tag: nodes that triggered/suggested this entry's value
-    #: (union on pricing ties) — the DATA3* extension of Section 4.3.
+    #: (the paper unions them on pricing ties; under the kernel's total
+    #: order there are none, so it holds one supplier) — the DATA3*
+    #: extension of Section 4.3.
     tag: FrozenSet[NodeId] = frozenset()
 
 

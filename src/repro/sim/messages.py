@@ -71,9 +71,18 @@ class Message:
         """A copy of this message relayed by ``src`` to ``dst``.
 
         Keeps the author and ``msg_id`` so receivers can recognise the
-        message as a forwarded copy of the original.
+        message as a forwarded copy of the original.  The copy shares
+        the original's payload object, so it is built field for field
+        without re-running ``__init__`` and inherits a cached
+        :attr:`size`: relayed cost declarations are most of the
+        messages of a large run.
         """
-        return replace(self, src=src, dst=dst)
+        copy = object.__new__(type(self))
+        fields = copy.__dict__
+        fields.update(self.__dict__)
+        fields["src"] = src
+        fields["dst"] = dst
+        return copy
 
     def altered(self, **payload_updates: Any) -> "Message":
         """A tampered copy with payload fields replaced.
@@ -99,10 +108,11 @@ class Message:
 
         The count is cached per message instance: broadcast vectors can
         hold thousands of rows, and the metrics layer reads ``size`` on
-        every transmission.  Derived messages (``altered``,
-        ``forwarded``, ...) are new instances, so they never inherit a
-        stale cache.  :meth:`seed_size` shares one computed size across
-        the identical copies of a broadcast.
+        every transmission.  A :meth:`forwarded` copy carries the same
+        payload object and inherits the cache; ``altered`` and
+        ``readdressed`` copies start without one, so an altered payload
+        is always counted afresh.  :meth:`seed_size` shares one computed
+        size across the identical copies of a broadcast.
         """
         cached = self.__dict__.get("_size_cache")
         if cached is not None:

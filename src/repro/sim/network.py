@@ -10,7 +10,7 @@ delivery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..errors import SimulationError
 from .messages import NodeId
@@ -123,12 +123,9 @@ class NetworkTopology:
         """True if an (a, b) link exists."""
         return frozenset((a, b)) in self._links
 
-    def delay(self, a: NodeId, b: NodeId) -> float:
-        """The delay of the (a, b) link."""
-        try:
-            return self._links[frozenset((a, b))].delay
-        except KeyError:
-            raise SimulationError(f"no link between {a!r} and {b!r}") from None
+    def link(self, a: NodeId, b: NodeId) -> Optional[Link]:
+        """The (a, b) link, or ``None`` if there is none."""
+        return self._links.get(frozenset((a, b)))
 
     def degree(self, node_id: NodeId) -> int:
         """Number of neighbours (= number of checkers in the faithful

@@ -112,50 +112,44 @@ class Simulator:
     # transmission
     # ------------------------------------------------------------------
 
-    def _link_delay(self, src: NodeId, dst: NodeId) -> float:
-        if src in self._well_known or dst in self._well_known:
-            return 1.0
-        return self.topology.delay(src, dst)
-
-    def _check_reachable(self, src: NodeId, dst: NodeId) -> None:
-        if src in self._well_known or dst in self._well_known:
-            return
-        if not self.topology.has_link(src, dst):
-            raise SimulationError(
-                f"{src!r} cannot send to non-neighbour {dst!r}; "
-                "only the bank is reachable without a link"
-            )
-
     def transmit(self, message: Message) -> None:
         """Accept a message from a node and schedule its delivery.
 
-        In batched mode the message joins the receiver's inbox slot for
+        One link lookup both checks that the endpoints are neighbours
+        (the bank, reachable by all, excepted) and reads the delay.  In
+        batched mode the message joins the receiver's inbox slot for
         its arrival instant; only the slot's first message costs a
         queue event.
         """
-        self._check_reachable(message.src, message.dst)
-        if message.dst not in self._nodes:
-            raise SimulationError(f"message to unknown node {message.dst!r}")
-        self.metrics.record_send(
-            message.src, payload_units=message.size, kind=message.kind
-        )
-        self.trace.record(self._now, TraceKind.SEND, message.src, message)
-        delay = self._link_delay(message.src, message.dst)
+        src = message.src
+        dst = message.dst
+        if src in self._well_known or dst in self._well_known:
+            delay = 1.0
+        else:
+            link = self.topology.link(src, dst)
+            if link is None:
+                raise SimulationError(
+                    f"{src!r} cannot send to non-neighbour {dst!r}; "
+                    "only the bank is reachable without a link"
+                )
+            delay = link.delay
+        if dst not in self._nodes:
+            raise SimulationError(f"message to unknown node {dst!r}")
+        self.metrics.record_send(src, payload_units=message.size, kind=message.kind)
+        self.trace.record(self._now, TraceKind.SEND, src, message)
         arrival = self._now + delay
         if self.batch_delivery:
-            if self._inbox.add(arrival, message.dst, message):
+            if self._inbox.add(arrival, dst, message):
                 self.queue.schedule(
                     arrival,
-                    lambda time=arrival, dst=message.dst: self._deliver_batch(
-                        time, dst
-                    ),
-                    label=f"deliver-batch:->{message.dst}",
+                    lambda time=arrival, dst=dst: self._deliver_batch(time, dst),
+                    label=f"deliver-batch:->{dst}",
                 )
         else:
             self.queue.schedule(
                 arrival,
                 lambda: self._deliver(message),
-                label=f"deliver:{message.kind}:{message.src}->{message.dst}",
+                label=f"deliver:{message.kind}:{src}->{dst}",
             )
 
     def _deliver(self, message: Message) -> None:

@@ -26,7 +26,6 @@ import repro.routing.kernel as kernel_module
 from repro.errors import ConvergenceError
 from repro.routing import (
     FPSSNode,
-    ReplayKernel,
     figure1_graph,
     fixed_point_digests,
     kernel_fixed_point,
@@ -162,9 +161,7 @@ class TestPlantedKernelBugs:
     def test_dropped_tag_supplier_is_caught(self, monkeypatch):
         graph = random_biconnected_graph(10, random.Random(4), extra_edge_prob=0.3)
         monkeypatch.setattr(
-            ReplayKernel,
-            "_supplier_tag",
-            lambda self, destination, avoided: frozenset(),
+            kernel_module, "_tag_of", lambda state, destination: frozenset()
         )
         _, nodes, _ = run_plain_fpss(graph)
         assert_network_matches_kernel(graph, nodes)

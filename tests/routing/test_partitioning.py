@@ -78,9 +78,9 @@ class TestRelaxationExclusion:
             encode_avoid_delta({("z", "k"): RouteEntry(3.0, ("m", "z"))}, {}),
         )
         comp.recompute_avoidance()
-        tag = comp._supplier_tag("z", "k")
-        assert "k" not in tag
-        assert "m" in tag
+        comp.derive_pricing()
+        tag = comp.pricing.entry("z", "k").tag
+        assert tag == frozenset({"m"})
 
 
 class TestFootnote8EndToEnd:

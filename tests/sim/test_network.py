@@ -45,14 +45,14 @@ class TestTopology:
         topo = NetworkTopology.from_edges([("p", "c1"), ("p", "c2"), ("p", "c3")])
         assert topo.degree("p") == 3
 
-    def test_delay_lookup(self):
+    def test_link_lookup(self):
         topo = NetworkTopology()
         topo.add_node("a")
         topo.add_node("b")
-        topo.add_link("a", "b", delay=2.5)
-        assert topo.delay("b", "a") == 2.5
-        with pytest.raises(SimulationError, match="no link"):
-            topo.delay("a", "a")
+        link = topo.add_link("a", "b", delay=2.5)
+        assert topo.link("b", "a") is link
+        assert link.delay == 2.5
+        assert topo.link("a", "a") is None
 
     def test_connectivity(self):
         topo = NetworkTopology.from_edges([("a", "b"), ("c", "d")])

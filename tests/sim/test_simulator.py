@@ -70,8 +70,36 @@ class TestDelivery:
         sim = Simulator(topo)
         for name in "abc":
             sim.add_node(Echo(name))
-        with pytest.raises(SimulationError, match="non-neighbour"):
+        with pytest.raises(
+            SimulationError,
+            match="'a' cannot send to non-neighbour 'c'; "
+            "only the bank is reachable without a link",
+        ):
             sim.node("a").send("c", "ping")
+
+    def test_send_to_unregistered_vertex_rejected(self):
+        topo = NetworkTopology.from_edges([("a", "b")])
+        sim = Simulator(topo)
+        sim.add_node(Echo("a"))
+        with pytest.raises(SimulationError, match="message to unknown node 'b'"):
+            sim.node("a").send("b", "ping")
+
+    def test_bank_traffic_takes_unit_delay(self):
+        """A well-known endpoint needs no link, and its channel takes
+        one tick whatever the topology's link delays are."""
+        topo = NetworkTopology()
+        topo.add_node("a")
+        topo.add_node("b")
+        topo.add_link("a", "b", delay=5.0)
+        sim = Simulator(topo)
+        a, bank = Echo("a"), Echo("bank")
+        sim.add_node(a)
+        sim.add_node(Echo("b"))
+        sim.add_node(bank, well_known=True)
+        a.send("bank", "ping")
+        sim.run_until_quiescent()
+        assert (bank.pings, a.pongs) == (1, 1)
+        assert sim.now == 2.0
 
     def test_unknown_handler_raises(self):
         sim, a, b = make_pair()
