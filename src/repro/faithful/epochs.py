@@ -14,6 +14,9 @@ epoch per entry of a :class:`~repro.sim.churn.ChurnSchedule`.  Each
 epoch applies its events at network quiescence, then re-runs both
 construction phases from scratch — the paper's recomputation protocol,
 where DATA1 re-floods and phase 2 restarts on the post-event graph.
+Every epoch runs :func:`~repro.faithful.protocol.construct_checked`,
+the step :func:`~repro.faithful.protocol.run_checked_construction`
+runs once: checked construction is epoch 0 of checked churn.
 
 Mirror re-anchoring is the load-bearing invariant: with shared
 checking, :meth:`~repro.routing.kernel.MirrorKernelPool.new_epoch` must
@@ -44,17 +47,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..errors import ConvergenceError, SimulationError
-from ..obs.trace import emit_counters, emit_marker
+from ..errors import SimulationError
+from ..obs.trace import emit_counters
+from ..routing.convergence import link_delay
 from ..routing.dynamic import verify_epoch_equivalence
-from ..routing.convergence import topology_from_graph
 from ..routing.graph import ASGraph, NodeId
 from ..routing.kernel import KernelStats, MirrorKernelPool
 from ..sim.churn import ChurnEvent, ChurnSchedule, apply_churn_epoch
 from ..sim.simulator import Simulator
 from .audit import Flag
 from .node import FaithfulRoutingNode, encode_flag
-from .protocol import FaithfulNodeFactory, TrafficMatrix
+from .protocol import (
+    FaithfulNodeFactory,
+    TrafficMatrix,
+    build_checked_network,
+    construct_checked,
+    originating_flows,
+    run_execution,
+    verify_mirror_agreement,
+)
 from .settlement import NettingLedger
 
 #: Event kinds the faithful epoch runner accepts (membership-preserving).
@@ -123,14 +134,6 @@ class CheckedChurnRun:
         return self.kernel_stats().seed_mismatches
 
 
-def _resolve_delay(link_delays, a: NodeId, b: NodeId) -> float:
-    if callable(link_delays):
-        return float(link_delays(a, b))
-    if isinstance(link_delays, dict):
-        return float(link_delays.get(frozenset((a, b)), 1.0))
-    return float(link_delays)
-
-
 def run_checked_churn(
     graph: ASGraph,
     schedule: ChurnSchedule,
@@ -173,25 +176,13 @@ def run_checked_churn(
                     f"got {event.kind!r}; membership churn runs on the "
                     f"plain mechanism (repro.routing.dynamic)"
                 )
-    graph.require_biconnected()
-    simulator = Simulator(
-        topology_from_graph(graph, delay=link_delays),
-        trace_enabled=False,
-        batch_delivery=batch_delivery,
-    )
     pool = MirrorKernelPool() if shared_checking else None
-    factory = node_factory or (
-        lambda node_id, cost, signing: FaithfulRoutingNode(node_id, cost, signing)
+    simulator, nodes = build_checked_network(
+        graph, pool, link_delays, batch_delivery, node_factory
     )
-    nodes: Dict[NodeId, FaithfulRoutingNode] = {}
-    for node_id in graph.nodes:
-        node = factory(node_id, graph.cost(node_id), None)
-        node.mirror_pool = pool
-        nodes[node_id] = node
-        simulator.add_node(node)
     node_ids = tuple(sorted(nodes, key=repr))
-    flows = sorted(dict(traffic or {}).items(), key=repr)
-    ledger = NettingLedger() if flows else None
+    flows = originating_flows(traffic or {})
+    ledger = NettingLedger() if traffic else None
     #: Last-seen declared payment totals per payer; the per-epoch
     #: delta is what gets recorded as this epoch's obligations.
     payment_snapshots: Dict[NodeId, Dict[NodeId, float]] = {
@@ -199,44 +190,10 @@ def run_checked_churn(
     }
 
     def construct(epoch: int, events: Tuple[ChurnEvent, ...], current: ASGraph) -> CheckedEpoch:
-        for node_id in node_ids:
-            simulator.schedule_local(
-                node_id, 0.0, nodes[node_id].start_phase1, label="phase1"
-            )
-        phase1_events = simulator.run_until_quiescent(max_events=max_events)
-        for node_id in node_ids:
-            node = nodes[node_id]
-            live = set(current.neighbors(node_id))
-            # Re-anchor the checking relation on the new topology:
-            # mirrors of ex-neighbours are dropped (their flags were
-            # already collected at the previous epoch's checkpoint).
-            for principal in tuple(node.mirrors):
-                if principal not in live:
-                    del node.mirrors[principal]
-            node.prepare_checking(
-                {
-                    neighbor: current.neighbors(neighbor)
-                    for neighbor in current.neighbors(node_id)
-                }
-            )
-        if pool is not None and (epoch == 0 or epoch_bump):
-            pool.new_epoch()
-            emit_marker("mirror.epoch", sim_time=simulator.now, epoch=epoch)
-        for node_id in node_ids:
-            simulator.schedule_local(
-                node_id, 0.0, nodes[node_id].start_phase2, label="phase2"
-            )
-        phase2_events = simulator.run_until_quiescent(max_events=max_events)
-
-        flags: List[Flag] = []
-        for node_id in node_ids:
-            node = nodes[node_id]
-            for _principal, mirror in sorted(
-                node.mirrors.items(), key=lambda kv: repr(kv[0])
-            ):
-                if mirror.comp is None:
-                    continue
-                flags.extend(mirror.checkpoint_flags())
+        phase1_events, phase2_events, flags = construct_checked(
+            simulator, nodes, current, pool, max_events,
+            epoch=epoch, bump=epoch == 0 or epoch_bump,
+        )
         flags.sort(key=Flag.sort_key)
 
         report = CheckedEpoch(
@@ -247,11 +204,11 @@ def run_checked_churn(
             phase2_events=phase2_events,
             flags=[encode_flag(f) for f in flags],
         )
-        if flows:
+        if ledger is not None:
             _route_epoch(report)
         if verify and not report.flags:
             verify_epoch_equivalence(current, nodes)
-            _verify_mirror_agreement(nodes)
+            verify_mirror_agreement(nodes)
         if epoch > 0:
             emit_counters(
                 "churn",
@@ -265,28 +222,20 @@ def run_checked_churn(
 
     def _route_epoch(report: CheckedEpoch) -> None:
         before = sum(nodes[n].data4.total for n in node_ids)
-        for node_id in node_ids:
-            nodes[node_id].start_execution()
-        for (source, destination), volume in flows:
-            if volume <= 0 or source == destination:
-                continue
-            node = nodes[source]
-            assert node.comp is not None
-            entry = node.comp.routing.entry(destination)
+        routable = []
+        for source, destination, volume in flows:
+            comp = nodes[source].comp
+            assert comp is not None
+            entry = comp.routing.entry(destination)
             if entry is None:
                 report.unroutable_flows += 1
                 continue
-            simulator.schedule_local(
-                source,
-                0.0,
-                lambda n=node, d=destination, v=volume: n.originate_flow(d, v),
-                label="originate",
-            )
-            report.routed_flows += 1
+            routable.append((source, destination, volume))
             # One per-flow transfer per transit hop on the LCP — the
             # payment count netting is measured against.
             report.per_flow_transfers += max(0, len(entry.path) - 2)
-        simulator.run_until_quiescent(max_events=max_events)
+        report.routed_flows = len(routable)
+        run_execution(simulator, nodes, routable, max_events)
         report.payments_total = (
             sum(nodes[n].data4.total for n in node_ids) - before
         )
@@ -350,29 +299,10 @@ def run_checked_churn(
                 topology.remove_link(a, b)
             else:  # link-up
                 a, b = event.link  # type: ignore[misc]
-                topology.add_link(a, b, delay=_resolve_delay(link_delays, a, b))
+                topology.add_link(a, b, delay=link_delay(link_delays, a, b))
         run.graph = current
         run.epochs.append(construct(index, events, current))
     return run
-
-
-def _verify_mirror_agreement(nodes: Dict[NodeId, FaithfulRoutingNode]) -> None:
-    """Every live mirror's replayed digests equal its principal's own."""
-    for node_id in sorted(nodes, key=repr):
-        node = nodes[node_id]
-        for principal, mirror in node.mirrors.items():
-            if mirror.comp is None:
-                continue
-            principal_comp = nodes[principal].comp
-            assert principal_comp is not None
-            if (
-                mirror.routing_digest() != principal_comp.routing_digest()
-                or mirror.pricing_digest() != principal_comp.pricing_digest()
-            ):
-                raise ConvergenceError(
-                    f"mirror of {principal!r} at {node_id!r} disagrees with "
-                    f"the principal's own tables after reconvergence"
-                )
 
 
 __all__ = [

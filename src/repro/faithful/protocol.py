@@ -12,7 +12,10 @@ checkers, no bank examination, reported payments taken at face value —
 providing the baseline that shows *why* the extension is needed
 (experiment E5).  :func:`run_checked_construction` isolates the fully
 mirrored construction (no bank, no traffic) for the checker-scaling
-benchmarks and parity tests.
+benchmarks and parity tests; its step, :func:`construct_checked`, is
+every epoch of :func:`~repro.faithful.epochs.run_checked_churn`, so
+checked construction is epoch 0 of checked churn.  All of them build
+and run their phases through :mod:`repro.routing.convergence`.
 
 Utility model (Section 4.3 assumptions):
 
@@ -27,19 +30,21 @@ Utility model (Section 4.3 assumptions):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..errors import ConvergenceError
 from ..obs.trace import emit_marker
+from ..routing.convergence import build_network, run_phase, verify_against_oracle
 from ..routing.fpss import FPSSNode
 from ..routing.graph import ASGraph, Cost, NodeId
 from ..routing.kernel import KernelStats, MirrorKernelPool
 from ..sim.crypto import SigningAuthority
 from ..sim.simulator import Simulator
-from ..routing.convergence import topology_from_graph, verify_against_oracle
 from .audit import DetectionReport, Flag
 from .bank import BankNode
-from .node import BANK_ID, FaithfulRoutingNode
+from .mirror import PrincipalMirror
+from .node import BANK_ID, FaithfulRoutingNode, encode_flag
 
 #: (source, destination) -> packet volume.
 TrafficMatrix = Mapping[Tuple[NodeId, NodeId], float]
@@ -67,6 +72,69 @@ class RunResult:
     def utility_of(self, node_id: NodeId) -> float:
         """One node's realised utility."""
         return self.utilities[node_id]
+
+
+def originating_flows(
+    traffic: TrafficMatrix,
+) -> List[Tuple[NodeId, NodeId, float]]:
+    """The flows of positive volume between distinct nodes, in ``repr`` order."""
+    return [
+        (source, destination, volume)
+        for (source, destination), volume in sorted(traffic.items(), key=repr)
+        if volume > 0 and source != destination
+    ]
+
+
+def run_execution(
+    simulator: Simulator,
+    nodes: Mapping[NodeId, FPSSNode],
+    flows: List[Tuple[NodeId, NodeId, float]],
+    max_events: int,
+) -> None:
+    """Start the execution phase, originate ``flows``, and quiesce."""
+    emit_marker("protocol.phase", sim_time=simulator.now, phase="execution")
+    for node_id in sorted(nodes, key=repr):
+        nodes[node_id].start_execution()
+    for source, destination, volume in flows:
+        simulator.schedule_local(
+            source,
+            0.0,
+            partial(nodes[source].originate_flow, destination, volume),
+            label="originate",
+        )
+    simulator.run_until_quiescent(max_events=max_events)
+
+
+def anchor_checkers(
+    nodes: Mapping[NodeId, FaithfulRoutingNode], graph: ASGraph
+) -> None:
+    """The checker-setup handshake on ``graph``'s links.
+
+    Mirrors of ex-neighbours are dropped (their flags were collected at
+    an earlier checkpoint); every node learns its neighbours' links.
+    """
+    for node_id in sorted(nodes, key=repr):
+        node = nodes[node_id]
+        neighbors = graph.neighbors(node_id)
+        for principal in tuple(node.mirrors):
+            if principal not in neighbors:
+                del node.mirrors[principal]
+        node.prepare_checking(
+            {neighbor: graph.neighbors(neighbor) for neighbor in neighbors}
+        )
+
+
+def live_mirrors(
+    nodes: Mapping[NodeId, FaithfulRoutingNode]
+) -> Iterator[Tuple[NodeId, NodeId, PrincipalMirror]]:
+    """``(checker, principal, mirror)`` for every started mirror, in
+    ``repr`` order of checker, then principal."""
+    for node_id in sorted(nodes, key=repr):
+        for principal, mirror in sorted(
+            nodes[node_id].mirrors.items(), key=lambda kv: repr(kv[0])
+        ):
+            if mirror.comp is not None:
+                yield node_id, principal, mirror
 
 
 class FaithfulFPSSProtocol:
@@ -108,7 +176,6 @@ class FaithfulFPSSProtocol:
         max_restarts: int = 2,
         epsilon: float = 0.01,
         no_progress_utility: float = -1000.0,
-        trace_enabled: bool = False,
         max_events: int = 2_000_000,
         link_delays=1.0,
         bank_honors_flags: bool = True,
@@ -118,15 +185,10 @@ class FaithfulFPSSProtocol:
         graph.require_biconnected()
         self.graph = graph
         self.traffic = dict(traffic)
-        self.node_factory = node_factory or (
-            lambda node_id, cost, signing: FaithfulRoutingNode(
-                node_id, cost, signing
-            )
-        )
+        self.node_factory = node_factory or FaithfulRoutingNode
         self.max_restarts = max_restarts
         self.epsilon = epsilon
         self.no_progress_utility = no_progress_utility
-        self.trace_enabled = trace_enabled
         self.max_events = max_events
         #: Constant, mapping, or callable per-link delay (asynchrony).
         self.link_delays = link_delays
@@ -154,20 +216,17 @@ class FaithfulFPSSProtocol:
 
     def _build(self) -> Tuple[Simulator, Dict[NodeId, FaithfulRoutingNode], BankNode]:
         signing = SigningAuthority()
-        simulator = Simulator(
-            topology_from_graph(self.graph, delay=self.link_delays),
-            trace_enabled=self.trace_enabled,
-        )
-        nodes: Dict[NodeId, FaithfulRoutingNode] = {}
         self.mirror_pool = MirrorKernelPool() if self.shared_checking else None
-        for node_id in self.graph.nodes:
+
+        def make_node(node_id: NodeId, cost: Cost) -> FaithfulRoutingNode:
             signing.register(node_id)
-            node = self.node_factory(node_id, self.graph.cost(node_id), signing)
+            node = self.node_factory(node_id, cost, signing)
             if self.node_adapters is not None:
                 self.node_adapters(node)
             node.mirror_pool = self.mirror_pool
-            nodes[node_id] = node
-            simulator.add_node(node)
+            return node
+
+        simulator, nodes = build_network(self.graph, make_node, self.link_delays)
         signing.register(BANK_ID)
         bank = BankNode(signing)
         simulator.add_node(bank, well_known=True)
@@ -175,10 +234,6 @@ class FaithfulFPSSProtocol:
 
     def _quiesce(self, simulator: Simulator) -> int:
         return simulator.run_until_quiescent(max_events=self.max_events)
-
-    def _checker_map(self) -> Dict[NodeId, Tuple[NodeId, ...]]:
-        """Every neighbour of a node is a checker for that node."""
-        return {n: self.graph.neighbors(n) for n in self.graph.nodes}
 
     # ------------------------------------------------------------------
     # run
@@ -193,105 +248,25 @@ class FaithfulFPSSProtocol:
         self.bank = bank
         node_ids = tuple(sorted(nodes, key=repr))
         detection = DetectionReport()
-        checker_map = self._checker_map()
-        construction_events = 0
 
-        # ---------------- first construction phase -------------------
-        phase1_certified = False
-        for _attempt in range(self.max_restarts + 1):
-            emit_marker(
-                "protocol.phase",
-                sim_time=simulator.now,
-                phase="phase1",
-                attempt=_attempt,
+        certified, construction_events = self._certify(
+            simulator, nodes, bank, detection, "phase1", ("phase1",)
+        )
+        if certified:
+            anchor_checkers(nodes, self.graph)
+            certified, events = self._certify(
+                simulator, nodes, bank, detection, "phase2", ("bank1", "bank2")
             )
-            for node_id in node_ids:
-                simulator.schedule_local(
-                    node_id, 0.0, nodes[node_id].start_phase1, label="phase1"
-                )
-            construction_events += self._quiesce(simulator)
-            bank.request_reports("phase1", node_ids)
-            construction_events += self._quiesce(simulator)
-            decision = bank.decide_phase1(node_ids)
-            detection.record(decision)
-            if decision.green_light:
-                phase1_certified = True
-                break
-        if not phase1_certified:
-            return self._no_progress_result(
-                simulator, nodes, detection, construction_events
-            )
-
-        # Checker-setup handshake: share connectivity with checkers.
-        for node_id in node_ids:
-            nodes[node_id].prepare_checking(
-                {
-                    neighbor: self.graph.neighbors(neighbor)
-                    for neighbor in self.graph.neighbors(node_id)
-                }
-            )
-
-        # ---------------- second construction phase ------------------
-        phase2_certified = False
-        for _attempt in range(self.max_restarts + 1):
-            emit_marker(
-                "protocol.phase",
-                sim_time=simulator.now,
-                phase="phase2",
-                attempt=_attempt,
-            )
-            if self.mirror_pool is not None:
-                # A restart replays the phase from scratch; restarted
-                # mirrors must never attach to a consumed op log.
-                self.mirror_pool.new_epoch()
-                emit_marker("mirror.epoch", sim_time=simulator.now)
-            for node_id in node_ids:
-                simulator.schedule_local(
-                    node_id, 0.0, nodes[node_id].start_phase2, label="phase2"
-                )
-            construction_events += self._quiesce(simulator)
-
-            bank.request_reports("bank1", node_ids)
-            construction_events += self._quiesce(simulator)
-            decision1 = bank.decide_bank1(
-                checker_map, honor_flags=self.bank_honors_flags
-            )
-            detection.record(decision1)
-            if decision1.deviation_detected:
-                continue
-
-            bank.request_reports("bank2", node_ids)
-            construction_events += self._quiesce(simulator)
-            decision2 = bank.decide_bank2(
-                checker_map, honor_flags=self.bank_honors_flags
-            )
-            detection.record(decision2)
-            if decision2.deviation_detected:
-                continue
-            phase2_certified = True
-            break
-        if not phase2_certified:
+            construction_events += events
+        if not certified:
             return self._no_progress_result(
                 simulator, nodes, detection, construction_events
             )
 
         # ---------------- execution phase ----------------------------
-        emit_marker(
-            "protocol.phase", sim_time=simulator.now, phase="execution"
+        run_execution(
+            simulator, nodes, originating_flows(self.traffic), self.max_events
         )
-        for node_id in node_ids:
-            nodes[node_id].start_execution()
-        for (source, destination), volume in sorted(self.traffic.items(), key=repr):
-            if volume <= 0:
-                continue
-            node = nodes[source]
-            simulator.schedule_local(
-                source,
-                0.0,
-                lambda n=node, d=destination, v=volume: n.originate_flow(d, v),
-                label="originate",
-            )
-        self._quiesce(simulator)
 
         bank.request_reports("execution", node_ids)
         self._quiesce(simulator)
@@ -332,6 +307,58 @@ class FaithfulFPSSProtocol:
             construction_events=construction_events,
         )
 
+    def _certify(
+        self,
+        simulator: Simulator,
+        nodes: Mapping[NodeId, FaithfulRoutingNode],
+        bank: BankNode,
+        detection: DetectionReport,
+        phase: str,
+        stages: Tuple[str, ...],
+    ) -> Tuple[bool, int]:
+        """Run ``phase`` until every bank checkpoint green-lights it.
+
+        Each attempt starts the phase on every node, then walks the
+        checkpoint ``stages`` in order: the bank requests the stage's
+        reports, the network quiesces, the bank decides, and a red
+        light restarts the phase.  Returns whether the phase certified
+        within the restart budget, and the events run.
+        """
+        node_ids = tuple(sorted(nodes, key=repr))
+        # Every neighbour of a node is a checker for that node.
+        checker_map = {n: self.graph.neighbors(n) for n in self.graph.nodes}
+        events = 0
+        for attempt in range(self.max_restarts + 1):
+            emit_marker(
+                "protocol.phase", sim_time=simulator.now, phase=phase,
+                attempt=attempt,
+            )
+            if phase == "phase2" and self.mirror_pool is not None:
+                # A restart replays the phase from scratch; restarted
+                # mirrors must never attach to a consumed op log.
+                self.mirror_pool.new_epoch()
+                emit_marker("mirror.epoch", sim_time=simulator.now)
+            events += run_phase(simulator, nodes, phase, self.max_events)
+            for stage in stages:
+                bank.request_reports(stage, node_ids)
+                events += self._quiesce(simulator)
+                if stage == "phase1":
+                    decision = bank.decide_phase1(node_ids)
+                elif stage == "bank1":
+                    decision = bank.decide_bank1(
+                        checker_map, honor_flags=self.bank_honors_flags
+                    )
+                else:
+                    decision = bank.decide_bank2(
+                        checker_map, honor_flags=self.bank_honors_flags
+                    )
+                detection.record(decision)
+                if not decision.green_light:
+                    break
+            else:
+                return True, events
+        return False, events
+
     def _no_progress_result(
         self,
         simulator: Simulator,
@@ -364,63 +391,32 @@ class PlainFPSSProtocol:
         graph: ASGraph,
         traffic: TrafficMatrix,
         node_factory: Optional[PlainNodeFactory] = None,
-        trace_enabled: bool = False,
         max_events: int = 2_000_000,
         link_delays=1.0,
     ) -> None:
         graph.require_biconnected()
         self.graph = graph
         self.traffic = dict(traffic)
-        self.node_factory = node_factory or (
-            lambda node_id, cost: FPSSNode(node_id, cost)
-        )
-        self.trace_enabled = trace_enabled
+        self.node_factory = node_factory or FPSSNode
         self.max_events = max_events
         self.link_delays = link_delays
 
     def run(self) -> RunResult:
         """Construction to quiescence, traffic, trusting settlement."""
-        simulator = Simulator(
-            topology_from_graph(self.graph, delay=self.link_delays),
-            trace_enabled=self.trace_enabled,
+        simulator, nodes = build_network(
+            self.graph, self.node_factory, self.link_delays
         )
-        nodes: Dict[NodeId, FPSSNode] = {}
-        for node_id in self.graph.nodes:
-            node = self.node_factory(node_id, self.graph.cost(node_id))
-            nodes[node_id] = node
-            simulator.add_node(node)
         node_ids = tuple(sorted(nodes, key=repr))
 
         construction_events = 0
-        emit_marker("protocol.phase", sim_time=simulator.now, phase="phase1")
-        for node_id in node_ids:
-            simulator.schedule_local(
-                node_id, 0.0, nodes[node_id].start_phase1, label="phase1"
+        for phase in ("phase1", "phase2"):
+            emit_marker("protocol.phase", sim_time=simulator.now, phase=phase)
+            construction_events += run_phase(
+                simulator, nodes, phase, self.max_events
             )
-        construction_events += simulator.run_until_quiescent(self.max_events)
-        emit_marker("protocol.phase", sim_time=simulator.now, phase="phase2")
-        for node_id in node_ids:
-            simulator.schedule_local(
-                node_id, 0.0, nodes[node_id].start_phase2, label="phase2"
-            )
-        construction_events += simulator.run_until_quiescent(self.max_events)
-
-        emit_marker(
-            "protocol.phase", sim_time=simulator.now, phase="execution"
+        run_execution(
+            simulator, nodes, originating_flows(self.traffic), self.max_events
         )
-        for node_id in node_ids:
-            nodes[node_id].start_execution()
-        for (source, destination), volume in sorted(self.traffic.items(), key=repr):
-            if volume <= 0:
-                continue
-            node = nodes[source]
-            simulator.schedule_local(
-                source,
-                0.0,
-                lambda n=node, d=destination, v=volume: n.originate_flow(d, v),
-                label="originate",
-            )
-        simulator.run_until_quiescent(self.max_events)
 
         # Trusting settlement: reported DATA4 is simply executed.
         received: Dict[NodeId, float] = {n: 0.0 for n in node_ids}
@@ -470,6 +466,57 @@ class CheckedConstruction:
         return self.simulator.metrics.summary()
 
 
+def build_checked_network(
+    graph: ASGraph,
+    pool: Optional[MirrorKernelPool],
+    link_delays=1.0,
+    batch_delivery: bool = True,
+    node_factory: Optional[FaithfulNodeFactory] = None,
+) -> Tuple[Simulator, Dict[NodeId, FaithfulRoutingNode]]:
+    """A fully mirrored network: no bank, every mirror on ``pool``."""
+    graph.require_biconnected()
+    factory = node_factory or FaithfulRoutingNode
+
+    def make_node(node_id: NodeId, cost: Cost) -> FaithfulRoutingNode:
+        node = factory(node_id, cost, None)
+        node.mirror_pool = pool
+        return node
+
+    return build_network(graph, make_node, link_delays, batch_delivery)
+
+
+def construct_checked(
+    simulator: Simulator,
+    nodes: Mapping[NodeId, FaithfulRoutingNode],
+    graph: ASGraph,
+    pool: Optional[MirrorKernelPool],
+    max_events: int,
+    epoch: int = 0,
+    bump: bool = True,
+) -> Tuple[int, int, List[Flag]]:
+    """One checked construction on ``graph``, epoch ``epoch`` of a run.
+
+    Phase 1, :func:`anchor_checkers`, the pool's epoch bump (unless
+    ``bump`` is False), phase 2.  Returns both phases' event counts and
+    every live mirror's checkpoint flags in :func:`live_mirrors` order.
+    """
+    emit_marker("protocol.phase", sim_time=simulator.now, phase="phase1")
+    phase1_events = run_phase(simulator, nodes, "phase1", max_events)
+    anchor_checkers(nodes, graph)
+    if pool is not None and bump:
+        # Restarted mirrors must never attach to a consumed op log.
+        pool.new_epoch()
+        emit_marker("mirror.epoch", sim_time=simulator.now, epoch=epoch)
+    emit_marker("protocol.phase", sim_time=simulator.now, phase="phase2")
+    phase2_events = run_phase(simulator, nodes, "phase2", max_events)
+    flags = [
+        flag
+        for _checker, _principal, mirror in live_mirrors(nodes)
+        for flag in mirror.checkpoint_flags()
+    ]
+    return phase1_events, phase2_events, flags
+
+
 def run_checked_construction(
     graph: ASGraph,
     link_delays=1.0,
@@ -483,77 +530,57 @@ def run_checked_construction(
     Every node is a :class:`FaithfulRoutingNode` checking all of its
     neighbours; there is no bank and no execution phase, so the result
     isolates exactly the checked-construction cost the shared replay
-    kernel deduplicates.  ``shared_checking`` toggles the
+    kernel deduplicates; it is epoch 0 of
+    :func:`~repro.faithful.epochs.run_checked_churn`.
+    ``shared_checking`` toggles the
     :class:`~repro.routing.kernel.MirrorKernelPool` (True) against the
     per-neighbour reference replay (False); both produce bit-identical
     flags and digests.  Returns the quiesced network plus the
     quiescence-time checkpoint flags of every mirror (empty for an
     obedient network).
     """
-    graph.require_biconnected()
-    simulator = Simulator(
-        topology_from_graph(graph, delay=link_delays),
-        trace_enabled=False,
-        batch_delivery=batch_delivery,
-    )
     pool = MirrorKernelPool() if shared_checking else None
-    factory = node_factory or (
-        lambda node_id, cost, signing: FaithfulRoutingNode(node_id, cost, signing)
+    simulator, nodes = build_checked_network(
+        graph, pool, link_delays, batch_delivery, node_factory
     )
-    nodes: Dict[NodeId, FaithfulRoutingNode] = {}
-    for node_id in graph.nodes:
-        node = factory(node_id, graph.cost(node_id), None)
-        node.mirror_pool = pool
-        nodes[node_id] = node
-        simulator.add_node(node)
-    node_ids = tuple(sorted(nodes, key=repr))
-
-    emit_marker("protocol.phase", sim_time=simulator.now, phase="phase1")
-    for node_id in node_ids:
-        simulator.schedule_local(
-            node_id, 0.0, nodes[node_id].start_phase1, label="phase1"
-        )
-    phase1_events = simulator.run_until_quiescent(max_events=max_events)
-
-    for node_id in node_ids:
-        nodes[node_id].prepare_checking(
-            {
-                neighbor: graph.neighbors(neighbor)
-                for neighbor in graph.neighbors(node_id)
-            }
-        )
-    if pool is not None:
-        pool.new_epoch()
-        emit_marker("mirror.epoch", sim_time=simulator.now)
-    emit_marker("protocol.phase", sim_time=simulator.now, phase="phase2")
-    for node_id in node_ids:
-        simulator.schedule_local(
-            node_id, 0.0, nodes[node_id].start_phase2, label="phase2"
-        )
-    phase2_events = simulator.run_until_quiescent(max_events=max_events)
-
-    flags: list = []
+    phase1_events, phase2_events, flags = construct_checked(
+        simulator, nodes, graph, pool, max_events
+    )
     kernel_stats = pool.collected_stats() if pool is not None else KernelStats()
-    for node_id in node_ids:
-        for _principal, mirror in sorted(
-            nodes[node_id].mirrors.items(), key=lambda kv: repr(kv[0])
-        ):
-            if mirror.comp is None:
-                continue
-            flags.extend(mirror.checkpoint_flags())
-            # Forked and seed-mismatched mirrors replay privately;
-            # their work lives on their own kernels, not the pool.
-            private = mirror.private_kernel_stats()
-            if private is not None:
-                kernel_stats.merge(private)
+    for _checker, _principal, mirror in live_mirrors(nodes):
+        # Forked and seed-mismatched mirrors replay privately; their
+        # work lives on their own kernels, not the pool.
+        private = mirror.private_kernel_stats()
+        if private is not None:
+            kernel_stats.merge(private)
     return CheckedConstruction(
         simulator=simulator,
-        nodes=dict(nodes),
+        nodes=nodes,
         phase1_events=phase1_events,
         phase2_events=phase2_events,
         flags=flags,
         kernel_stats=kernel_stats,
     )
+
+
+def verify_mirror_agreement(nodes: Mapping[NodeId, FaithfulRoutingNode]) -> None:
+    """Every live mirror's replayed digests equal its principal's own.
+
+    The BANK1/BANK2 comparison without the bank; raises
+    :class:`~repro.errors.ConvergenceError` naming the first mirror
+    that disagrees.
+    """
+    for node_id, principal, mirror in live_mirrors(nodes):
+        principal_comp = nodes[principal].comp
+        assert principal_comp is not None
+        if (
+            mirror.routing_digest() != principal_comp.routing_digest()
+            or mirror.pricing_digest() != principal_comp.pricing_digest()
+        ):
+            raise ConvergenceError(
+                f"mirror of {principal!r} at {node_id!r} disagrees "
+                f"with the principal's own tables"
+            )
 
 
 def verify_checked_network(
@@ -577,23 +604,9 @@ def verify_checked_network(
             f"checked run raised {len(checked.flags)} flag(s): "
             f"{checked.flags[:3]!r}"
         )
-    nodes = checked.nodes
-    for node_id, node in nodes.items():
-        for principal, mirror in node.mirrors.items():
-            if mirror.comp is None:
-                continue
-            principal_comp = nodes[principal].comp
-            assert principal_comp is not None
-            if (
-                mirror.routing_digest() != principal_comp.routing_digest()
-                or mirror.pricing_digest() != principal_comp.pricing_digest()
-            ):
-                raise ConvergenceError(
-                    f"mirror of {principal!r} at {node_id!r} disagrees "
-                    f"with the principal's own tables"
-                )
+    verify_mirror_agreement(checked.nodes)
     if check_oracle:
-        verify_against_oracle(graph, nodes)
+        verify_against_oracle(graph, checked.nodes)
 
 
 def collect_construction_flags(
@@ -607,8 +620,6 @@ def collect_construction_flags(
     bit-identical detection output regardless of mirror iteration
     order.
     """
-    from .node import encode_flag
-
     flags: list = []
     for node_id in sorted(nodes, key=repr):
         node = nodes[node_id]

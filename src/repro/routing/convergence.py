@@ -1,14 +1,17 @@
-"""Helpers to run the plain FPSS protocol to convergence.
+"""One network builder and one phase step for every FPSS driver.
 
-Builds a simulator from an :class:`~repro.routing.graph.ASGraph` —
-with homogeneous or per-link (``link_delays``) delays, and batched or
-per-message delivery — drives the two construction phases to
-quiescence, and cross-checks the distributed fixed point against the
-centralized oracle.  The default configuration (batched delivery plus
-the incremental relaxations of :mod:`repro.routing.fpss`) is what the
-convergence sweep probe and the benchmarks measure; the knobs exist so
-the equivalence tests can run the same graph in every mode and compare
-fixed points.
+Every run has the same shape (Section 4): phase 1 floods DATA1, phase 2
+relaxes DATA2/DATA3*, each to quiescence.  :func:`build_network` builds
+the simulator for an :class:`~repro.routing.graph.ASGraph` (per-link
+delays from :func:`link_delay`, batched or per-message delivery) and
+:func:`run_phase` runs one phase; every driver — the plain helpers
+here, :mod:`repro.faithful.protocol`, :mod:`repro.faithful.epochs` and
+:mod:`repro.routing.dynamic` — goes through both, so one graph gives
+every driver the same events in the same order.  The default
+configuration (batched delivery plus the incremental relaxations of
+:mod:`repro.routing.fpss`) is what the convergence sweep probe and the
+benchmarks measure; the knobs exist so the equivalence tests can run
+the same graph in every mode and compare fixed points.
 
 Oracles
 -------
@@ -29,6 +32,7 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from ..errors import ConvergenceError
 from ..sim.network import NetworkTopology
+from ..sim.node import ProtocolNode
 from ..sim.simulator import Simulator
 from .engine import engine_for
 from .fpss import FPSSNode
@@ -36,36 +40,79 @@ from .graph import ASGraph, Cost, NodeId
 from .vcg_payments import _source_payments
 
 
+def link_delay(delays, a: NodeId, b: NodeId) -> float:
+    """Link ``a``-``b``'s delay under ``delays``, as a float.
+
+    ``delays`` is a constant, a callable ``delays(a, b)``, or a mapping
+    ``frozenset({a, b}) -> delay`` that gives every link it does not
+    name the unit delay.  Heterogeneous delays make the network
+    asynchronous; the faithful extension only relies on per-link FIFO.
+    """
+    if callable(delays):
+        return float(delays(a, b))
+    if isinstance(delays, Mapping):
+        return float(delays.get(frozenset((a, b)), 1.0))
+    return float(delays)
+
+
 def topology_from_graph(graph: ASGraph, delay=1.0) -> NetworkTopology:
     """A simulator topology mirroring the AS graph's links.
 
-    Parameters
-    ----------
-    delay:
-        Either a constant, a mapping ``frozenset({a, b}) -> delay``, or
-        a callable ``delay(a, b) -> float``.  Heterogeneous delays make
-        the network asynchronous across links; the faithful extension
-        only relies on per-link FIFO, which any fixed per-link delay
-        preserves.
+    ``delay`` is resolved per link by :func:`link_delay`.
     """
     topology = NetworkTopology()
     for node in graph.nodes:
         topology.add_node(node)
     for a, b in graph.edges:
-        if callable(delay):
-            link_delay = delay(a, b)
-        elif isinstance(delay, dict):
-            link_delay = delay[frozenset((a, b))]
-        else:
-            link_delay = delay
-        topology.add_link(a, b, delay=link_delay)
+        topology.add_link(a, b, delay=link_delay(delay, a, b))
     return topology
+
+
+def build_network(
+    graph: ASGraph,
+    make_node: Callable[[NodeId, Cost], ProtocolNode],
+    link_delays=1.0,
+    batch_delivery: bool = True,
+) -> Tuple[Simulator, Dict[NodeId, ProtocolNode]]:
+    """A simulator with one ``make_node(node_id, cost)`` node per vertex.
+
+    Nodes are made and added in graph order.  ``batch_delivery=False``
+    turns off same-instant delivery coalescing (one recomputation per
+    message instead of per batch; same fixed point either way).
+    """
+    simulator = Simulator(
+        topology_from_graph(graph, delay=link_delays),
+        batch_delivery=batch_delivery,
+    )
+    nodes: Dict[NodeId, ProtocolNode] = {}
+    for node_id in graph.nodes:
+        node = make_node(node_id, graph.cost(node_id))
+        nodes[node_id] = node
+        simulator.add_node(node)
+    return simulator, nodes
+
+
+def run_phase(
+    simulator: Simulator,
+    nodes: Mapping[NodeId, FPSSNode],
+    phase: str,
+    max_events: int,
+) -> int:
+    """Start ``phase`` on every node and run it to quiescence.
+
+    Schedules each node's ``start_<phase>`` now, in ``repr`` order of
+    node ids, then drains the queue; returns the events processed.
+    """
+    for node_id in sorted(nodes, key=repr):
+        simulator.schedule_local(
+            node_id, 0.0, getattr(nodes[node_id], "start_" + phase), label=phase
+        )
+    return simulator.run_until_quiescent(max_events=max_events)
 
 
 def build_plain_network(
     graph: ASGraph,
     node_factory: Optional[Callable[[NodeId, Cost], FPSSNode]] = None,
-    trace_enabled: bool = False,
     link_delays=1.0,
     batch_delivery: bool = True,
 ) -> Tuple[Simulator, Dict[NodeId, FPSSNode]]:
@@ -73,24 +120,10 @@ def build_plain_network(
 
     ``node_factory`` lets callers substitute manipulation subclasses
     for chosen nodes; the default builds obedient :class:`FPSSNode`.
-    ``link_delays`` is forwarded to :func:`topology_from_graph`, so
-    heterogeneous (per-link) delays model asynchrony.
-    ``batch_delivery=False`` turns off the simulator's same-instant
-    delivery coalescing (one recomputation per message instead of one
-    per batch; same fixed point either way).
     """
-    factory = node_factory or (lambda node_id, cost: FPSSNode(node_id, cost))
-    simulator = Simulator(
-        topology_from_graph(graph, delay=link_delays),
-        trace_enabled=trace_enabled,
-        batch_delivery=batch_delivery,
+    return build_network(
+        graph, node_factory or FPSSNode, link_delays, batch_delivery
     )
-    nodes: Dict[NodeId, FPSSNode] = {}
-    for node_id in graph.nodes:
-        node = factory(node_id, graph.cost(node_id))
-        nodes[node_id] = node
-        simulator.add_node(node)
-    return simulator, nodes
 
 
 @dataclass
@@ -114,18 +147,8 @@ def run_construction_phases(
     max_events: int = 2_000_000,
 ) -> ConvergenceStats:
     """Drive phase 1 then phase 2 to quiescence."""
-    for node_id in sorted(nodes, key=repr):
-        simulator.schedule_local(
-            node_id, 0.0, nodes[node_id].start_phase1, label="start-phase1"
-        )
-    phase1_events = simulator.run_until_quiescent(max_events=max_events)
-
-    for node_id in sorted(nodes, key=repr):
-        simulator.schedule_local(
-            node_id, 0.0, nodes[node_id].start_phase2, label="start-phase2"
-        )
-    phase2_events = simulator.run_until_quiescent(max_events=max_events)
-
+    phase1_events = run_phase(simulator, nodes, "phase1", max_events)
+    phase2_events = run_phase(simulator, nodes, "phase2", max_events)
     return ConvergenceStats(
         phase1_events=phase1_events,
         phase2_events=phase2_events,
@@ -137,7 +160,6 @@ def run_construction_phases(
 def run_plain_fpss(
     graph: ASGraph,
     node_factory: Optional[Callable[[NodeId, Cost], FPSSNode]] = None,
-    trace_enabled: bool = False,
     link_delays=1.0,
     max_events: int = 2_000_000,
     batch_delivery: bool = True,
@@ -151,12 +173,9 @@ def run_plain_fpss(
     node_factory:
         Optional ``(node_id, cost) -> FPSSNode`` substitution hook for
         manipulation subclasses; obedient :class:`FPSSNode` otherwise.
-    trace_enabled:
-        Record a full simulator trace (off by default — large runs).
     link_delays:
-        Constant, ``frozenset({a, b}) -> delay`` mapping, or callable
-        ``delay(a, b)`` giving per-link delays; heterogeneous values
-        make the run asynchronous across links.
+        Per-link delays, resolved by :func:`link_delay`;
+        heterogeneous values make the run asynchronous across links.
     max_events:
         Event budget per construction phase before a
         :class:`~repro.errors.ConvergenceError` is raised.
@@ -172,7 +191,6 @@ def run_plain_fpss(
     simulator, nodes = build_plain_network(
         graph,
         node_factory=node_factory,
-        trace_enabled=trace_enabled,
         link_delays=link_delays,
         batch_delivery=batch_delivery,
     )

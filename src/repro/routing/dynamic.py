@@ -50,7 +50,8 @@ from ..sim.churn import ChurnEvent, ChurnSchedule, apply_churn_event
 from ..sim.simulator import Simulator
 from .convergence import (
     ConvergenceStats,
-    build_plain_network,
+    build_network,
+    link_delay,
     run_construction_phases,
 )
 from .fpss import FPSSNode
@@ -174,7 +175,6 @@ class DynamicTopologyEngine:
         node_factory: Optional[Callable[[NodeId, Cost], FPSSNode]] = None,
         link_delays=1.0,
         batch_delivery: bool = True,
-        trace_enabled: bool = False,
         verify: bool = True,
         max_events: int = 2_000_000,
     ) -> None:
@@ -182,15 +182,9 @@ class DynamicTopologyEngine:
         self.verify = verify
         self.max_events = max_events
         self._link_delays = link_delays
-        self._factory = node_factory or (
-            lambda node_id, cost: FPSSNode(node_id, cost)
-        )
-        self.simulator, self.nodes = build_plain_network(
-            graph,
-            node_factory=node_factory,
-            trace_enabled=trace_enabled,
-            link_delays=link_delays,
-            batch_delivery=batch_delivery,
+        self._factory = node_factory or FPSSNode
+        self.simulator, self.nodes = build_network(
+            graph, self._factory, link_delays, batch_delivery
         )
         self.active: Set[NodeId] = set(graph.nodes)
         self.epoch = 0
@@ -305,15 +299,6 @@ class DynamicTopologyEngine:
     def _sorted_active(self) -> List[NodeId]:
         return sorted(self.active, key=repr)
 
-    def _delay_for(self, a: NodeId, b: NodeId) -> float:
-        delays = self._link_delays
-        if callable(delays):
-            return delays(a, b)
-        if isinstance(delays, dict):
-            # New links may have no configured delay; default to unit.
-            return delays.get(frozenset((a, b)), 1.0)
-        return float(delays)
-
     def _comp(self, node_id: NodeId):
         """The node's live kernel, or ``None`` before its join kick.
 
@@ -348,7 +333,7 @@ class DynamicTopologyEngine:
                     comp.detach_neighbor(peer)
         elif event.kind == "link-up":
             a, b = event.link  # type: ignore[misc]
-            topology.add_link(a, b, delay=self._delay_for(a, b))
+            topology.add_link(a, b, delay=link_delay(self._link_delays, a, b))
             for end, peer in ((a, b), (b, a)):
                 comp = self._comp(end)
                 if comp is not None:
@@ -380,7 +365,9 @@ class DynamicTopologyEngine:
             peers = []
             for pair in event.links:
                 peer = pair[1] if pair[0] == node_id else pair[0]
-                topology.add_link(node_id, peer, delay=self._delay_for(node_id, peer))
+                topology.add_link(
+                    node_id, peer, delay=link_delay(self._link_delays, node_id, peer)
+                )
                 peers.append(peer)
             for member in self._sorted_active():
                 comp = self._comp(member)

@@ -2,8 +2,8 @@
 
 Provides the deterministic event queue, static FIFO-link topologies,
 protocol node processes, failure-model adapters (including rational
-manipulation, Section 3), simulated signing for bank channels, traces,
-and overhead metrics.
+manipulation, Section 3), simulated signing for bank channels, and
+overhead metrics.
 """
 
 from .crypto import SigningAuthority, stable_hash
@@ -22,7 +22,6 @@ from .metrics import MetricsRegistry, NodeMetrics
 from .network import Link, NetworkTopology
 from .node import ProtocolNode
 from .simulator import Simulator
-from .trace import Trace, TraceEvent, TraceKind
 
 __all__ = [
     "ByzantineAdapter",
@@ -43,8 +42,5 @@ __all__ = [
     "RationalAdapter",
     "SigningAuthority",
     "Simulator",
-    "Trace",
-    "TraceEvent",
-    "TraceKind",
     "stable_hash",
 ]

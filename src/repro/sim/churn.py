@@ -91,7 +91,7 @@ class ChurnEvent:
                     raise SimulationError("self-loop link in join event")
 
     def describe(self) -> str:
-        """A compact deterministic label for telemetry and traces."""
+        """A compact deterministic label for telemetry."""
         if self.kind == "cost":
             return f"cost:{self.node!r}={self.cost}"
         if self.kind in ("link-down", "link-up"):

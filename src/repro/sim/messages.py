@@ -4,7 +4,7 @@ A message is an immutable envelope: sender, receiver, a ``kind`` tag
 that selects the handler on the receiving node, and a payload dict.
 Tampering (for Byzantine/rational adapters) is modelled by building a
 *new* message via :meth:`Message.altered`; originals are never mutated,
-so traces always show both what was sent and what was delivered.
+so the sent and the delivered message stay distinct objects.
 """
 
 from __future__ import annotations

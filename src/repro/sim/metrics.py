@@ -23,6 +23,8 @@ class NodeMetrics:
     payload_units_sent: int = 0
     computations: int = 0
     checker_computations: int = 0
+    #: Messages this node's inbound or outbound filter suppressed.
+    messages_dropped: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict view used in reports."""
@@ -32,6 +34,7 @@ class NodeMetrics:
             "payload_units_sent": self.payload_units_sent,
             "computations": self.computations,
             "checker_computations": self.checker_computations,
+            "messages_dropped": self.messages_dropped,
         }
 
 

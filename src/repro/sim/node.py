@@ -93,7 +93,7 @@ class ProtocolNode:
         """Transmit a pre-built message through the outbound filter."""
         filtered = self.outbound(message)
         if filtered is None:
-            self.sim.note_drop(self.node_id, message, reason="outbound-filter")
+            self.sim.note_drop(self.node_id)
             return None
         self.sim.transmit(filtered)
         return filtered
@@ -134,7 +134,7 @@ class ProtocolNode:
         """Entry point used by the simulator for an arriving message."""
         filtered = self.inbound(message)
         if filtered is None:
-            self.sim.note_drop(self.node_id, message, reason="inbound-filter")
+            self.sim.note_drop(self.node_id)
             return
         self.dispatch(filtered)
 
@@ -143,7 +143,7 @@ class ProtocolNode:
 
         Invoked by the simulator in batched-delivery mode with the
         batch in send order.  Each message replays the per-message path
-        (metrics, trace, inbound filter, dispatch, in that order per
+        (metrics, inbound filter, dispatch, in that order per
         message) with :attr:`_in_batch` set, so plain nodes behave
         identically in both modes; the :meth:`flush_batch` hook then
         runs exactly once at the batch boundary.  Protocol nodes that

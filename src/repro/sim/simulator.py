@@ -1,8 +1,8 @@
 """The discrete-event simulator.
 
 Couples a :class:`~repro.sim.network.NetworkTopology`, a set of
-:class:`~repro.sim.node.ProtocolNode` processes, an event queue, a
-trace, and a metrics registry.  ``run_until_quiescent`` drives the
+:class:`~repro.sim.node.ProtocolNode` processes, an event queue and a
+metrics registry.  ``run_until_quiescent`` drives the
 system to a fixed point — the "network quiescence point" at which the
 paper's bank performs its BANK1/BANK2 checks.
 
@@ -33,7 +33,6 @@ from .messages import Message, NodeId
 from .metrics import MetricsRegistry
 from .network import NetworkTopology
 from .node import ProtocolNode
-from .trace import Trace, TraceKind
 
 
 class Simulator:
@@ -46,8 +45,6 @@ class Simulator:
         except for nodes registered as *well-known* (the bank), which
         every node can reach directly — modelling the paper's signed
         out-of-band bank channel.
-    trace_enabled:
-        Record a full event trace (disable for large sweeps).
     batch_delivery:
         Coalesce same-instant deliveries to one node into one event
         (the default).  ``False`` restores per-message delivery events.
@@ -56,12 +53,10 @@ class Simulator:
     def __init__(
         self,
         topology: NetworkTopology,
-        trace_enabled: bool = True,
         batch_delivery: bool = True,
     ) -> None:
         self.topology = topology
         self.queue = EventQueue()
-        self.trace = Trace(enabled=trace_enabled)
         self.metrics = MetricsRegistry()
         self.batch_delivery = batch_delivery
         self._inbox = DeliveryInbox()
@@ -136,7 +131,6 @@ class Simulator:
         if dst not in self._nodes:
             raise SimulationError(f"message to unknown node {dst!r}")
         self.metrics.record_send(src, payload_units=message.size, kind=message.kind)
-        self.trace.record(self._now, TraceKind.SEND, src, message)
         arrival = self._now + delay
         if self.batch_delivery:
             if self._inbox.add(arrival, dst, message):
@@ -154,7 +148,6 @@ class Simulator:
 
     def _deliver(self, message: Message) -> None:
         self.metrics.record_receive(message.dst)
-        self.trace.record(self._now, TraceKind.DELIVER, message.dst, message)
         self._nodes[message.dst].deliver(message)
 
     def _deliver_batch(self, time: float, dst: NodeId) -> None:
@@ -165,14 +158,14 @@ class Simulator:
         """Account for and process one message of a delivery batch.
 
         Called back by :meth:`ProtocolNode.deliver_batch` loops so that
-        per-message metrics and trace entries interleave with handler
+        per-message metrics interleave with handler
         effects exactly as they do in unbatched mode.
         """
         self._deliver(message)
 
-    def note_drop(self, node_id: NodeId, message: Message, reason: str) -> None:
-        """Record that a filter suppressed a message."""
-        self.trace.record(self._now, TraceKind.DROP, node_id, message, reason=reason)
+    def note_drop(self, node_id: NodeId) -> None:
+        """Count a message that ``node_id``'s filter suppressed."""
+        self.metrics.node(node_id).messages_dropped += 1
 
     def schedule_local(
         self, node_id: NodeId, delay: float, callback, label: str = ""

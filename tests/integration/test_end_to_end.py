@@ -166,10 +166,8 @@ class TestLargerTopology:
 
 class TestPacketPathIntegrity:
     def test_flows_traverse_the_lcp(self, fig1):
-        """Trace-level check: X->Z packets visit exactly X-D-C-Z."""
-        protocol = FaithfulFPSSProtocol(
-            fig1, {("X", "Z"): 1.0}, trace_enabled=True
-        )
+        """X->Z packets visit exactly X-D-C-Z."""
+        protocol = FaithfulFPSSProtocol(fig1, {("X", "Z"): 1.0})
         result = protocol.run()
         assert result.progressed
         oracle = lowest_cost_path(fig1, "X", "Z")

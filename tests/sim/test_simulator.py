@@ -158,8 +158,23 @@ class TestFiltersAndHooks:
         a.send("b", "ping")
         sim.run_until_quiescent()
         assert b.pings == 0
-        drops = [e for e in sim.trace.events if e.kind.value == "drop"]
-        assert len(drops) == 1
+        assert sim.metrics.node("a").messages_dropped == 1
+        assert sim.metrics.node("b").messages_dropped == 0
+        # Dropped before the wire: never sent, never delivered.
+        assert sim.metrics.summary()["total_messages"] == 0
+
+    def test_inbound_filter_drop(self):
+        sim, a, b = make_pair()
+        b.inbound = lambda message: None
+        a.send("b", "ping")
+        a.send("b", "ping")
+        sim.run_until_quiescent()
+        assert b.pings == 0 and a.pongs == 0
+        # Sent and delivered, then suppressed at the receiver.
+        assert sim.metrics.node("a").messages_sent == 2
+        assert sim.metrics.node("b").messages_received == 2
+        assert sim.metrics.node("b").messages_dropped == 2
+        assert sim.metrics.node("a").messages_dropped == 0
 
     def test_inbound_filter_replace(self):
         sim, a, b = make_pair()
