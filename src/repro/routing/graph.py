@@ -10,6 +10,7 @@ every source-destination pair connected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
@@ -25,7 +26,8 @@ class ASGraph:
     Parameters
     ----------
     costs:
-        Mapping node id -> true per-packet transit cost (non-negative).
+        Mapping node id -> true per-packet transit cost (finite and
+        non-negative).
     edges:
         Iterable of (a, b) pairs; both endpoints must appear in costs.
     """
@@ -39,6 +41,8 @@ class ASGraph:
         for node, cost in costs.items():
             if cost < 0:
                 raise GraphError(f"transit cost of {node!r} is negative: {cost}")
+            if not math.isfinite(cost):
+                raise GraphError(f"transit cost of {node!r} is not finite: {cost}")
             self._costs[node] = float(cost)
 
         self._adjacency: Dict[NodeId, Set[NodeId]] = {n: set() for n in self._costs}

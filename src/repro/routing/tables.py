@@ -13,25 +13,162 @@ Section 4.1 lists the state every FPSS node maintains:
 
 The faithful extension (Section 4.3) replaces DATA3 with **DATA3***,
 which additionally stores an *identity tag* per pricing entry: the node
-that triggered the most recent pricing update (a set, because pricing
-ties union their suggesters).  Spoofed pricing messages create
-inconsistencies in these tags that BANK2 catches.
+that supplied the entry's ``d^{-k}`` value.  The paper unions suggesters
+on pricing ties; every neighbour offers a path that starts with itself,
+so under the kernel's total order there are none and every tag is a
+singleton (kept as a set, the paper's type).  Spoofed pricing messages
+create inconsistencies in these tags that BANK2 catches.
 
 All tables support a :meth:`stable_digest` so the bank can compare a
 principal's table against its checkers' mirrors by hash, as the paper
-suggests ("a hash of the entire table is sufficient").
+suggests ("a hash of the entire table is sufficient").  DATA1, DATA2
+and DATA3* write the JSON text that :func:`~repro.sim.crypto.stable_hash`
+hashes for ``as_dict()`` in one pass over their entries, so their
+digests equal ``stable_hash(table.as_dict())`` bit for bit without
+building its canonical tree.  A table whose ids the one-pass encoder
+does not cover (two keys with one ``repr``, or a container as an id)
+is hashed by ``stable_hash`` itself.
 """
 
 from __future__ import annotations
 
+import hashlib
+import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from json.encoder import encode_basestring_ascii as _json_string
+from operator import itemgetter
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from ..errors import RoutingError
 from ..sim.crypto import stable_hash
 from .graph import Cost, NodeId
 
 INFINITY = float("inf")
+
+
+# ----------------------------------------------------------------------
+# one-pass digests: the text stable_hash writes, without its tree
+# ----------------------------------------------------------------------
+
+
+class _Fallback(Exception):
+    """The one-pass encoder cannot match ``stable_hash`` on this table."""
+
+
+_CONTAINERS = (dict, list, tuple, set, frozenset)
+#: Types whose equal values of one type share one canonical text, so
+#: they may share a memo slot (``Decimal("1.0") == Decimal("1.00")``
+#: has two reprs, so other types are encoded at every occurrence).
+_MEMO_TYPES = frozenset((str, int, float, bool))
+
+
+def _scalar_json(value: Any) -> str:
+    """``stable_hash``'s JSON text for one scalar (a node id or a cost).
+
+    Same number rule: an ``int``/``float`` (not ``bool``) with
+    ``float(v) == int(v)`` is ``["num", repr(int(v))]``, anything else
+    ``["atom", repr(v)]`` with the string escaped as ``json.dumps`` does.
+    """
+    cls = value.__class__
+    if cls is float:
+        # float(v) is v; int(v) raises on inf and nan, as stable_hash does.
+        if value == int(value):
+            return '["num", "%d"]' % value
+        return '["atom", "%r"]' % value  # a float repr needs no escape
+    if cls is str:
+        return '["atom", ' + _json_string(repr(value)) + "]"
+    if isinstance(value, _CONTAINERS):
+        raise _Fallback
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        # lint: allow[float-eq] stable_hash's exact integrality rule, not a cost comparison
+        if float(value) == int(value):
+            return '["num", "' + repr(int(value)) + '"]'
+    return '["atom", ' + _json_string(repr(value)) + "]"
+
+
+class _Texts(dict):
+    """Per-digest memo: ``(type(node), node)`` -> canonical JSON text.
+
+    Keyed by type as well: ``1``, ``1.0`` and ``True`` are one dict key
+    with three encodings.
+    """
+
+    def __missing__(self, key: Tuple[type, Any]) -> str:
+        text = _scalar_json(key[1])
+        if key[0] in _MEMO_TYPES:
+            self[key] = text
+        return text
+
+    def join(self, nodes: Iterable[NodeId]) -> str:
+        """The items of ``["seq", [...]]`` over a path or a sorted tag."""
+        return ", ".join([self[n.__class__, n] for n in nodes])
+
+
+def _sorted_items(mapping: Mapping[Any, Any]) -> List[Tuple[str, Any]]:
+    """``(repr(key), value)`` in ``repr`` order, as ``stable_hash``
+    sorts a dict.  It breaks a ``repr`` tie on the canonical value,
+    which this encoder does not build, so a tie falls back."""
+    if len(mapping) < 2:
+        return [(repr(key), value) for key, value in mapping.items()]
+    reprs = list(map(repr, mapping))
+    if len(set(reprs)) != len(reprs):
+        raise _Fallback
+    return sorted(zip(reprs, mapping.values()), key=itemgetter(0))
+
+
+#: ``[key, ["seq", [number, ["seq", [nodes]]]]]``: a DATA2 row (cost,
+#: path) or a DATA3* cell (price, sorted tag).
+_PAIR_ROW = '[%s, ["seq", [%s, ["seq", [%s]]]]]'
+
+
+def _dict_sha256(rows: List[str]) -> str:
+    text = '["dict", [' + ", ".join(rows) + "]]"
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def _costs_digest(costs: Mapping[NodeId, Cost]) -> str:
+    return _dict_sha256(
+        [
+            "[" + _json_string(r) + ", " + _scalar_json(cost) + "]"
+            for r, cost in _sorted_items(costs)
+        ]
+    )
+
+
+def _routes_digest(entries: Mapping[NodeId, "RouteEntry"]) -> str:
+    texts = _Texts()
+    return _dict_sha256(
+        [
+            _PAIR_ROW % (_json_string(r), _scalar_json(e.cost), texts.join(e.path))
+            for r, e in _sorted_items(entries)
+        ]
+    )
+
+
+def _prices_digest(entries: Mapping[NodeId, Mapping[NodeId, "PricingEntry"]]) -> str:
+    texts = _Texts()
+    rows = []
+    for r, row in _sorted_items(entries):
+        cells = [
+            _PAIR_ROW
+            % (
+                _json_string(r_transit),
+                _scalar_json(cell.price),
+                texts.join(cell.tag if len(cell.tag) < 2 else sorted(cell.tag, key=repr)),
+            )
+            for r_transit, cell in _sorted_items(row)
+        ]
+        rows.append("[" + _json_string(r) + ', ["dict", [' + ", ".join(cells) + "]]]")
+    return _dict_sha256(rows)
+
+
+def _table_digest(encode: Callable[[Any], str], entries: Any, table: Any) -> str:
+    """``encode(entries)``, or ``stable_hash(table.as_dict())`` where the
+    one-pass encoder cannot match it."""
+    try:
+        return encode(entries)
+    except _Fallback:
+        return stable_hash(table.as_dict())
 
 
 @dataclass(frozen=True)
@@ -72,6 +209,8 @@ class TransitCostTable:
         """Record a declaration; returns True if this changed the table."""
         if cost < 0:
             raise RoutingError(f"negative declared cost for {node!r}")
+        if not math.isfinite(cost):
+            raise RoutingError(f"non-finite declared cost for {node!r}: {cost}")
         if self._costs.get(node) == cost:
             return False
         self._costs[node] = float(cost)
@@ -115,7 +254,7 @@ class TransitCostTable:
     def stable_digest(self) -> str:
         """Hash for bank comparisons (cached until the next change)."""
         if self._digest is None:
-            self._digest = stable_hash(self._costs)
+            self._digest = _table_digest(_costs_digest, self._costs, self)
         return self._digest
 
 
@@ -178,7 +317,7 @@ class RoutingTable:
     def stable_digest(self) -> str:
         """Hash for BANK1 comparisons (cached until the next change)."""
         if self._digest is None:
-            self._digest = stable_hash(self.as_dict())
+            self._digest = _table_digest(_routes_digest, self._entries, self)
         return self._digest
 
 
@@ -267,7 +406,7 @@ class PricingTable:
         """Hash (prices *and* tags) for BANK2 comparisons (cached until
         the next change)."""
         if self._digest is None:
-            self._digest = stable_hash(self.as_dict())
+            self._digest = _table_digest(_prices_digest, self._entries, self)
         return self._digest
 
 

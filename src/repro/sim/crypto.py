@@ -108,6 +108,15 @@ def stable_hash(value: Any) -> str:
     than the tables themselves ("a hash of the entire table is
     sufficient", BANK1).  This helper provides that digest for any
     nested structure of dicts, tuples, sets, and scalars.
+
+    It is also the definition of the digest byte format: the SHA-256 of
+    ``json.dumps`` (default separators, ASCII escapes) over the
+    canonical tree built here.  The DATA1/DATA2/DATA3* tables of
+    ``routing/tables.py`` write the same text in one pass over their
+    entries and must equal ``stable_hash(table.as_dict())`` bit for
+    bit; ``tests/routing/test_table_digests.py`` holds them to it and
+    pins the hex values.  Change this function and every table digest
+    (and those pins) changes with it.
     """
 
     def canonical(v: Any) -> Any:

@@ -16,6 +16,18 @@ class TestConstruction:
         with pytest.raises(GraphError, match="negative"):
             ASGraph({"a": -1.0}, [])
 
+    @pytest.mark.parametrize("cost", [float("inf"), float("nan")])
+    def test_non_finite_cost_rejected(self, cost):
+        # Before the check, a faithful run on such a graph died inside
+        # the DATA1 digest (OverflowError on inf, ValueError on nan).
+        with pytest.raises(GraphError, match="not finite"):
+            ASGraph({"a": 1.0, "b": cost}, [("a", "b")])
+
+    def test_with_costs_rejects_non_finite_cost(self):
+        graph = ASGraph({"a": 1.0, "b": 2.0}, [("a", "b")])
+        with pytest.raises(GraphError, match="not finite"):
+            graph.with_costs({"b": float("inf")})
+
     def test_self_loop_rejected(self):
         with pytest.raises(GraphError, match="self-loop"):
             ASGraph({"a": 1.0}, [("a", "a")])

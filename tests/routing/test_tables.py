@@ -24,6 +24,14 @@ class TestTransitCostTable:
         with pytest.raises(RoutingError, match="negative"):
             TransitCostTable().declare("a", -1.0)
 
+    @pytest.mark.parametrize("cost", [float("inf"), float("nan")])
+    def test_non_finite_cost_rejected(self, cost):
+        table = TransitCostTable()
+        with pytest.raises(RoutingError, match="non-finite"):
+            table.declare("a", cost)
+        assert not table.knows("a")
+        assert table.stable_digest() == TransitCostTable().stable_digest()
+
     def test_lookup(self):
         table = TransitCostTable()
         table.declare("a", 2.0)
