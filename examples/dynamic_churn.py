@@ -127,7 +127,7 @@ def main():
     print(f"  with epoch bump:  seed_mismatches={checked.seed_mismatches}, "
           f"shared_hits={checked.kernel_stats().shared_hits}")
     print(f"  bump skipped:     seed_mismatches={skipped.seed_mismatches} "
-          f"(loud — sharing refused, mirrors replay privately)")
+          f"(loud — sharing refused, mirrors replay on logs of their own)")
 
 
 if __name__ == "__main__":

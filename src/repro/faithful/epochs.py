@@ -25,9 +25,8 @@ attaches to a consumed op log.  Skipping the bump (``epoch_bump=False``,
 kept as a regression seam) is *detected, never silent*: a stale shared
 kernel's seed no longer matches the checkers' freshly derived one, so
 :meth:`~repro.routing.kernel.MirrorKernelPool.acquire` refuses to share
-(counting ``seed_mismatches``) and every mirror falls back to its
-private per-neighbour replay — digests stay correct, the pool stats
-scream.
+(counting ``seed_mismatches``) and every mirror starts a replay log of
+its own — digests stay correct, the pool stats scream.
 
 Detection flags carry the epoch they fired in: each
 :class:`CheckedEpoch` holds exactly the flags its own quiescence

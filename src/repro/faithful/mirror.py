@@ -25,24 +25,30 @@ copy-returned (the checker verifies them against a ground-truth
 ledger), keeping the replay ordered identically to the principal's
 receive order.
 
-Shared vs. per-neighbour replay
--------------------------------
-Because a principal's copies reach all of its checkers identically, a
-mirror may be started with a :class:`~repro.routing.kernel.
-SharedKernel` (``shared=``): the expensive replayed kernel is then one
-instance per principal per simulated host, advanced by whichever
-mirror reaches the op-log frontier first, while every other mirror
-*verifies* its own ops against the log and reuses the recorded
-predictions.  Per-mirror state shrinks to the own-sent ledger, the
-expected-broadcast queues, the deferred-flush flag, and a log cursor.
-The first op that diverges from the log — different copies to
-different checkers, selectively dropped copies, a lazy checker — forks
-the mirror onto a private kernel replaying its *own* verified prefix,
-so the flags and digests each mirror produces are bit-identical to the
-per-neighbour replay in every case (property-tested in
-``tests/faithful/test_shared_mirror.py``).  A mirror started without
-``shared`` runs the per-neighbour replay directly — the retained
-reference path.
+One replay path
+---------------
+Every mirror replays through a :class:`~repro.routing.kernel.
+SharedKernel` replay log: one replayed kernel plus the op log that
+advanced it.  Because a principal's copies reach all of its checkers
+identically, a mirror normally follows the log its host's
+:class:`~repro.routing.kernel.MirrorKernelPool` keeps for the
+principal: the expensive replayed kernel is then one instance per
+principal per simulated host, advanced by whichever mirror reaches the
+log frontier first, while every other mirror *verifies* its own ops
+against the log and reuses the recorded predictions.  Per-mirror state
+shrinks to the own-sent ledger, the expected-broadcast queues, the
+deferred-flush flag, and a log cursor.
+
+A mirror with no pool, or whose seed the pool refused, starts a log of
+its own (:meth:`~repro.routing.kernel.SharedKernel.seeded`) and stays
+at its frontier.  The first op that diverges from a shared log —
+different copies to different checkers, selectively dropped copies, a
+lazy checker — forks the mirror onto a new log of its own that
+replays its *own* verified prefix
+(:meth:`~repro.routing.kernel.SharedKernel.fork_at`).  So the flags and
+digests each mirror produces equal those of a mirror that replayed
+alone from the start, in every case (property-tested against
+``shared_checking=False`` in ``tests/faithful/test_shared_mirror.py``).
 """
 
 from __future__ import annotations
@@ -50,15 +56,12 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..routing.fpss import (
-    FPSSComputation,
-    KIND_PRICE_UPDATE,
-    KIND_RT_UPDATE,
-)
+from ..routing.fpss import KIND_PRICE_UPDATE, KIND_RT_UPDATE
 from ..routing.graph import Cost
 from ..routing.kernel import (
     OP_DIVERGED,
     OP_EXTENDED,
+    KernelStats,
     ReplayKernel,
     SharedKernel,
 )
@@ -82,12 +85,12 @@ class PrincipalMirror:
     def __init__(self, checker_id: NodeId, principal_id: NodeId) -> None:
         self.checker_id = checker_id
         self.principal_id = principal_id
-        #: Private replayed kernel (per-neighbour mode, or a fork off a
-        #: shared kernel after divergence).
-        self._private: Optional[ReplayKernel] = None
-        #: Shared kernel this mirror follows, if any.
-        self._shared: Optional[SharedKernel] = None
-        #: This mirror's position in the shared op log.
+        #: The replay log this mirror follows (None before phase 2).
+        self._log: Optional[SharedKernel] = None
+        #: Whether the log is this mirror's own (started unpooled, or
+        #: forked) rather than one its pool shares.
+        self._owns_log = False
+        #: This mirror's position in the op log.
         self._cursor = 0
         self.flags: List[Flag] = []
         #: Broadcast vectors the replay says the principal must emit
@@ -107,39 +110,31 @@ class PrincipalMirror:
 
     @property
     def comp(self) -> Optional[ReplayKernel]:
-        """The effective replayed computation, or None before phase 2.
+        """The replayed computation, or None before phase 2.
 
-        Non-materialising: while following a shared kernel the returned
+        Non-materialising: while following a shared log the returned
         object may be *ahead* of this mirror's cursor (another checker
         advanced it).  Use it for identity/None checks and static
         attributes (``neighbors``); read table state through
         :meth:`computation`, which settles the mirror to its own
         position first.
         """
-        if self._private is not None:
-            return self._private
-        if self._shared is not None:
-            return self._shared.kernel
-        return None
+        return self._log.kernel if self._log is not None else None
 
     def computation(self) -> ReplayKernel:
         """The replayed kernel *at this mirror's own position*.
 
-        At the frontier (the common case — every quiescence point) this
-        is the shared kernel itself; behind the frontier (e.g. a lazy
-        checker that stopped replaying) the mirror forks onto a private
-        kernel replaying its own verified prefix, so the state it
-        exposes is exactly what its per-neighbour replay would hold.
+        At the frontier (the common case — every quiescence point, and
+        always on a log of the mirror's own) this is the log's kernel
+        itself; behind the frontier (e.g. a lazy checker that stopped
+        replaying) the mirror forks onto a log replaying its own
+        verified prefix, so the state it exposes is exactly what a
+        mirror replaying alone would hold.
         """
-        if self._private is not None:
-            return self._private
-        shared = self._shared
-        assert shared is not None, "mirror has not started phase 2"
-        if self._cursor == shared.frontier:
-            return shared.kernel
-        self._fork()
-        assert self._private is not None
-        return self._private
+        assert self._log is not None, "mirror has not started phase 2"
+        if self._cursor != self._log.frontier:
+            self._fork()
+        return self._log.kernel
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -157,11 +152,11 @@ class PrincipalMirror:
         ``known_costs`` is the converged DATA1 from phase 1 (common to
         all nodes once the phase-1 checkpoint green-lights), which the
         principal's computation reads during relaxation.  With
-        ``shared`` the mirror follows that kernel's op log instead of
-        replaying privately; the caller (see
+        ``shared`` the mirror follows that log; the caller (see
         :meth:`~repro.routing.kernel.MirrorKernelPool.acquire`) is
-        responsible for only passing a kernel whose seed matches these
-        arguments — the sharing invariant.
+        responsible for only passing a log whose seed matches these
+        arguments — the sharing invariant.  Without it the mirror
+        starts a log of its own from these arguments.
         """
         self.flags = []
         self._expected_route.clear()
@@ -172,29 +167,17 @@ class PrincipalMirror:
         self.replays_run = 0
         self._replays_emitted = 0
         self._flags_emitted = 0
-        if shared is not None:
-            self._shared = shared
-            self._private = None
-            # The shared kernel already replicated the principal's
-            # start_phase2 (reset, settle, unconditional initial
-            # announcements); queue the recorded predictions.
-            self._expected_route.append(shared.initial_route)
-            self._expected_price.append(shared.initial_price)
-            return
-        self._shared = None
-        comp = FPSSComputation(
-            self.principal_id, principal_neighbors, declared_cost
-        )
-        for node, cost in known_costs.items():
-            comp.note_cost_declaration(node, cost)
-        # Replicate the principal's start_phase2: reset tables, settle
-        # once, and announce both vectors unconditionally (a delta
-        # against the empty baseline).
-        comp.reset_phase2()
-        route_delta, price_delta = comp.settle()
-        self._private = comp
-        self._expected_route.append(route_delta or ())
-        self._expected_price.append(price_delta or ())
+        self._owns_log = shared is None
+        if shared is None:
+            shared = SharedKernel.seeded(
+                self.principal_id, principal_neighbors, declared_cost, known_costs
+            )
+        self._log = shared
+        # The log already replicated the principal's start_phase2
+        # (reset, settle, unconditional initial announcements); queue
+        # the recorded predictions.
+        self._expected_route.append(shared.initial_route)
+        self._expected_price.append(shared.initial_price)
 
     def _flag(self, kind: FlagKind, **detail) -> None:
         self.flags.append(
@@ -208,11 +191,10 @@ class PrincipalMirror:
         )
 
     def _fork(self) -> None:
-        """Leave the shared log for a private kernel at this cursor."""
-        shared = self._shared
-        assert shared is not None
-        self._private = shared.fork_at(self._cursor)
-        self._shared = None
+        """Leave the shared log for a log of its own at this cursor."""
+        assert self._log is not None
+        self._log = self._log.fork_at(self._cursor)
+        self._owns_log = True
         if BUS.enabled:
             # Forks are rare (a deviant principal treating checkers
             # unequally, or a lazy checker behind the frontier) and
@@ -270,9 +252,8 @@ class PrincipalMirror:
         the checker's batch boundary coincides with the principal's.
 
         Returns True when this call executed kernel work itself
-        (ingestion at the shared frontier, or any private replay) and
-        False when it was satisfied from the shared op log — the
-        metrics-relevant distinction.
+        (ingestion at the log frontier) and False when it was
+        satisfied from the op log — the metrics-relevant distinction.
         """
         comp = self.comp
         if comp is None:
@@ -297,55 +278,40 @@ class PrincipalMirror:
         return self._replay() or ran
 
     def _ingest(self, orig_kind: str, orig_src: NodeId, rows: Tuple) -> bool:
-        """Apply one copy to the private kernel or the shared log."""
-        private = self._private
-        if private is None and self._shared is not None:
-            outcome = self._shared.ingest(self._cursor, orig_kind, orig_src, rows)
-            if outcome is not OP_DIVERGED:
-                self._cursor += 1
-                return outcome is OP_EXTENDED
+        """Submit one copy to the log at this mirror's cursor."""
+        assert self._log is not None
+        outcome = self._log.ingest(self._cursor, orig_kind, orig_src, rows)
+        if outcome is OP_DIVERGED:
             # This checker's stream differs from the logged one (a
             # deviant principal treats its checkers unequally): fork
-            # onto the verified prefix and continue privately.
+            # onto the verified prefix, whose frontier is the cursor.
             self._fork()
-            private = self._private
-        assert private is not None
-        if orig_kind == KIND_RT_UPDATE:
-            private.apply_route_delta(orig_src, rows)
-        else:
-            private.apply_avoid_delta(orig_src, rows)
-        return True
+            outcome = self._log.ingest(self._cursor, orig_kind, orig_src, rows)
+        self._cursor += 1
+        return outcome is OP_EXTENDED
 
     def _replay(self) -> bool:
         """Relax the mirrored tables once; queue expected broadcasts.
 
         Returns True when the relaxation actually ran here (False when
-        the shared log already held this flush and its predictions).
+        the log already held this flush and its predictions).
         """
-        private = self._private
-        if private is None and self._shared is not None:
-            result = self._shared.flush(self._cursor)
-            if result is not None:
-                self._cursor, route_delta, price_delta, ran = result
-                if route_delta is not None:
-                    self._expected_route.append(route_delta)
-                if price_delta is not None:
-                    self._expected_price.append(price_delta)
-                if ran:
-                    self.replays_run += 1
-                return ran
+        assert self._log is not None
+        result = self._log.flush(self._cursor)
+        if result is None:
             # The log holds an *apply* where this mirror flushes: its
             # batch boundaries diverged from the leader's stream.
             self._fork()
-            private = self._private
-        assert private is not None
-        route_delta, price_delta = private.settle()
+            result = self._log.flush(self._cursor)
+            assert result is not None
+        self._cursor, route_delta, price_delta, ran = result
         if route_delta is not None:
             self._expected_route.append(route_delta)
         if price_delta is not None:
             self._expected_price.append(price_delta)
-        self.replays_run += 1
-        return True
+        if ran:
+            self.replays_run += 1
+        return ran
 
     def flush_pending(self) -> bool:
         """Run a deferred replay, if any; True if one actually ran here.
@@ -442,16 +408,19 @@ class PrincipalMirror:
     # bank material
     # ------------------------------------------------------------------
 
-    def private_kernel_stats(self):
-        """Counters of this mirror's private kernel, if it has one.
+    def private_kernel_stats(self) -> Optional[KernelStats]:
+        """Counters of this mirror's own log kernel, if it has one.
 
-        Non-``None`` exactly when the mirror replays per neighbour —
+        Non-``None`` exactly when the mirror follows a log of its own —
         started without sharing (seed mismatch, reference mode) or
-        forked off a shared log.  Shared mirrors return ``None``: their
-        work is accounted on the pooled :class:`~repro.routing.kernel.
-        SharedKernel`, and per-mirror collection would multiply it.
+        forked off a shared log.  Mirrors on a pooled log return
+        ``None``: their work is accounted on the pooled
+        :class:`~repro.routing.kernel.SharedKernel`, and per-mirror
+        collection would multiply it.
         """
-        return self._private.stats if self._private is not None else None
+        if self._owns_log and self._log is not None:
+            return self._log.kernel.stats
+        return None
 
     def routing_digest(self) -> str:
         """Hash of the mirrored DATA2 (BANK1 material)."""

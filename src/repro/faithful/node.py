@@ -85,8 +85,8 @@ class FaithfulRoutingNode(FPSSNode):
         #: One mirror per neighbour-principal.
         self.mirrors: Dict[NodeId, PrincipalMirror] = {}
         #: Host-level shared-replay pool (one per simulator process),
-        #: installed by the protocol driver.  ``None`` keeps every
-        #: mirror on its private per-neighbour replay — the reference
+        #: installed by the protocol driver.  ``None`` gives every
+        #: mirror a replay log of its own — the per-neighbour reference
         #: path standalone nodes and the equivalence tests use.
         self.mirror_pool: Optional[MirrorKernelPool] = None
         #: neighbour -> that neighbour's own neighbour set, provided by
@@ -130,7 +130,8 @@ class FaithfulRoutingNode(FPSSNode):
         to the pool's shared kernel for its principal — but only when
         the pool confirms this checker's independently derived seed
         (principal neighbours, declared cost, converged DATA1) matches
-        the kernel's; on a seed mismatch the mirror replays privately.
+        the kernel's; on a seed mismatch the mirror starts a replay log
+        of its own.
         """
         if self.comp is None:
             raise ProtocolError(f"{self.node_id!r} cannot enter phase 2 before 1")

@@ -164,8 +164,8 @@ class FaithfulFPSSProtocol:
         :class:`~repro.routing.kernel.MirrorKernelPool` dedup; flags
         and digests are bit-identical either way (the sharing
         invariant is verified per mirror, never assumed).  ``False``
-        keeps every mirror on its private per-neighbour replay, the
-        retained reference path.
+        gives every mirror a replay log of its own, the per-neighbour
+        reference path.
     """
 
     def __init__(
@@ -548,8 +548,8 @@ def run_checked_construction(
     )
     kernel_stats = pool.collected_stats() if pool is not None else KernelStats()
     for _checker, _principal, mirror in live_mirrors(nodes):
-        # Forked and seed-mismatched mirrors replay privately; their
-        # work lives on their own kernels, not the pool.
+        # Forked and seed-mismatched mirrors follow logs of their own;
+        # their work lives on those kernels, not the pool.
         private = mirror.private_kernel_stats()
         if private is not None:
             kernel_stats.merge(private)
@@ -583,16 +583,13 @@ def verify_mirror_agreement(nodes: Mapping[NodeId, FaithfulRoutingNode]) -> None
             )
 
 
-def verify_checked_network(
-    graph: ASGraph, checked: CheckedConstruction, check_oracle: bool = True
-) -> None:
+def verify_checked_network(graph: ASGraph, checked: CheckedConstruction) -> None:
     """Assert a checked run converged correctly and consistently.
 
     Three layers: no mirror raised a flag at quiescence, every mirror's
     replayed digests equal its principal's own table digests (the
-    BANK1/BANK2 comparison, without the bank), and — with
-    ``check_oracle`` — every node's tables equal the centralized
-    routing oracle.
+    BANK1/BANK2 comparison, without the bank), and every node's tables
+    equal the centralized routing oracle.
 
     Raises
     ------
@@ -605,8 +602,7 @@ def verify_checked_network(
             f"{checked.flags[:3]!r}"
         )
     verify_mirror_agreement(checked.nodes)
-    if check_oracle:
-        verify_against_oracle(graph, checked.nodes)
+    verify_against_oracle(graph, checked.nodes)
 
 
 def collect_construction_flags(

@@ -19,7 +19,6 @@ from .convergence import (
     verify_against_oracle,
 )
 from .kernel import (
-    KernelSnapshot,
     KernelStats,
     MirrorKernelPool,
     ReplayKernel,
@@ -99,7 +98,6 @@ __all__ = [
     "FPSSComputation",
     "FPSSNode",
     "INFINITY",
-    "KernelSnapshot",
     "KernelStats",
     "MirrorKernelPool",
     "ReplayKernel",

@@ -57,7 +57,6 @@ from .convergence import (
 from .fpss import FPSSNode
 from .graph import ASGraph, Cost, NodeId
 from .engine import fixed_point_digests
-from .kernel import _sort_key
 
 __all__ = [
     "ChurnEvent",
@@ -458,7 +457,7 @@ class DynamicTopologyEngine:
             (origin, destination, volume)
             for (origin, destination), volume in sorted(
                 matrix.items(),
-                key=lambda kv: (_sort_key(kv[0][0]), _sort_key(kv[0][1])),
+                key=lambda kv: (repr(kv[0][0]), repr(kv[0][1])),
             )
             if origin != destination
             and origin in self.active

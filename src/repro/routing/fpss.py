@@ -80,7 +80,6 @@ from .kernel import (
     AvoidVector,
     ReplayKernel,
     RouteVector,
-    _sort_key,
 )
 from .tables import (
     PaymentList,
@@ -134,7 +133,7 @@ def encode_route_vector(vector: Mapping[NodeId, RouteEntry]) -> Tuple:
     """
     return tuple(
         (dest, entry.cost, entry.path)
-        for dest, entry in sorted(vector.items(), key=lambda kv: _sort_key(kv[0]))
+        for dest, entry in sorted(vector.items(), key=lambda kv: repr(kv[0]))
     )
 
 
@@ -150,7 +149,7 @@ def encode_avoid_vector(vector: Mapping[AvoidKey, RouteEntry]) -> Tuple:
     return tuple(
         (dest, avoided, entry.cost, entry.path)
         for (dest, avoided), entry in sorted(
-            vector.items(), key=lambda kv: _sort_key(kv[0])
+            vector.items(), key=lambda kv: repr(kv[0])
         )
     )
 
@@ -183,7 +182,7 @@ def encode_route_delta(current: Mapping[NodeId, RouteEntry],
     for dest in last:
         if dest not in current:
             rows.append((dest, None, ()))
-    rows.sort(key=lambda row: _sort_key(row[0]))
+    rows.sort(key=lambda row: repr(row[0]))
     return tuple(rows)
 
 
@@ -203,7 +202,7 @@ def encode_avoid_delta(current: Mapping[AvoidKey, RouteEntry],
     for key in last:
         if key not in current:
             rows.append((key[0], key[1], None, ()))
-    rows.sort(key=lambda row: (_sort_key(row[0]), _sort_key(row[1])))
+    rows.sort(key=lambda row: (repr(row[0]), repr(row[1])))
     return tuple(rows)
 
 
@@ -212,7 +211,7 @@ class FPSSComputation(ReplayKernel):
 
     The protocol-facing name of the replay kernel — see
     :class:`~repro.routing.kernel.ReplayKernel` for the state machine
-    (ingestion, fused relaxation, changed-key sets, digests, snapshot).
+    (ingestion, fused relaxation, changed-key sets, digests).
     Kept as a distinct class so protocol code and the manipulation
     catalogue keep reading in the paper's vocabulary.
 
@@ -569,7 +568,7 @@ class FPSSNode(ProtocolNode):
             self.node_id, self.neighbors, self.declared_cost()
         )
         self._kernel_emitted = {}
-        for node, cost in sorted(known_costs.items(), key=lambda kv: _sort_key(kv[0])):
+        for node, cost in sorted(known_costs.items(), key=lambda kv: repr(kv[0])):
             self.comp.note_cost_declaration(node, cost)
         self.phase = "phase2"
         self._batch_recompute_pending = False

@@ -13,7 +13,8 @@ three very different clients:
 * the principal's own :class:`~repro.routing.fpss.FPSSComputation`
   (a thin subclass, kept for the protocol-facing name);
 * a checker's :class:`~repro.faithful.mirror.PrincipalMirror`, which
-  replays a neighbouring principal on forwarded copies; and
+  replays a neighbouring principal on forwarded copies through a
+  :class:`SharedKernel` replay log; and
 * :func:`kernel_fixed_point`, a test helper that iterates synchronous
   rounds of the same state machine with no simulator at all, so tests
   can check the distribution layer against the bare kernel.
@@ -25,7 +26,7 @@ parallel lists indexed by dense int ids: node ids and
 ``(destination, avoided)`` keys are interned once per kernel, replay
 state lives in id-indexed columns, and every canonical drain sorts ids
 by a precomputed id→rank permutation instead of re-deriving ``repr``
-sort keys per call (rank order equals ``_sort_key`` order by
+sort keys per call (rank order equals ``repr`` order by
 construction — see the :class:`ReplayKernel` docstring and
 ``docs/determinism.md``).
 
@@ -56,52 +57,54 @@ mirrors the sender's current on-path table exactly.  The kernel's
 semantic check is the engine oracle,
 :func:`~repro.routing.engine.fixed_point_digests`.
 
-Shared checker replay
----------------------
+Checker replay logs
+-------------------
+Every checker mirror replays its principal through a
+:class:`SharedKernel`: one :class:`ReplayKernel` paired with an
+append-only *op log*, started from the checker's seed by
+:meth:`SharedKernel.seeded`.  The mirror that reaches the log frontier
+executes its op (ingest or flush) and records it together with its
+observable results (the predicted broadcast deltas); a mirror behind
+the frontier *verifies* that its own op is bit-identical to the logged
+one and reuses the recorded result for the cost of a tuple compare.
+
 A principal's broadcast reaches all of its k checkers identically, so k
-independent mirrors replay the *identical* op stream — the ~O(deg²)
-redundancy that made checked networks lag plain ones by two size rungs.
-:class:`SharedKernel` deduplicates that work within one simulated host
-(one OS process running the whole network): it pairs one
-:class:`ReplayKernel` with an append-only *op log*.  The first mirror to
-reach the log frontier executes the op (ingest or flush) and records it
-together with its observable results (the predicted broadcast deltas);
-every other mirror *verifies* that its own op is bit-identical to the
-logged one and reuses the recorded result for the cost of a tuple
-compare.  Per-checker state shrinks to the cheap parts: the own-sent
-ledger, expected-broadcast queues, and a cursor into the log.
+independent mirrors would replay the *identical* op stream — the
+~O(deg²) redundancy that made checked networks lag plain ones by two
+size rungs.  :class:`MirrorKernelPool` removes it within one simulated
+host (one OS process running the whole network): all mirrors of a
+principal follow one pooled log, and per-checker state shrinks to the
+cheap parts: the own-sent ledger, expected-broadcast queues, and a
+cursor into the log.  A mirror without a pool starts a log of its own
+and is always at its frontier; that is the per-neighbour reference
+(``shared_checking=False``) the pooled path is property-tested against
+(``tests/faithful/test_shared_mirror.py``).
 
 Sharing invariant
 -----------------
-Mirrors of one principal may share a kernel **iff** they replay the
-same op stream from the same seed.  Both conditions are checked, never
+Mirrors of one principal may share a log **iff** they replay the same
+op stream from the same seed.  Both conditions are checked, never
 assumed:
 
 * *seed*: :meth:`MirrorKernelPool.acquire` compares the principal's
   neighbour set, declared cost, and the checker's converged DATA1
-  against the shared kernel's seed; any mismatch (possible off the
-  honest path, e.g. divergent phase-1 state) refuses sharing and the
-  mirror falls back to its private per-neighbour replay.
+  against the pooled log's seed; any mismatch (possible off the honest
+  path, e.g. divergent phase-1 state) refuses sharing and the mirror
+  starts a log of its own.
 * *stream*: every op a follower submits is compared against the log.
   The first divergence — a deviant principal sending different copies
   to different checkers, dropping copies selectively, or a lazy checker
   that stopped replaying — **forks** the mirror:
-  :meth:`SharedKernel.fork_at` rebuilds a private kernel by replaying
-  the *agreed* log prefix (exactly the ops this mirror already
-  verified), and the mirror continues on it independently.  Fork cost
-  is one per-neighbour replay of the prefix, paid only on divergence —
-  i.e. only in deviant runs, where detection work is the point.
+  :meth:`SharedKernel.fork_at` starts a new log that replays the
+  *agreed* prefix (exactly the ops this mirror already verified)
+  through the same :meth:`SharedKernel.ingest` / :meth:`SharedKernel.
+  flush`, and the mirror continues on it alone.  Fork cost is one
+  replay of the prefix, paid only on divergence — i.e. only in deviant
+  runs, where detection work is the point.
 
-The per-neighbour path (a mirror with ``shared=None``) is retained
-unchanged as the reference semantics and property-tested bit-identical
-to the shared path (``tests/faithful/test_shared_mirror.py``).
-
-Snapshot semantics
-------------------
-:meth:`ReplayKernel.snapshot` captures the digest-level state (DATA1 /
-DATA2 / DATA3* hashes plus work counters) — the checkpoint material the
-bank compares — without copying tables; :meth:`SharedKernel.fork_at`
-is the state fork (replay of a verified log prefix).
+The kernel keeps no state outside its instances: ``repr`` sort keys
+are derived per call, so replay cannot depend on what else the process
+ran before.
 """
 
 from __future__ import annotations
@@ -109,7 +112,6 @@ from __future__ import annotations
 # purity: kernel
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..errors import ConvergenceError, ProtocolError
@@ -127,34 +129,18 @@ RouteVector = Dict[NodeId, RouteEntry]
 AvoidKey = Tuple[NodeId, NodeId]  # (destination, avoided node)
 AvoidVector = Dict[AvoidKey, RouteEntry]
 
-#: Memoized ``repr`` sort keys for vector encoding.  Vector keys are
-#: node ids or (destination, avoided) pairs drawn from a small universe
-#: that recurs across every broadcast of a run, while ``repr`` itself
-#: builds a fresh string per call.
-_SORT_KEY_MEMO: Dict = {}
-
-
-def _sort_key(value) -> str:
-    key = _SORT_KEY_MEMO.get(value)
-    if key is None:
-        # lint: allow[kernel-purity] value-deterministic repr memo; cached string depends only on the key, so replay cannot observe fill order
-        key = _SORT_KEY_MEMO[value] = repr(value)
-    return key
-
-
 #: Relaxation sentinel: the argmin supplier for the directly-connected
 #: base case (whose candidate never changes).
 _BASE = object()
 
 
-@lru_cache(maxsize=65536)
 def _lex_key(path: Tuple) -> Tuple[str, ...]:
-    """Memoized lexicographic tie-break key of a path.
+    """Lexicographic tie-break key of a path.
 
     Only consulted when two candidates tie on cost *and* hop count,
     which keeps the common relaxation path free of repr calls.
     """
-    return tuple(_sort_key(node) for node in path)
+    return tuple(repr(node) for node in path)
 
 
 def _tag_of(state: Tuple, destination: NodeId) -> FrozenSet[NodeId]:
@@ -202,7 +188,7 @@ def _stripped_beats_base(destination, best: Tuple) -> bool:
         return best[1] > 0.0
     if best[2] != 1:
         return best[2] > 1
-    return (_sort_key(destination),) < _lex_key(best[3])
+    return (repr(destination),) < _lex_key(best[3])
 
 
 @dataclass
@@ -248,23 +234,6 @@ class KernelStats:
         }
 
 
-@dataclass(frozen=True)
-class KernelSnapshot:
-    """Digest-level checkpoint of a kernel (bank comparison material)."""
-
-    owner: NodeId
-    cost_digest: str
-    routing_digest: str
-    pricing_digest: str
-    computation_count: int
-
-    def full_digest(self) -> str:
-        """Combined digest over all construction state."""
-        return stable_hash(
-            (self.cost_digest, self.routing_digest, self.pricing_digest)
-        )
-
-
 class ReplayKernel:
     """Pure FPSS mechanism state for one node, over columnar storage.
 
@@ -303,7 +272,7 @@ class ReplayKernel:
     drain sorts ids by the precomputed ``_node_rank`` permutation
     instead of re-deriving ``repr`` sort keys per call.  Ranks are
     maintained by ordered insertion at interning time, so rank order
-    equals ``_sort_key`` order over all interned ids at every drain —
+    equals ``repr`` order over all interned ids at every drain —
     the equivalence argument for replacing repr-sort on the hot path
     (see ``docs/determinism.md``).  Interning tables survive
     :meth:`reset_phase2` (they are pure key-to-id maps); all replay
@@ -347,7 +316,6 @@ class ReplayKernel:
         #: ``(destination, avoided)`` key.
         self._route_offers: Dict[NodeId, Dict[int, Tuple]] = {}
         self._avoid_offers: Dict[NodeId, Dict[AvoidKey, Tuple]] = {}
-        self.computation_count = 0
         self.stats = KernelStats()
 
         # Interning tables: node -> did, (destination, avoided) -> aid,
@@ -356,9 +324,9 @@ class ReplayKernel:
         # survive reset_phase2 (ids stay stable across phase restarts).
         self._node_ids: Dict[NodeId, int] = {}
         self._node_keys: List[NodeId] = []
-        #: did -> position of the node in ``_sort_key`` order over all
+        #: did -> position of the node in ``repr`` order over all
         #: interned nodes; maintained by ordered insertion so sorting
-        #: ids by rank is identical to sorting nodes by ``_sort_key``.
+        #: ids by rank is identical to sorting nodes by ``repr``.
         self._node_rank: List[int] = []
         self._rank_ids: List[int] = []  # ids in rank order
         self._rank_sort_keys: List[str] = []  # their sort keys, ascending
@@ -387,7 +355,7 @@ class ReplayKernel:
         """The dense id of ``node``, interning it on first sight.
 
         New ids are inserted into the rank permutation at their
-        ``_sort_key`` position (binary search over the sorted key
+        ``repr`` position (binary search over the sorted key
         column), shifting the ranks of all ids ordering after them —
         O(n) per *new* node, amortised away because the node universe
         of a run is small and recurs across every broadcast.
@@ -398,7 +366,7 @@ class ReplayKernel:
         nid = len(self._node_keys)
         self._node_ids[node] = nid
         self._node_keys.append(node)
-        sort_key = _sort_key(node)
+        sort_key = repr(node)
         sort_keys = self._rank_sort_keys
         lo = 0
         hi = len(sort_keys)
@@ -649,7 +617,7 @@ class ReplayKernel:
         """The next suggested-specification routing delta broadcast.
 
         Reads the changed-key set in O(|changes|) and consumes it,
-        draining ids in rank order (== ``_sort_key`` order; see the
+        draining ids in rank order (== ``repr`` order; see the
         class docstring).  Principals with an unmodified broadcast hook
         and checker mirrors both encode from here, which is what keeps
         actual and predicted broadcast streams bit-identical.  A
@@ -893,7 +861,6 @@ class ReplayKernel:
         neighbour vectors (diffed on ingestion) and on DATA1 (frozen in
         phase 2, conservatively handled otherwise).
         """
-        self.computation_count += 1
         dirty = self._dirty_routes
         if not dirty:
             return False
@@ -1044,7 +1011,6 @@ class ReplayKernel:
         whose reigning argmin was invalidated — worsened, withdrawn,
         supplied by a moved route offer, or newly on the path.
         """
-        self.computation_count += 1
         changed = self._avoid_changed
         self._avoid_changed = False
         if self._key_resync and self._resync_keys():
@@ -1199,7 +1165,6 @@ class ReplayKernel:
         adopted, rescanned to a new value or dropped, and any DATA1 or
         topology change (:meth:`_mark_all_dirty`).
         """
-        self.computation_count += 1
         dirty = self._dirty_pricing
         if not dirty:
             return False
@@ -1251,7 +1216,7 @@ class ReplayKernel:
         return True
 
     # ------------------------------------------------------------------
-    # digests for bank comparison, snapshots
+    # digests for bank comparison
     # ------------------------------------------------------------------
 
     def routing_digest(self) -> str:
@@ -1279,12 +1244,13 @@ class ReplayKernel:
         pricing rows, and consumes the changed-key sets into the
         suggested-specification broadcast deltas — ``(route_delta,
         avoid_delta)``, each ``None`` when that table did not change.
-        This ordering *is* the replay-exactness contract: principals,
-        shared kernels, forked mirrors, and the synchronous oracle all
-        settle through this one implementation, which is what keeps
-        their broadcast streams bit-identical; callers only differ in
-        what they do with the deltas (announce, record, queue, post,
-        or discard).
+        Replay logs (:class:`SharedKernel`, hence every checker mirror)
+        and :func:`kernel_fixed_point` settle through here.  A
+        principal runs the same three steps in the same order itself
+        (``FPSSNode._settle_and_announce``), because it consumes a
+        changed-key set only when it announces; that shared order is
+        the replay-exactness contract that keeps predicted and actual
+        broadcast streams bit-identical.
         """
         route_delta = (
             self.consume_route_delta() if self.recompute_routes() else None
@@ -1300,21 +1266,6 @@ class ReplayKernel:
     recompute_routes_incremental = recompute_routes
     recompute_avoidance_incremental = recompute_avoidance
     derive_pricing_incremental = derive_pricing
-
-    def snapshot(self) -> KernelSnapshot:
-        """Digest-level checkpoint of the current construction state.
-
-        The bank-comparable view of the kernel at this instant; cheap
-        (no table copies), immutable, and sufficient to compare two
-        replays for observational equality.
-        """
-        return KernelSnapshot(
-            owner=self.owner,
-            cost_digest=self.cost_digest(),
-            routing_digest=self.routing_digest(),
-            pricing_digest=self.pricing_digest(),
-            computation_count=self.computation_count,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -1355,19 +1306,38 @@ class SharedKernel:
 
     def __post_init__(self) -> None:
         """Replicate the principal's ``start_phase2`` exactly once."""
-        self.kernel = self._fresh_kernel()
-        route_delta, price_delta = self.kernel.settle()
-        # The principal announces both tables unconditionally.
-        self.initial_route = route_delta or ()
-        self.initial_price = price_delta or ()
-
-    def _fresh_kernel(self) -> ReplayKernel:
-        """A reset kernel whose next settle is the phase-2 start."""
         kernel = ReplayKernel(self.owner, self.seed_neighbors, self.seed_cost)
         for node, cost in self.seed_known_costs.items():
             kernel.note_cost_declaration(node, cost)
+        # A reset kernel's first settle is the phase-2 start; the
+        # principal announces both tables unconditionally.
         kernel.reset_phase2()
-        return kernel
+        route_delta, price_delta = kernel.settle()
+        self.kernel = kernel
+        self.initial_route = route_delta or ()
+        self.initial_price = price_delta or ()
+
+    @classmethod
+    def seeded(
+        cls,
+        owner: NodeId,
+        neighbors: Sequence[NodeId],
+        cost: Cost,
+        known_costs: Mapping[NodeId, Cost],
+    ) -> "SharedKernel":
+        """A fresh log replaying ``owner`` from one checker's seed.
+
+        The one way a log is started: :meth:`MirrorKernelPool.acquire`
+        builds the log its mirrors share here, a mirror with no pool
+        (or whose seed the pool refused) builds a log of its own, and
+        :meth:`fork_at` starts its fork from the parent's seed.
+        """
+        return cls(
+            owner=owner,
+            seed_neighbors=tuple(sorted(neighbors, key=repr)),
+            seed_cost=float(cost),
+            seed_known_costs=dict(known_costs),
+        )
 
     def matches_seed(
         self,
@@ -1437,27 +1407,27 @@ class SharedKernel:
         ops.append(("flush", route_delta, price_delta))
         return (pos + 1, route_delta, price_delta, True)
 
-    def fork_at(self, pos: int) -> ReplayKernel:
-        """A private kernel replaying the verified log prefix ``[:pos]``.
+    def fork_at(self, pos: int) -> "SharedKernel":
+        """A new log, from this log's seed, replaying its prefix ``[:pos]``.
 
         This is the state fork of the sharing design: the prefix is
         exactly the ops the forking mirror already verified as its own,
-        so the result is bit-identical to the per-neighbour replay of
-        that mirror's stream.  Paid only on divergence (deviant runs)
-        or when a straggler mirror needs state behind the frontier.
+        and the fork replays them through :meth:`ingest` and
+        :meth:`flush` like any other log, so the forked mirror stands
+        where its own log would.  Paid only on divergence (deviant
+        runs) or when a straggler mirror needs state behind the
+        frontier.
         """
         self.stats.forks += 1
-        kernel = self._fresh_kernel()
-        kernel.settle()  # the initial announcement, already recorded
+        fork = SharedKernel.seeded(
+            self.owner, self.seed_neighbors, self.seed_cost, self.seed_known_costs
+        )
         for op in self.ops[:pos]:
             if op[0] == "apply":
-                if op[1] == KIND_RT_UPDATE:
-                    kernel.apply_route_delta(op[2], op[3])
-                else:
-                    kernel.apply_avoid_delta(op[2], op[3])
+                fork.ingest(fork.frontier, op[1], op[2], op[3])
             else:
-                kernel.settle()  # deltas already queued at this position
-        return kernel
+                fork.flush(fork.frontier)
+        return fork
 
 
 class MirrorKernelPool:
@@ -1492,15 +1462,12 @@ class MirrorKernelPool:
         The first checker to ask creates the kernel from its own seed;
         later checkers share only if their independently derived seed
         is identical (the sharing invariant) — otherwise they get None
-        and must replay privately.
+        and start a log of their own (:meth:`SharedKernel.seeded`).
         """
         entry = self._kernels.get(principal)
         if entry is None:
-            entry = SharedKernel(
-                owner=principal,
-                seed_neighbors=tuple(sorted(neighbors, key=repr)),
-                seed_cost=float(declared_cost),
-                seed_known_costs=dict(known_costs),
+            entry = SharedKernel.seeded(
+                principal, neighbors, declared_cost, known_costs
             )
             self._kernels[principal] = entry
             return entry

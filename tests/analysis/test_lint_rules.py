@@ -404,7 +404,6 @@ def test_kernel_suppression_inventory_is_curated():
     assert rules == [
         "float-eq",
         "float-eq",
-        "kernel-purity",
         # argmin drain in _relax_route, where iteration order cannot
         # change the strict-total-order minimum.
         "unordered-iter",

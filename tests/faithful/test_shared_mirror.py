@@ -4,10 +4,11 @@ Reproduces: the checker redundancy of Section 4.2/4.3 (PODC'04).  The
 shared replay kernel deduplicates the k-fold mirror computation, but
 detection is only sound if it changes *nothing observable*: these
 tests pin that shared-kernel mirrors emit bit-identical flags and
-digests to the retained per-neighbour replay across delivery modes,
-heterogeneous link delays, withdrawal-carrying streams, and every
-catalogued manipulation — including the deviations that force mirrors
-to fork off the shared log (unequal copies, lazy checkers).
+digests to per-neighbour replay (every mirror on a replay log of its
+own) across delivery modes, heterogeneous link delays,
+withdrawal-carrying streams, and every catalogued manipulation —
+including the deviations that force mirrors to fork off the shared log
+(unequal copies, lazy checkers).
 """
 
 import random
@@ -101,8 +102,8 @@ class TestObedientParity:
         # relaxations, positive shared-hit count, zero forks.
         assert runs[True].kernel_stats.shared_hits > 0
         assert runs[True].kernel_stats.forks == 0
-        # Per-neighbour mirrors account their work too (private
-        # kernels are collected, not just the pool).
+        # Per-neighbour mirrors account their work too (their own
+        # logs' kernels are collected, not just the pool).
         assert runs[False].kernel_stats.rows_ingested > 0
         assert runs[False].kernel_stats.shared_hits == 0
         assert (
@@ -301,7 +302,7 @@ class TestMirrorLevelStream:
 
     def test_divergent_stream_forks_and_stays_exact(self):
         """One checker fed a different copy forks off the log and ends
-        bit-identical to a private mirror fed its own stream."""
+        bit-identical to a lone mirror fed its own stream."""
         graph, principal, mirrors, reference = self._mirrors()
         checkers = sorted(mirrors, key=repr)
         leader, victim = checkers[0], checkers[1]
@@ -318,8 +319,8 @@ class TestMirrorLevelStream:
             mirrors[checker].apply_copy(KIND_RT_UPDATE, src, rows)
             reference[checker].apply_copy(KIND_RT_UPDATE, src, rows)
         victim_mirror = mirrors[victim]
-        assert victim_mirror._private is not None  # forked
-        assert mirrors[leader]._private is None  # still sharing
+        assert victim_mirror.private_kernel_stats() is not None  # forked
+        assert mirrors[leader].private_kernel_stats() is None  # still sharing
         for checker in checkers:
             assert (
                 mirrors[checker].routing_digest()
@@ -328,6 +329,50 @@ class TestMirrorLevelStream:
             assert list(mirrors[checker]._expected_route) == list(
                 reference[checker]._expected_route
             )
+
+    @staticmethod
+    def _assert_at_own_frontier(mirror):
+        log = mirror._log
+        assert mirror.private_kernel_stats() is log.kernel.stats
+        assert mirror._cursor == log.frontier
+        assert log.stats.shared_hits == 0
+        assert log.stats.forks == 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_own_logs_stay_at_their_frontier(self, seed):
+        """A mirror on a log of its own — started unpooled, or forked
+        off the pooled one — extends it with every apply and flush and
+        never reads an op back from it."""
+        graph, principal, mirrors, reference = self._mirrors()
+        checkers = sorted(mirrors, key=repr)
+        victim = checkers[1]
+        src = graph.neighbors(principal)[0]
+        # The victim's first copy differs from the leader's: it forks
+        # at position 0.
+        for checker in checkers:
+            cost = 7.0 if checker == victim else 1.0
+            rows = (("x", cost, (src, "x")),)
+            mirrors[checker].apply_copy(KIND_RT_UPDATE, src, rows)
+            reference[checker].apply_copy(KIND_RT_UPDATE, src, rows)
+        own = [reference[checker] for checker in checkers] + [mirrors[victim]]
+        for mirror in own:
+            self._assert_at_own_frontier(mirror)
+        rng = random.Random(seed)
+        for kind, src, rows in self._random_stream(graph, principal, rng):
+            defer = rng.random() < 0.5
+            for checker in checkers:
+                mirrors[checker].apply_copy(kind, src, rows, defer=defer)
+                reference[checker].apply_copy(kind, src, rows, defer=defer)
+            for mirror in own:
+                self._assert_at_own_frontier(mirror)
+            if defer:
+                for mirror in own:
+                    mirror.flush_pending()
+                    self._assert_at_own_frontier(mirror)
+        forked, ref = mirrors[victim], reference[victim]
+        assert list(forked._expected_route) == list(ref._expected_route)
+        assert list(forked._expected_price) == list(ref._expected_price)
+        assert forked.pricing_digest() == ref.pricing_digest()
 
     def test_straggler_digest_forks_to_own_position(self):
         """A mirror that stopped replaying (lazy checker) must report

@@ -25,6 +25,7 @@ import repro.routing.engine as engine_module
 import repro.routing.kernel as kernel_module
 from repro.errors import ConvergenceError
 from repro.routing import (
+    ASGraph,
     FPSSNode,
     figure1_graph,
     fixed_point_digests,
@@ -82,6 +83,21 @@ class TestParity:
 
     def test_figure1(self):
         assert_parity(figure1_graph())
+
+    def test_equal_ids_keep_their_own_repr(self):
+        """``1``, ``1.0`` and ``True`` are one dict key with three
+        ``repr``s; a kernel run on one must not tie-break another.
+
+        7 reaches 8 through ``one`` or through 5 at equal cost and hop
+        count, so the ``repr`` tie-break decides: via ``1`` and ``1.0``
+        (``'1' < '5'``) but via 5 for ``True`` (``'5' < 'True'``).
+        """
+        for one in (1, 1.0, True):
+            graph = ASGraph(
+                {one: 1.0, 5: 1.0, 7: 1.0, 8: 1.0},
+                [(7, one), (one, 8), (7, 5), (5, 8)],
+            )
+            assert_parity(graph)
 
     @pytest.mark.parametrize(
         "kinds",

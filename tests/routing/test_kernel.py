@@ -52,24 +52,6 @@ class TestKernelIdentity:
         assert isinstance(comp, ReplayKernel)
         assert isinstance(comp.stats, KernelStats)
 
-    def test_snapshot_captures_digests(self):
-        kernel = ReplayKernel("a", ("b", "c"), 1.0)
-        snap = kernel.snapshot()
-        assert snap.owner == "a"
-        assert snap.cost_digest == kernel.cost_digest()
-        assert snap.routing_digest == kernel.routing_digest()
-        assert snap.pricing_digest == kernel.pricing_digest()
-        assert snap.full_digest() == kernel.full_digest()
-
-    def test_snapshot_is_a_point_in_time(self):
-        kernel = ReplayKernel("a", ("b", "c"), 1.0)
-        before = kernel.snapshot()
-        kernel.note_cost_declaration("b", 2.0)
-        after = kernel.snapshot()
-        assert before.cost_digest != after.cost_digest
-        # The earlier snapshot is immutable history.
-        assert before.cost_digest != kernel.cost_digest()
-
 
 def assert_route_state_tracks_entries(kernel):
     """A DATA2 entry exists exactly when its route state is set."""
@@ -247,14 +229,14 @@ class TestSharedKernel:
         rows = (("zz", 0.0, (neighbor, "zz")),)
         shared.ingest(0, KIND_RT_UPDATE, neighbor, rows)
         shared.flush(1)
-        fork = shared.fork_at(2)
+        fork = shared.fork_at(2).kernel
         assert fork is not shared.kernel
         assert fork.routing_digest() == shared.kernel.routing_digest()
         assert fork.pricing_digest() == shared.kernel.pricing_digest()
         assert shared.stats.forks == 1
 
     def test_fork_at_zero_is_phase_start_state(self, shared):
-        fork = shared.fork_at(0)
+        fork = shared.fork_at(0).kernel
         # Identical to a fresh mirror start: the initial announcements
         # were consumed, nothing else happened.
         assert fork.routing_digest() != ""
@@ -268,7 +250,7 @@ class TestSharedKernel:
         rows = ((other, neighbor, 3.0, (neighbor, other)),)
         shared.ingest(0, KIND_PRICE_UPDATE, neighbor, rows)
         shared.flush(1)
-        fork = shared.fork_at(2)
+        fork = shared.fork_at(2).kernel
         assert fork.pricing_digest() == shared.kernel.pricing_digest()
 
 
