@@ -60,7 +60,6 @@ from ..routing.fpss import KIND_PRICE_UPDATE, KIND_RT_UPDATE
 from ..routing.graph import Cost
 from ..routing.kernel import (
     OP_DIVERGED,
-    OP_EXTENDED,
     KernelStats,
     ReplayKernel,
     SharedKernel,
@@ -73,6 +72,10 @@ from .audit import Flag, FlagKind
 
 class PrincipalMirror:
     """One checker's replayed clone of one principal.
+
+    :meth:`apply_copy` only ingests a forwarded copy; the relaxation
+    runs in :meth:`flush_pending`, at the principal's delivery-batch
+    boundary (a batch of one when delivery is unbatched).
 
     Parameters
     ----------
@@ -100,7 +103,7 @@ class PrincipalMirror:
         #: Ground-truth ledger of updates this checker sent to the
         #: principal, awaiting copy-return.
         self._awaiting_copy: Deque[Tuple[str, Tuple]] = deque()
-        #: Copies ingested but not yet replayed (batched delivery).
+        #: Copies ingested but not yet replayed.
         self._replay_pending = False
         #: Relaxations this mirror executed itself (not satisfied from
         #: a shared log); telemetry reports the delta per checkpoint.
@@ -235,50 +238,36 @@ class PrincipalMirror:
         orig_kind: str,
         orig_src: NodeId,
         encoded_vector: Tuple,
-        defer: bool = False,
-    ) -> bool:
-        """Replay one input the principal claims to have received.
+    ) -> None:
+        """Ingest one input the principal claims to have received.
 
         Implements [CHECK1]/[CHECK2]: copies from non-checkers of the
         principal are ignored (and flagged as spoofs); the checker's
         own copy-returns are validated against the ledger; everything
-        else is applied to the replayed computation exactly as the
+        else is ingested into the replayed computation exactly as the
         principal's handler would.
 
-        ``defer=True`` (batched delivery) only ingests the copy; the
-        relaxation runs once per batch via :meth:`flush_pending`,
+        The relaxation runs once per batch via :meth:`flush_pending`,
         mirroring the principal's own batch boundary — copies of one
-        principal batch share an arrival instant on the FIFO link, so
-        the checker's batch boundary coincides with the principal's.
-
-        Returns True when this call executed kernel work itself
-        (ingestion at the log frontier) and False when it was
-        satisfied from the op log — the metrics-relevant distinction.
+        principal batch travel in one bundle on the FIFO link, so the
+        checker's batch boundary coincides with the principal's.
         """
         comp = self.comp
         if comp is None:
-            return False
+            return
         if orig_src not in comp.neighbors:
             self._flag(FlagKind.SPOOFED_COPY, claimed_author=orig_src)
-            return False
+            return
         if orig_src == self.checker_id:
             self._match_returned_copy(orig_kind, encoded_vector)
         if orig_kind not in (KIND_RT_UPDATE, KIND_PRICE_UPDATE):
             self._flag(FlagKind.SPOOFED_COPY, claimed_message_kind=orig_kind)
-            return False
+            return
 
         # ``tuple`` of a tuple is the identical object, so honest
         # multicast payloads keep their identity and the shared-log
         # verification below stays an ``is`` check on the hot path.
         rows = tuple(encoded_vector)
-        ran = self._ingest(orig_kind, orig_src, rows)
-        if defer:
-            self._replay_pending = True
-            return ran
-        return self._replay() or ran
-
-    def _ingest(self, orig_kind: str, orig_src: NodeId, rows: Tuple) -> bool:
-        """Submit one copy to the log at this mirror's cursor."""
         assert self._log is not None
         outcome = self._log.ingest(self._cursor, orig_kind, orig_src, rows)
         if outcome is OP_DIVERGED:
@@ -286,16 +275,25 @@ class PrincipalMirror:
             # deviant principal treats its checkers unequally): fork
             # onto the verified prefix, whose frontier is the cursor.
             self._fork()
-            outcome = self._log.ingest(self._cursor, orig_kind, orig_src, rows)
+            self._log.ingest(self._cursor, orig_kind, orig_src, rows)
         self._cursor += 1
-        return outcome is OP_EXTENDED
+        self._replay_pending = True
 
-    def _replay(self) -> bool:
-        """Relax the mirrored tables once; queue expected broadcasts.
+    def flush_pending(self) -> bool:
+        """Run a pending replay, if any; True if one actually ran here.
 
-        Returns True when the relaxation actually ran here (False when
-        the log already held this flush and its predictions).
+        The replay relaxes the mirrored tables once and queues the
+        broadcasts the principal must make.  Called by the checker
+        before observing a broadcast from the principal and at every
+        batch boundary, so the expected-broadcast queues are always
+        current when compared.  Returns False both when nothing was
+        pending and when the log already held this flush and its
+        predictions (no kernel work executed by this mirror) — callers
+        use the result for work accounting.
         """
+        if not self._replay_pending:
+            return False
+        self._replay_pending = False
         assert self._log is not None
         result = self._log.flush(self._cursor)
         if result is None:
@@ -312,21 +310,6 @@ class PrincipalMirror:
         if ran:
             self.replays_run += 1
         return ran
-
-    def flush_pending(self) -> bool:
-        """Run a deferred replay, if any; True if one actually ran here.
-
-        Called by the checker before observing a broadcast from the
-        principal and at every batch boundary, so the expected-
-        broadcast queues are always current when compared.  Returns
-        False both when nothing was pending and when the pending flush
-        was satisfied from the shared log (no kernel work executed by
-        this mirror) — callers use the result for work accounting.
-        """
-        if not self._replay_pending:
-            return False
-        self._replay_pending = False
-        return self._replay()
 
     # ------------------------------------------------------------------
     # observations: the principal's actual broadcasts

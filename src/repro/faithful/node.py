@@ -242,7 +242,12 @@ class FaithfulRoutingNode(FPSSNode):
             self._pending_copies.clear()
             size = self._pending_copy_size
             self._pending_copy_size = 0
-            self._send_copy_bundle(copies, size)
+            self.sim.metrics.record_uncoalesced_copies(
+                len(copies) * len(self.neighbors)
+            )
+            self.multicast(
+                self.neighbors, KIND_CHECKER_COPY, size_hint=size, copies=copies
+            )
         for principal in self.neighbors:
             mirror = self.mirrors.get(principal)
             if mirror is not None and mirror.comp is not None:
@@ -270,10 +275,12 @@ class FaithfulRoutingNode(FPSSNode):
     def forward_copy_to_checkers(
         self, orig_kind: str, orig_src: NodeId, vector: Tuple
     ) -> None:
-        """Send a checker copy of a received update to every neighbour.
+        """Queue a checker copy of a received update for every neighbour.
 
-        Deviation seam: drop/alter/spoof variants override this (the
-        message-passing manipulations 1 and 3 of Section 4.3).
+        :meth:`flush_batch` sends the batch's queued copies to all
+        neighbours as one checker-copy bundle.  Deviation seam:
+        drop/alter/spoof variants override this (the message-passing
+        manipulations 1 and 3 of Section 4.3).
         """
         # Copies dominate checked-network traffic; the input handler
         # stashes the delivered message's cached size so the forward
@@ -283,51 +290,25 @@ class FaithfulRoutingNode(FPSSNode):
         size_hint = self.__dict__.pop("_copy_size_hint", None)
         if size_hint is None:
             size_hint = delta_size(vector) + 2
-        entry = (orig_kind, orig_src, vector)
-        if self._in_batch:
-            self._pending_copies.append(entry)
-            self._pending_copy_size += size_hint
-            return
-        self._send_copy_bundle((entry,), size_hint)
-
-    def _send_copy_bundle(
-        self, copies: Tuple[Tuple[str, NodeId, Tuple], ...], size_hint: int
-    ) -> None:
-        """Multicast one checker-copy message carrying ``copies`` entries."""
-        self.sim.metrics.record_uncoalesced_copies(
-            len(copies) * len(self.neighbors)
-        )
-        self.multicast(
-            self.neighbors,
-            KIND_CHECKER_COPY,
-            size_hint=size_hint,
-            copies=copies,
-        )
+        self._pending_copies.append((orig_kind, orig_src, vector))
+        self._pending_copy_size += size_hint
 
     # --- checker duty: replay copies -----------------------------------
 
     def on_checker_copy(self, message: Message) -> None:
         """[CHECK1]/[CHECK2]: replay the principal's claimed input.
 
-        In a delivery batch the copy is only ingested; the mirror
-        relaxation runs once per batch (before any broadcast of the
-        same principal is observed, or at the batch boundary).
+        The copies are only ingested; the mirror relaxation runs once
+        per batch (before any broadcast of the same principal is
+        observed, or at the batch boundary).
         """
         if self.phase != "phase2":
             return
         mirror = self.mirrors.get(message.src)
         if mirror is None or mirror.comp is None:
             return
-        if self._in_batch:
-            for orig_kind, orig_src, vector in message.payload["copies"]:
-                mirror.apply_copy(orig_kind, orig_src, vector, defer=True)
-            return
-        ran = False
         for orig_kind, orig_src, vector in message.payload["copies"]:
-            if mirror.apply_copy(orig_kind, orig_src, vector):
-                ran = True
-        if ran:
-            self.sim.metrics.record_computation(self.node_id, as_checker=True)
+            mirror.apply_copy(orig_kind, orig_src, vector)
 
     # ------------------------------------------------------------------
     # execution phase observation

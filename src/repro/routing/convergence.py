@@ -3,7 +3,8 @@
 Every run has the same shape (Section 4): phase 1 floods DATA1, phase 2
 relaxes DATA2/DATA3*, each to quiescence.  :func:`build_network` builds
 the simulator for an :class:`~repro.routing.graph.ASGraph` (per-link
-delays from :func:`link_delay`, batched or per-message delivery) and
+delays from :func:`link_delay`, same-instant arrivals coalesced into
+one delivery batch or each delivered as a batch of one) and
 :func:`run_phase` runs one phase; every driver — the plain helpers
 here, :mod:`repro.faithful.protocol`, :mod:`repro.faithful.epochs` and
 :mod:`repro.routing.dynamic` — goes through both, so one graph gives
@@ -77,8 +78,9 @@ def build_network(
     """A simulator with one ``make_node(node_id, cost)`` node per vertex.
 
     Nodes are made and added in graph order.  ``batch_delivery=False``
-    turns off same-instant delivery coalescing (one recomputation per
-    message instead of per batch; same fixed point either way).
+    turns off same-instant delivery coalescing: every message is a
+    batch of one, so nodes recompute per message instead of per
+    same-instant batch (same fixed point either way).
     """
     simulator = Simulator(
         topology_from_graph(graph, delay=link_delays),
@@ -181,7 +183,7 @@ def run_plain_fpss(
         :class:`~repro.errors.ConvergenceError` is raised.
     batch_delivery:
         Coalesce same-instant deliveries (the incremental engine's
-        default); ``False`` restores per-message delivery events.
+        default); ``False`` delivers each message as a batch of one.
 
     Returns
     -------

@@ -28,7 +28,7 @@ encodings of routing/avoidance announcements (withdrawal rows carry
 
 Incremental recomputation, batching, and the relaxation internals are
 documented on the kernel (:mod:`repro.routing.kernel`).  Phase starts,
-received messages, batch flushes and topology kicks all run the same
+delivery-batch flushes and topology kicks all run the same
 settle-and-announce step; at a phase start the freshly reset kernel
 has every neighbour dirty, so that step is the initial relaxation.
 
@@ -246,9 +246,8 @@ class FPSSNode(ProtocolNode):
         self.true_cost = float(true_cost)
         self.comp: Optional[FPSSComputation] = None
         self.phase: str = "idle"
-        #: Batched-delivery state: while a batch is being applied the
-        #: phase-2 handlers only ingest inputs and set the pending
-        #: flag; the relaxation and broadcasts run once at the batch
+        #: Set by the phase-2 handlers, which only ingest inputs; the
+        #: relaxation and broadcasts run once at the delivery batch's
         #: boundary (:meth:`flush_batch`).
         self._batch_recompute_pending = False
         #: Last announced (hook-transformed) vectors, the baseline each
@@ -361,9 +360,8 @@ class FPSSNode(ProtocolNode):
         """Relax the dirty entries once; broadcast each changed kind.
 
         The one settle step of the protocol: phase starts, the
-        per-message path (unbatched mode), the batch-boundary flush and
-        topology kicks all run it, so they emit identical broadcasts
-        for identical ingested inputs.
+        batch-boundary flush and topology kicks all run it, so they emit
+        identical broadcasts for identical ingested inputs.
         """
         assert self.comp is not None
         routes_changed = self.comp.recompute_routes()
@@ -407,8 +405,9 @@ class FPSSNode(ProtocolNode):
         Every message of the batch has already passed the inbound
         filter and its handler individually (checker copies forwarded
         per input, per [PRINC1]/[PRINC2]); only the relaxation and the
-        resulting broadcasts were deferred here, so a flooding round
-        costs one recomputation instead of one per neighbour.
+        resulting broadcasts were left to here, so under batched
+        delivery a flooding round costs one recomputation instead of
+        one per neighbour.
         """
         if not self._batch_recompute_pending:
             return
@@ -467,28 +466,22 @@ class FPSSNode(ProtocolNode):
         )
 
     def on_rt_update(self, message: Message) -> None:
-        """[PRINC1] computation half: recompute LCPs on new input."""
+        """[PRINC1] computation half: ingest new input; the batch
+        boundary recomputes LCPs."""
         if self.comp is None or self.phase != "phase2":
             return
         self.comp.apply_route_delta(message.src, message.payload["vector"])
         self.after_route_input(message)
-        if self._in_batch:
-            self._batch_recompute_pending = True
-            return
-        self.sim.metrics.record_computation(self.node_id)
-        self._settle_and_announce()
+        self._batch_recompute_pending = True
 
     def on_price_update(self, message: Message) -> None:
-        """[PRINC2] computation half: recompute pricing on new input."""
+        """[PRINC2] computation half: ingest new input; the batch
+        boundary recomputes pricing."""
         if self.comp is None or self.phase != "phase2":
             return
         self.comp.apply_avoid_delta(message.src, message.payload["vector"])
         self.after_price_input(message)
-        if self._in_batch:
-            self._batch_recompute_pending = True
-            return
-        self.sim.metrics.record_computation(self.node_id)
-        self._settle_and_announce()
+        self._batch_recompute_pending = True
 
     # Hooks the faithful extension overrides to forward copies to
     # checkers *before* recomputation, per PRINC1/PRINC2 ordering.

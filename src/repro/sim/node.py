@@ -1,9 +1,10 @@
 """Protocol node base class.
 
 A :class:`ProtocolNode` is an event-driven process: the simulator calls
-:meth:`ProtocolNode.start` once at time zero and :meth:`deliver` for
-each arriving message.  Handlers are discovered by naming convention:
-a message of kind ``"rt-update"`` is dispatched to ``on_rt_update``.
+:meth:`ProtocolNode.start` once at time zero and :meth:`deliver_batch`
+for the messages arriving at one instant (a batch of one when delivery
+is unbatched).  Handlers are discovered by naming convention: a message
+of kind ``"rt-update"`` is dispatched to ``on_rt_update``.
 
 Two filter hooks, :meth:`outbound` and :meth:`inbound`, exist so that
 failure adapters (:mod:`repro.sim.failures`) and rational manipulation
@@ -29,10 +30,6 @@ class ProtocolNode:
         self.node_id = node_id
         self._sim: Optional["Simulator"] = None
         self._handlers: Dict[str, Callable[[Message], None]] = {}
-        #: True while a delivery batch is being applied; handlers that
-        #: maintain derived state read this to defer recomputation to
-        #: the :meth:`flush_batch` boundary.
-        self._in_batch = False
 
     # ------------------------------------------------------------------
     # simulator wiring
@@ -130,41 +127,32 @@ class ProtocolNode:
     # receiving
     # ------------------------------------------------------------------
 
-    def deliver(self, message: Message) -> None:
-        """Entry point used by the simulator for an arriving message."""
-        filtered = self.inbound(message)
-        if filtered is None:
-            self.sim.note_drop(self.node_id)
-            return
-        self.dispatch(filtered)
-
     def deliver_batch(self, messages: Tuple[Message, ...]) -> None:
-        """Process all messages arriving at one simulated instant.
+        """Process the messages arriving at this node at one instant.
 
-        Invoked by the simulator in batched-delivery mode with the
-        batch in send order.  Each message replays the per-message path
-        (metrics, inbound filter, dispatch, in that order per
-        message) with :attr:`_in_batch` set, so plain nodes behave
-        identically in both modes; the :meth:`flush_batch` hook then
-        runs exactly once at the batch boundary.  Protocol nodes that
-        maintain derived state override *the hook*, not this method:
-        their handlers only ingest while ``_in_batch`` is set and the
-        hook settles the deferred recomputation.
+        The simulator's only way in: the batch is in send order, one
+        message long when delivery is unbatched.  Each message is
+        counted, passed through :meth:`inbound` and dispatched to its
+        handler in turn; the :meth:`flush_batch` hook then runs once at
+        the batch boundary.  Protocol nodes that maintain derived state
+        override *the hook*, not this method: their handlers only
+        ingest, and the hook settles the recomputation.
         """
-        self._in_batch = True
-        try:
-            for message in messages:
-                self.sim.deliver_now(message)
-        finally:
-            self._in_batch = False
+        sim = self.sim
+        for message in messages:
+            sim.metrics.record_receive(self.node_id)
+            filtered = self.inbound(message)
+            if filtered is None:
+                sim.note_drop(self.node_id)
+            else:
+                self.dispatch(filtered)
         self.flush_batch()
 
     def flush_batch(self) -> None:
         """Batch-boundary hook; the base implementation does nothing.
 
-        Runs once after every delivery batch (and never in unbatched
-        mode, where each message is its own event).  Override to settle
-        state whose recomputation the handlers deferred.
+        Runs once after every delivery batch.  Override to settle state
+        whose recomputation the handlers left to the boundary.
         """
 
     def dispatch(self, message: Message) -> None:

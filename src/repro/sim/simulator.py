@@ -8,17 +8,16 @@ paper's bank performs its BANK1/BANK2 checks.
 
 Batched delivery
 ----------------
-By default the simulator coalesces every message arriving at one node
-at one simulated instant into a single delivery event
-(:class:`~repro.sim.events.DeliveryInbox`).  Messages are still handed
-to the node one by one in send order — per-link FIFO is preserved — but
-the node learns the batch boundary through
-:meth:`~repro.sim.node.ProtocolNode.deliver_batch`, which protocol
-implementations exploit to recompute derived state once per batch
-instead of once per message (see :mod:`repro.routing.fpss`).  Passing
-``batch_delivery=False`` restores the seed's one-event-per-message
-behaviour; both modes are deterministic and converge to the same fixed
-point.
+Every delivery event hands a node a tuple of messages through
+:meth:`~repro.sim.node.ProtocolNode.deliver_batch`, in send order
+(per-link FIFO is preserved), and the node settles its derived state
+once at the batch boundary (see :mod:`repro.routing.fpss`).  By default
+the simulator coalesces every message arriving at one node at one
+simulated instant into one such batch
+(:class:`~repro.sim.events.DeliveryInbox`), so a protocol recomputes
+once per batch instead of once per message.  ``batch_delivery=False``
+delivers each message as a batch of its own, in its own event; both
+modes are deterministic and converge to the same fixed point.
 """
 
 from __future__ import annotations
@@ -47,7 +46,8 @@ class Simulator:
         out-of-band bank channel.
     batch_delivery:
         Coalesce same-instant deliveries to one node into one event
-        (the default).  ``False`` restores per-message delivery events.
+        (the default).  ``False`` delivers each message as a batch of
+        one, in its own event.
     """
 
     def __init__(
@@ -114,7 +114,7 @@ class Simulator:
         (the bank, reachable by all, excepted) and reads the delay.  In
         batched mode the message joins the receiver's inbox slot for
         its arrival instant; only the slot's first message costs a
-        queue event.
+        queue event.  Unbatched, it is a batch of one in its own event.
         """
         src = message.src
         dst = message.dst
@@ -132,36 +132,22 @@ class Simulator:
             raise SimulationError(f"message to unknown node {dst!r}")
         self.metrics.record_send(src, payload_units=message.size, kind=message.kind)
         arrival = self._now + delay
-        if self.batch_delivery:
-            if self._inbox.add(arrival, dst, message):
-                self.queue.schedule(
-                    arrival,
-                    lambda time=arrival, dst=dst: self._deliver_batch(time, dst),
-                    label=f"deliver-batch:->{dst}",
-                )
-        else:
+        if not self.batch_delivery:
             self.queue.schedule(
                 arrival,
-                lambda: self._deliver(message),
+                lambda: self._nodes[dst].deliver_batch((message,)),
                 label=f"deliver:{message.kind}:{src}->{dst}",
             )
-
-    def _deliver(self, message: Message) -> None:
-        self.metrics.record_receive(message.dst)
-        self._nodes[message.dst].deliver(message)
+        elif self._inbox.add(arrival, dst, message):
+            self.queue.schedule(
+                arrival,
+                lambda time=arrival, dst=dst: self._deliver_batch(time, dst),
+                label=f"deliver-batch:->{dst}",
+            )
 
     def _deliver_batch(self, time: float, dst: NodeId) -> None:
         messages = self._inbox.collect(time, dst)
         self._nodes[dst].deliver_batch(messages)
-
-    def deliver_now(self, message: Message) -> None:
-        """Account for and process one message of a delivery batch.
-
-        Called back by :meth:`ProtocolNode.deliver_batch` loops so that
-        per-message metrics interleave with handler
-        effects exactly as they do in unbatched mode.
-        """
-        self._deliver(message)
 
     def note_drop(self, node_id: NodeId) -> None:
         """Count a message that ``node_id``'s filter suppressed."""

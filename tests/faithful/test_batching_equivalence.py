@@ -11,12 +11,15 @@ detection verdict never depends on the delivery mode.
 
 import pytest
 
+from collections import Counter
+
 from repro.faithful import (
     DEVIATION_CATALOGUE,
     FaithfulFPSSProtocol,
     construction_deviations,
     faithful_deviant_factory,
 )
+from repro.faithful.node import KIND_CHECKER_COPY
 from repro.routing import figure1_graph
 from repro.sim.simulator import Simulator
 from repro.workloads import uniform_all_pairs
@@ -129,6 +132,60 @@ class TestDeviantParity:
             == results[False].detection.detected_any
         )
         assert results[True].progressed == results[False].progressed
+
+
+class TestUnbatchedCopySpoof:
+    """Unbatched delivery is a batch of one: a principal's copies of one
+    input travel in one checker-copy bundle, the spoofed one included."""
+
+    def spoofer(self):
+        """A copy-spoof factory for "C" recording its inputs and the
+        size of every bundle it sends, per neighbour."""
+        base = faithful_deviant_factory(DEVIATION_CATALOGUE["copy-spoof"], "C")
+        record = {"inputs": 0, "bundles": []}
+
+        def factory(node_id, cost, signing):
+            node = base(node_id, cost, signing)
+            if node_id != "C":
+                return node
+            outbound = node.outbound
+
+            def watch(message):
+                if message.kind == KIND_CHECKER_COPY:
+                    record["bundles"].append(
+                        (message.dst, len(message.payload["copies"]))
+                    )
+                return outbound(message)
+
+            node.outbound = watch
+            for hook in ("after_route_input", "after_price_input"):
+                def counted(message, inner=getattr(node, hook)):
+                    record["inputs"] += 1
+                    inner(message)
+
+                setattr(node, hook, counted)
+            return node
+
+        return factory, record
+
+    def test_one_bundle_per_input_verdict_unchanged(self, graph, traffic):
+        factory, record = self.spoofer()
+        result = run_protocol(
+            graph, traffic, batch_delivery=False, node_factory=factory
+        )
+        neighbors = graph.neighbors("C")
+        per_neighbor = Counter(dst for dst, _ in record["bundles"])
+        assert per_neighbor == {n: record["inputs"] for n in neighbors}
+        # The forged copy rides with the honest copy it was made from.
+        assert Counter(size for _, size in record["bundles"]) == {
+            1: len(neighbors) * (record["inputs"] - 1),
+            2: len(neighbors),
+        }
+        # Detection verdict, restarts and utility as before bundling.
+        assert result.progressed
+        assert result.detection.detected_any
+        assert result.detection.restarts == 1
+        assert result.utilities["C"] == -250.0
 
 
 def test_simulator_default_is_batched(graph):

@@ -99,6 +99,10 @@ class TestCopies:
             {"z": RouteEntry(0.0, ("q", "z")), "p": RouteEntry(0.0, ("q", "p"))}
         )
         mirror.apply_copy(KIND_RT_UPDATE, "q", vector)
+        # Ingesting alone predicts nothing; the batch boundary replays.
+        assert len(mirror._expected_route) == 1
+        assert mirror.flush_pending() is True
+        assert mirror.flush_pending() is False  # nothing left pending
         # The replay must now predict a new announcement containing z.
         assert len(mirror._expected_route) == 2
         latest = dict(

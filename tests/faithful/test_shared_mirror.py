@@ -244,6 +244,20 @@ class TestMirrorLevelStream:
             reference[checker] = r
         return graph, principal, mirrors, reference
 
+    @staticmethod
+    def _boundary(*groups):
+        """A batch boundary: every mirror replays its ingested copies."""
+        for group in groups:
+            for mirror in group:
+                mirror.flush_pending()
+
+    @classmethod
+    def _replay(cls, kind, src, rows, *mirrors):
+        """Ingest one copy, then close the batch (a batch of one)."""
+        for mirror in mirrors:
+            mirror.apply_copy(kind, src, rows)
+        cls._boundary(mirrors)
+
     def _random_stream(self, graph, principal, rng, steps=40):
         """A plausible op stream with upserts and withdrawals."""
         neighbors = graph.neighbors(principal)
@@ -282,14 +296,12 @@ class TestMirrorLevelStream:
         rng = random.Random(seed)
         stream = self._random_stream(graph, principal, rng)
         for kind, src, rows in stream:
-            defer = rng.random() < 0.5
             for checker in mirrors:
-                mirrors[checker].apply_copy(kind, src, rows, defer=defer)
-                reference[checker].apply_copy(kind, src, rows, defer=defer)
-            if defer:
-                for checker in mirrors:
-                    mirrors[checker].flush_pending()
-                    reference[checker].flush_pending()
+                mirrors[checker].apply_copy(kind, src, rows)
+                reference[checker].apply_copy(kind, src, rows)
+            if rng.random() < 0.5:
+                self._boundary(mirrors.values(), reference.values())
+        self._boundary(mirrors.values(), reference.values())
         for checker in mirrors:
             shared_m, ref = mirrors[checker], reference[checker]
             assert list(shared_m._expected_route) == list(ref._expected_route)
@@ -311,13 +323,13 @@ class TestMirrorLevelStream:
         altered = ((("x"), 7.0, (src, "x")),)
         # Everyone agrees on op 0.
         for checker in checkers:
-            mirrors[checker].apply_copy(KIND_RT_UPDATE, src, common)
-            reference[checker].apply_copy(KIND_RT_UPDATE, src, common)
+            self._replay(KIND_RT_UPDATE, src, common,
+                         mirrors[checker], reference[checker])
         # Op 1 differs for the victim (deviant principal behaviour).
         for checker in checkers:
             rows = altered if checker == victim else common
-            mirrors[checker].apply_copy(KIND_RT_UPDATE, src, rows)
-            reference[checker].apply_copy(KIND_RT_UPDATE, src, rows)
+            self._replay(KIND_RT_UPDATE, src, rows,
+                         mirrors[checker], reference[checker])
         victim_mirror = mirrors[victim]
         assert victim_mirror.private_kernel_stats() is not None  # forked
         assert mirrors[leader].private_kernel_stats() is None  # still sharing
@@ -352,23 +364,23 @@ class TestMirrorLevelStream:
         for checker in checkers:
             cost = 7.0 if checker == victim else 1.0
             rows = (("x", cost, (src, "x")),)
-            mirrors[checker].apply_copy(KIND_RT_UPDATE, src, rows)
-            reference[checker].apply_copy(KIND_RT_UPDATE, src, rows)
+            self._replay(KIND_RT_UPDATE, src, rows,
+                         mirrors[checker], reference[checker])
         own = [reference[checker] for checker in checkers] + [mirrors[victim]]
         for mirror in own:
             self._assert_at_own_frontier(mirror)
         rng = random.Random(seed)
         for kind, src, rows in self._random_stream(graph, principal, rng):
-            defer = rng.random() < 0.5
             for checker in checkers:
-                mirrors[checker].apply_copy(kind, src, rows, defer=defer)
-                reference[checker].apply_copy(kind, src, rows, defer=defer)
+                mirrors[checker].apply_copy(kind, src, rows)
+                reference[checker].apply_copy(kind, src, rows)
             for mirror in own:
                 self._assert_at_own_frontier(mirror)
-            if defer:
+            if rng.random() < 0.5:
+                self._boundary(mirrors.values(), reference.values())
                 for mirror in own:
-                    mirror.flush_pending()
                     self._assert_at_own_frontier(mirror)
+        self._boundary(mirrors.values(), reference.values())
         forked, ref = mirrors[victim], reference[victim]
         assert list(forked._expected_route) == list(ref._expected_route)
         assert list(forked._expected_price) == list(ref._expected_price)
@@ -385,8 +397,8 @@ class TestMirrorLevelStream:
         # Only the diligent checkers replay the copy.
         for checker in checkers:
             if checker != lazy:
-                mirrors[checker].apply_copy(KIND_RT_UPDATE, src, rows)
-                reference[checker].apply_copy(KIND_RT_UPDATE, src, rows)
+                self._replay(KIND_RT_UPDATE, src, rows,
+                             mirrors[checker], reference[checker])
         assert (
             mirrors[lazy].routing_digest() == reference[lazy].routing_digest()
         )

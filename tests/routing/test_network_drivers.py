@@ -7,14 +7,16 @@ convergence helper, the plain mechanism, the dynamic-topology engine,
 the checked construction and the checked churn runner's epoch 0.  Built
 on one graph they must dispatch the same events in the same order, so
 their phase event counts, work counters, per-node digests and (checked)
-encoded flags agree exactly.  A driver that schedules the phase starts
-in another order, or builds its network differently, fails here first.
+encoded flags agree exactly, under batched and unbatched delivery
+alike.  A driver that schedules the phase starts in another order, or
+builds its network differently, fails here first.
 """
 
 import random
 
 import pytest
 
+import repro.faithful.protocol as protocol
 from repro.faithful import (
     DEVIATION_CATALOGUE,
     PlainFPSSProtocol,
@@ -30,6 +32,9 @@ from repro.workloads import random_biconnected_graph
 
 COST_RANGES = {"unit": (1.0, 1.0), "float": (1.0, 10.0)}
 CASES = [(seed, costs) for seed in (1, 2, 3) for costs in COST_RANGES]
+BATCH = pytest.mark.parametrize(
+    "batch", [True, False], ids=["batched", "unbatched"]
+)
 
 
 def make_graph(seed, costs):
@@ -53,10 +58,11 @@ def mirror_digests(nodes):
     }
 
 
+@BATCH
 @pytest.mark.parametrize("seed,costs", CASES)
-def test_plain_drivers_agree(seed, costs):
+def test_plain_drivers_agree(seed, costs, batch, monkeypatch):
     graph = make_graph(seed, costs)
-    simulator, nodes, stats = run_plain_fpss(graph)
+    simulator, nodes, stats = run_plain_fpss(graph, batch_delivery=batch)
 
     built = {}
 
@@ -64,9 +70,15 @@ def test_plain_drivers_agree(seed, costs):
         built[node_id] = FPSSNode(node_id, cost)
         return built[node_id]
 
+    # The plain mechanism takes no delivery option: build it in ``batch``.
+    build = protocol.build_network
+    monkeypatch.setattr(
+        protocol, "build_network",
+        lambda graph, make_node, delays: build(graph, make_node, delays, batch),
+    )
     result = PlainFPSSProtocol(graph, {}, node_factory=recording_factory).run()
 
-    engine = DynamicTopologyEngine(graph, verify=False)
+    engine = DynamicTopologyEngine(graph, verify=False, batch_delivery=batch)
     engine_stats = engine.converge()
 
     assert (engine_stats.phase1_events, engine_stats.phase2_events) == (
@@ -81,13 +93,17 @@ def test_plain_drivers_agree(seed, costs):
     assert node_digests(engine.nodes) == digests
 
 
+@BATCH
 @pytest.mark.parametrize("shared", [True, False])
 @pytest.mark.parametrize("seed,costs", CASES)
-def test_checked_construction_is_churn_epoch_zero(seed, costs, shared):
+def test_checked_construction_is_churn_epoch_zero(seed, costs, shared, batch):
     graph = make_graph(seed, costs)
-    checked = run_checked_construction(graph, shared_checking=shared)
+    checked = run_checked_construction(
+        graph, shared_checking=shared, batch_delivery=batch
+    )
     run = run_checked_churn(
-        graph, ChurnSchedule(epochs=()), shared_checking=shared, verify=False
+        graph, ChurnSchedule(epochs=()), shared_checking=shared,
+        batch_delivery=batch, verify=False,
     )
     initial = run.initial
     assert (initial.phase1_events, initial.phase2_events) == (
@@ -100,8 +116,9 @@ def test_checked_construction_is_churn_epoch_zero(seed, costs, shared):
     assert initial.flags == encoded
 
 
+@BATCH
 @pytest.mark.parametrize("shared", [True, False])
-def test_checked_drivers_agree_on_a_deviant(shared):
+def test_checked_drivers_agree_on_a_deviant(shared, batch):
     """Flags too: one deviant principal raises the same encoded flags
     through both checked drivers."""
     graph = make_graph(1, "float")
@@ -110,11 +127,12 @@ def test_checked_drivers_agree_on_a_deviant(shared):
         DEVIATION_CATALOGUE["false-route-announce"], target
     )
     checked = run_checked_construction(
-        graph, shared_checking=shared, node_factory=factory
+        graph, shared_checking=shared, node_factory=factory,
+        batch_delivery=batch,
     )
     run = run_checked_churn(
         graph, ChurnSchedule(epochs=()), shared_checking=shared,
-        node_factory=factory, verify=False,
+        node_factory=factory, batch_delivery=batch, verify=False,
     )
     assert checked.flags
     encoded = [encode_flag(f) for f in sorted(checked.flags, key=Flag.sort_key)]

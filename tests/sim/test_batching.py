@@ -101,8 +101,9 @@ class TestBatchedDelivery:
         nodes["a"].send("c", "data", n=1)
         nodes["b"].send("c", "data", n=2)
         processed = sim.run_until_quiescent()
+        # One event per message, each delivered as a batch of one.
         assert processed == 2
-        assert nodes["c"].batches == []  # deliver_batch never invoked
+        assert nodes["c"].batches == [[1], [2]]
         assert nodes["c"].seen == [1, 2]
 
 
