@@ -21,7 +21,13 @@ Each manipulation is a *mixin* overriding exactly one deviation seam of
 :class:`~repro.routing.fpss.FPSSNode` or
 :class:`~repro.faithful.node.FaithfulRoutingNode`, so the same
 deviation can be installed in the plain protocol (where it profits) and
-in the faithful protocol (where it is caught).  The
+in the faithful protocol (where it is caught).  The computation
+manipulations (2 and 4) override the broadcast seams
+``announce_routes`` / ``announce_prices``, which receive wire rows:
+the honest settled delta, or the full tables resent across a fresh
+link.  Rewriting or dropping rows there covers every routing and
+pricing message the node sends, so its checkers, who predict the
+honest delta, see each altered broadcast.  The
 :class:`DeviationSpec` registry records, for every manipulation, which
 external-action classes it touches — the input the IC/CC/AC and
 strong-CC/strong-AC verifiers need.
@@ -90,14 +96,10 @@ class FalseRouteAnnouncerMixin(DeviationMixin):
     BROADCAST_MISMATCH flag and BANK1 restarts the phase.
     """
 
-    def make_route_broadcast(self):
+    def announce_routes(self, rows, recipients=None) -> None:
         """Scale every announced path cost by the shade factor."""
-        honest = super().make_route_broadcast()
         shade = float(self.param("shade", 0.5))
-        return {
-            dest: type(entry)(cost=entry.cost * shade, path=entry.path)
-            for dest, entry in honest.items()
-        }
+        super().announce_routes(_scale_row_costs(rows, shade), recipients)
 
 
 class RouteSuppressMixin(DeviationMixin):
@@ -108,8 +110,8 @@ class RouteSuppressMixin(DeviationMixin):
     SUPPRESSED_UPDATE flag at the BANK1 quiescence checkpoint.
     """
 
-    def announce_routes(self) -> None:
-        """Suppress the announcement entirely."""
+    def announce_routes(self, rows, recipients=None) -> None:
+        """Suppress the announcement entirely (fresh-link resends too)."""
         return None
 
 
@@ -123,14 +125,10 @@ class FalsePriceAnnouncerMixin(DeviationMixin):
     chains.  Caught exactly like the route announcer.
     """
 
-    def make_price_broadcast(self):
+    def announce_prices(self, rows, recipients=None) -> None:
         """Scale every announced avoidance cost by the inflate factor."""
-        honest = super().make_price_broadcast()
         inflate = float(self.param("inflate", 2.0))
-        return {
-            key: type(entry)(cost=entry.cost * inflate, path=entry.path)
-            for key, entry in honest.items()
-        }
+        super().announce_prices(_scale_row_costs(rows, inflate), recipients)
 
 
 # ----------------------------------------------------------------------

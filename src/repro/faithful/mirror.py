@@ -58,12 +58,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..routing.fpss import KIND_PRICE_UPDATE, KIND_RT_UPDATE
 from ..routing.graph import Cost
-from ..routing.kernel import (
-    OP_DIVERGED,
-    KernelStats,
-    ReplayKernel,
-    SharedKernel,
-)
+from ..routing.kernel import KernelStats, ReplayKernel, SharedKernel
 from ..obs.events import BUS
 from ..obs.trace import emit_counters, emit_marker
 from ..sim.messages import NodeId
@@ -269,8 +264,7 @@ class PrincipalMirror:
         # verification below stays an ``is`` check on the hot path.
         rows = tuple(encoded_vector)
         assert self._log is not None
-        outcome = self._log.ingest(self._cursor, orig_kind, orig_src, rows)
-        if outcome is OP_DIVERGED:
+        if not self._log.ingest(self._cursor, orig_kind, orig_src, rows):
             # This checker's stream differs from the logged one (a
             # deviant principal treats its checkers unequally): fork
             # onto the verified prefix, whose frontier is the cursor.

@@ -21,10 +21,11 @@ node and a checker node for all of its neighbors".  A
   is checked against the mirrored routing table (off-LCP forwarding is
   flagged), and originations are logged so the bank can verify DATA4.
 
-Deviation seams inherited from :class:`FPSSNode` (declared cost,
-broadcast contents, charges, hops, payment reports) plus the new
-``forward_copy_to_checkers`` and digest-report seams are what the
-manipulation catalogue overrides.
+Deviation seams inherited from :class:`FPSSNode` (declared cost, the
+``announce_routes`` / ``announce_prices`` broadcast seams, charges,
+hops, payment reports) plus the new ``forward_copy_to_checkers`` and
+digest-report seams are what the manipulation catalogue overrides.
+This class overrides the broadcast seams only to ledger what it sends.
 """
 
 from __future__ import annotations
@@ -164,31 +165,30 @@ class FaithfulRoutingNode(FPSSNode):
 
     # --- announcements are ledgered per principal ---------------------
 
-    def announce_routes(self) -> None:
-        """Broadcast the routing delta, ledgering a copy-return per
-        neighbour so dropped/altered checker copies are detectable."""
-        vector = self._next_route_announcement()
-        for neighbor in self.neighbors:
-            mirror = self.mirrors.get(neighbor)
-            if mirror is not None and mirror.comp is not None:
-                mirror.record_sent(KIND_RT_UPDATE, vector)
-        self.multicast(
-            self.neighbors, KIND_RT_UPDATE, size_hint=delta_size(vector), vector=vector
-        )
+    def announce_routes(
+        self, rows: Tuple, recipients: Optional[Sequence[NodeId]] = None
+    ) -> None:
+        """Ledger a copy-return per recipient, then send the rows, so
+        dropped/altered checker copies are detectable."""
+        self._ledger_sent(KIND_RT_UPDATE, rows, recipients)
+        super().announce_routes(rows, recipients)
 
-    def announce_prices(self) -> None:
-        """Broadcast the pricing delta with the same ledgering."""
-        vector = self._next_price_announcement()
-        for neighbor in self.neighbors:
+    def announce_prices(
+        self, rows: Tuple, recipients: Optional[Sequence[NodeId]] = None
+    ) -> None:
+        """Ledger and send pricing rows, as :meth:`announce_routes`."""
+        self._ledger_sent(KIND_PRICE_UPDATE, rows, recipients)
+        super().announce_prices(rows, recipients)
+
+    def _ledger_sent(
+        self, kind: str, rows: Tuple, recipients: Optional[Sequence[NodeId]]
+    ) -> None:
+        """Ledger the rows in the mirror of each recipient, which must
+        copy-return them."""
+        for neighbor in self.neighbors if recipients is None else recipients:
             mirror = self.mirrors.get(neighbor)
             if mirror is not None and mirror.comp is not None:
-                mirror.record_sent(KIND_PRICE_UPDATE, vector)
-        self.multicast(
-            self.neighbors,
-            KIND_PRICE_UPDATE,
-            size_hint=delta_size(vector),
-            vector=vector,
-        )
+                mirror.record_sent(kind, rows)
 
     # --- checker observation of the sender's broadcasts ---------------
 

@@ -29,7 +29,6 @@ from .fpss import (
     KIND_COST_DECL,
     KIND_PRICE_UPDATE,
     KIND_RT_UPDATE,
-    FPSSComputation,
     FPSSNode,
     decode_avoid_vector,
     decode_route_vector,
@@ -95,7 +94,6 @@ __all__ = [
     "EpochReport",
     "run_dynamic_fpss",
     "verify_epoch_equivalence",
-    "FPSSComputation",
     "FPSSNode",
     "INFINITY",
     "KernelStats",

@@ -6,21 +6,18 @@ following the Griffin-Wilfong abstract model of BGP.  This module
 implements the *protocol* layers on top of the pure replay kernel of
 :mod:`repro.routing.kernel`:
 
-:class:`FPSSComputation`
-    The principal-facing name for one :class:`~repro.routing.kernel.
-    ReplayKernel` instance: a pure, deterministic state machine holding
-    DATA1-DATA3* and the neighbour vectors, with explicit apply /
-    recompute methods and no I/O.  Determinism matters beyond
-    tidiness: the faithful extension's checker nodes replay a
-    principal's computation on copies of its messages, and replay only
-    works if the computation is a pure function of (identity,
-    neighbour set, message sequence).
-
 :class:`FPSSNode`
-    A :class:`~repro.sim.node.ProtocolNode` driving one computation
-    instance: it floods cost declarations (first construction phase)
-    and exchanges routing/pricing updates (second construction phase),
-    broadcasting whenever its own tables change.
+    A :class:`~repro.sim.node.ProtocolNode` driving one
+    :class:`~repro.routing.kernel.ReplayKernel` (its ``comp``): it
+    floods cost declarations (first construction phase) and exchanges
+    routing/pricing updates (second construction phase), broadcasting
+    whenever its own tables change.  The kernel is a pure,
+    deterministic state machine holding DATA1-DATA3* and the neighbour
+    vectors, with no I/O.  Determinism matters beyond tidiness: the
+    faithful extension's checker nodes replay a principal's
+    computation on copies of its messages, and replay only works if
+    the computation is a pure function of (identity, neighbour set,
+    message sequence).
 
 This module also owns the *wire layer*: full-vector and delta
 encodings of routing/avoidance announcements (withdrawal rows carry
@@ -29,8 +26,11 @@ encodings of routing/avoidance announcements (withdrawal rows carry
 Incremental recomputation, batching, and the relaxation internals are
 documented on the kernel (:mod:`repro.routing.kernel`).  Phase starts,
 delivery-batch flushes and topology kicks all run the same
-settle-and-announce step; at a phase start the freshly reset kernel
-has every neighbour dirty, so that step is the initial relaxation.
+settle-and-announce step: :meth:`ReplayKernel.settle
+<repro.routing.kernel.ReplayKernel.settle>`, the step every checker
+mirror replays, then the changed tables' deltas out through the
+broadcast seams.  At a phase start the freshly reset kernel has every
+neighbour dirty, so that step is the initial relaxation.
 
 Distributed pricing
 -------------------
@@ -101,7 +101,6 @@ __all__ = [
     "AvoidKey",
     "AvoidVector",
     "RouteVector",
-    "FPSSComputation",
     "FPSSNode",
     "delta_size",
     "encode_route_vector",
@@ -166,8 +165,12 @@ def encode_route_delta(current: Mapping[NodeId, RouteEntry],
                        last: Mapping[NodeId, RouteEntry]) -> Tuple:
     """Delta announcement: ``current`` relative to ``last``.
 
-    Rows keep the full-vector shape ``(dest, cost, path)`` for changed
-    or new destinations; a destination present in ``last`` but absent
+    The wire-format reference: nodes announce the kernel's changed-key
+    deltas (:meth:`ReplayKernel.consume_route_delta
+    <repro.routing.kernel.ReplayKernel.consume_route_delta>`), and tests
+    write the same rows from plain vectors with this encoder.  Rows
+    keep the full-vector shape ``(dest, cost, path)`` for changed or
+    new destinations; a destination present in ``last`` but absent
     from ``current`` becomes the withdrawal row ``(dest, None, ())``
     (never produced by an obedient node, whose table only grows).
     Unchanged rows — the overwhelming majority after the first
@@ -190,9 +193,9 @@ def encode_avoid_delta(current: Mapping[AvoidKey, RouteEntry],
                        last: Mapping[AvoidKey, RouteEntry]) -> Tuple:
     """Delta announcement for an avoidance vector.
 
-    Same contract as :func:`encode_route_delta` with rows
-    ``(dest, avoided, cost, path)`` and withdrawals
-    ``(dest, avoided, None, ())``.
+    Same contract as :func:`encode_route_delta` (a wire-format
+    reference for tests) with rows ``(dest, avoided, cost, path)`` and
+    withdrawals ``(dest, avoided, None, ())``.
     """
     rows = []
     for key, entry in current.items():
@@ -206,28 +209,6 @@ def encode_avoid_delta(current: Mapping[AvoidKey, RouteEntry],
     return tuple(rows)
 
 
-class FPSSComputation(ReplayKernel):
-    """Pure FPSS mechanism state for one node (or one mirror of one).
-
-    The protocol-facing name of the replay kernel — see
-    :class:`~repro.routing.kernel.ReplayKernel` for the state machine
-    (ingestion, fused relaxation, changed-key sets, digests).
-    Kept as a distinct class so protocol code and the manipulation
-    catalogue keep reading in the paper's vocabulary.
-
-    Parameters
-    ----------
-    owner:
-        The node whose computation this is.
-    neighbors:
-        The owner's neighbour set (semi-private connectivity
-        information; common knowledge between link endpoints).
-    own_cost:
-        The transit cost the owner *declares* (truthful for obedient
-        nodes; a lie is an information-revelation deviation).
-    """
-
-
 class FPSSNode(ProtocolNode):
     """A trusting FPSS participant (the original, non-faithful protocol).
 
@@ -236,24 +217,24 @@ class FPSSNode(ProtocolNode):
     prevents a rational variant from manipulating tables — which is
     exactly the gap the faithful extension closes.
 
-    Subclass hook methods (`declared_cost`, `make_route_broadcast`,
-    `make_price_broadcast`) are the seams where manipulation strategies
-    attach.
+    Subclass hook methods are the seams where manipulation strategies
+    attach: :meth:`declared_cost` (information revelation), the two
+    broadcast seams :meth:`announce_routes` / :meth:`announce_prices`
+    (every routing or pricing row this node sends — settled deltas and
+    fresh-link resends alike — leaves through them), the
+    cost-flooding relay, and the execution-phase seams (charges, hops,
+    forwarding, payment reports).
     """
 
     def __init__(self, node_id: NodeId, true_cost: Cost) -> None:
         super().__init__(node_id)
         self.true_cost = float(true_cost)
-        self.comp: Optional[FPSSComputation] = None
+        self.comp: Optional[ReplayKernel] = None
         self.phase: str = "idle"
         #: Set by the phase-2 handlers, which only ingest inputs; the
         #: relaxation and broadcasts run once at the delivery batch's
         #: boundary (:meth:`flush_batch`).
         self._batch_recompute_pending = False
-        #: Last announced (hook-transformed) vectors, the baseline each
-        #: delta broadcast is encoded against.
-        self._announced_routes: RouteVector = {}
-        self._announced_avoid: AvoidVector = {}
         # --- execution-phase state (DATA4 and usage logs) ---
         self.data4 = PaymentList(node_id)
         #: True transit cost actually incurred forwarding packets.
@@ -276,19 +257,36 @@ class FPSSNode(ProtocolNode):
         """The cost this node announces (information revelation)."""
         return self.true_cost
 
-    def make_route_broadcast(self) -> RouteVector:
-        """The routing vector this node announces (computation)."""
-        assert self.comp is not None
-        return {
-            dest: entry
-            for dest in self.comp.routing.destinations
-            if (entry := self.comp.routing.entry(dest)) is not None
-        }
+    def announce_routes(
+        self, rows: Tuple, recipients: Optional[Sequence[NodeId]] = None
+    ) -> None:
+        """Send routing rows to ``recipients`` (default: every neighbour).
 
-    def make_price_broadcast(self) -> AvoidVector:
-        """The avoidance/pricing vector this node announces."""
-        assert self.comp is not None
-        return dict(self.comp.avoid)
+        The one routing broadcast seam (computation): settled deltas and
+        fresh-link resends both leave here, so a deviant that rewrites
+        or drops its announcements does so on every path.
+        """
+        self.multicast(
+            self.neighbors if recipients is None else recipients,
+            KIND_RT_UPDATE,
+            size_hint=delta_size(rows),
+            vector=rows,
+        )
+
+    def announce_prices(
+        self, rows: Tuple, recipients: Optional[Sequence[NodeId]] = None
+    ) -> None:
+        """Send avoidance rows to ``recipients`` (default: every neighbour).
+
+        The one pricing broadcast seam, the counterpart of
+        :meth:`announce_routes`.
+        """
+        self.multicast(
+            self.neighbors if recipients is None else recipients,
+            KIND_PRICE_UPDATE,
+            size_hint=delta_size(rows),
+            vector=rows,
+        )
 
     # ------------------------------------------------------------------
     # phase 1
@@ -296,7 +294,7 @@ class FPSSNode(ProtocolNode):
 
     def start_phase1(self) -> None:
         """Begin the first construction phase: declare and flood costs."""
-        self.comp = FPSSComputation(
+        self.comp = ReplayKernel(
             self.node_id, self.neighbors, self.declared_cost()
         )
         self._kernel_emitted = {}
@@ -334,8 +332,6 @@ class FPSSNode(ProtocolNode):
             raise ProtocolError(f"{self.node_id!r} cannot enter phase 2 before 1")
         self.phase = "phase2"
         self._batch_recompute_pending = False
-        self._announced_routes = {}
-        self._announced_avoid = {}
         self.comp.reset_phase2()
         self.recompute_and_announce(force_announce=True)
 
@@ -360,17 +356,17 @@ class FPSSNode(ProtocolNode):
         """Relax the dirty entries once; broadcast each changed kind.
 
         The one settle step of the protocol: phase starts, the
-        batch-boundary flush and topology kicks all run it, so they emit
-        identical broadcasts for identical ingested inputs.
+        batch-boundary flush and topology kicks all run it.  It is
+        :meth:`ReplayKernel.settle`, the step every checker mirror
+        replays, so identical ingested inputs give identical deltas on
+        both sides.
         """
         assert self.comp is not None
-        routes_changed = self.comp.recompute_routes()
-        avoid_changed = self.comp.recompute_avoidance()
-        self.comp.derive_pricing()
-        if routes_changed or force_announce:
-            self.announce_routes()
-        if avoid_changed or force_announce:
-            self.announce_prices()
+        route_delta, avoid_delta = self.comp.settle()
+        if route_delta is not None or force_announce:
+            self.announce_routes(route_delta or ())
+        if avoid_delta is not None or force_announce:
+            self.announce_prices(avoid_delta or ())
         if BUS.enabled:
             self._emit_kernel_counters()
 
@@ -421,50 +417,6 @@ class FPSSNode(ProtocolNode):
         ):
             self._settle_and_announce()
 
-    def _next_route_announcement(self) -> Tuple:
-        """Encode the next routing delta and advance the baseline.
-
-        When the broadcast hook is unmodified (the suggested
-        specification), the delta is read straight off the
-        computation's changed-key set in O(|changes|); a hooked
-        (deviant) broadcast falls back to diffing the transformed
-        vector against the previously announced one.
-        """
-        comp = self.comp
-        if comp is not None and type(self).make_route_broadcast is FPSSNode.make_route_broadcast:
-            return comp.consume_route_delta()
-        vector = self.make_route_broadcast()
-        delta = encode_route_delta(vector, self._announced_routes)
-        self._announced_routes = dict(vector)
-        return delta
-
-    def _next_price_announcement(self) -> Tuple:
-        """Encode the next avoidance delta and advance the baseline."""
-        comp = self.comp
-        if comp is not None and type(self).make_price_broadcast is FPSSNode.make_price_broadcast:
-            return comp.consume_avoid_delta()
-        vector = self.make_price_broadcast()
-        delta = encode_avoid_delta(vector, self._announced_avoid)
-        self._announced_avoid = dict(vector)
-        return delta
-
-    def announce_routes(self) -> None:
-        """Broadcast the delta of the (hook-provided) routing vector."""
-        delta = self._next_route_announcement()
-        self.multicast(
-            self.neighbors, KIND_RT_UPDATE, size_hint=delta_size(delta), vector=delta
-        )
-
-    def announce_prices(self) -> None:
-        """Broadcast the delta of the (hook-provided) avoidance vector."""
-        delta = self._next_price_announcement()
-        self.multicast(
-            self.neighbors,
-            KIND_PRICE_UPDATE,
-            size_hint=delta_size(delta),
-            vector=delta,
-        )
-
     def on_rt_update(self, message: Message) -> None:
         """[PRINC1] computation half: ingest new input; the batch
         boundary recomputes LCPs."""
@@ -510,42 +462,25 @@ class FPSSNode(ProtocolNode):
         self._settle_and_announce()
 
     def resend_full_tables(self, neighbor: NodeId) -> None:
-        """Unicast the announced full vectors across a new or restored link.
+        """Unicast the full tables across a new or restored link.
 
         Delta broadcasts assume the receiver holds the previously
-        announced vector; a fresh link starts from nothing, so both
-        endpoints send once what their other neighbours already hold.
-        Under the suggested specification that is the tables
-        themselves, built without consuming the changed-key sets so the
-        regular delta streams stay untouched.  A hooked broadcast seam
-        resends its last announced (transformed) vector instead — the
-        baseline its next delta is encoded against — so the new
-        neighbour ends up holding exactly what the old ones hold.
+        announced rows; a fresh link starts from nothing, so both
+        endpoints send their current tables once, through the same
+        broadcast seams as every delta.  The changed-key sets are left
+        untouched, so the regular delta streams go on as before, and a
+        seam that rewrites or drops rows does the same to the resend.
         """
-        assert self.comp is not None
-        cls = type(self)
-        route_rows = encode_route_vector(
-            self.make_route_broadcast()
-            if cls.make_route_broadcast is FPSSNode.make_route_broadcast
-            else self._announced_routes
-        )
-        avoid_rows = encode_avoid_vector(
-            self.comp.avoid
-            if cls.make_price_broadcast is FPSSNode.make_price_broadcast
-            else self._announced_avoid
-        )
-        self.multicast(
+        comp = self.comp
+        assert comp is not None
+        routing = comp.routing
+        self.announce_routes(
+            encode_route_vector(
+                {dest: routing.entry(dest) for dest in routing.destinations}
+            ),
             (neighbor,),
-            KIND_RT_UPDATE,
-            size_hint=delta_size(route_rows),
-            vector=route_rows,
         )
-        self.multicast(
-            (neighbor,),
-            KIND_PRICE_UPDATE,
-            size_hint=delta_size(avoid_rows),
-            vector=avoid_rows,
-        )
+        self.announce_prices(encode_avoid_vector(comp.avoid), (neighbor,))
 
     def join_network(self, known_costs: Mapping[NodeId, Cost]) -> None:
         """Bootstrap a node joining mid-run, DATA1 seeded out of band.
@@ -553,22 +488,17 @@ class FPSSNode(ProtocolNode):
         The compressed equivalent of flooding phase 1 and then starting
         phase 2 on the current graph: build the computation over the
         live neighbour set, note every known declaration, and run the
-        initial full relaxation.  The first announcements — the full
-        tables as a delta against nothing — reach the new neighbours
-        through the normal broadcast path.
+        initial full relaxation (:meth:`start_phase2`).  The first
+        announcements — the full tables as a delta against nothing —
+        reach the new neighbours through the normal broadcast path.
         """
-        self.comp = FPSSComputation(
+        self.comp = ReplayKernel(
             self.node_id, self.neighbors, self.declared_cost()
         )
         self._kernel_emitted = {}
         for node, cost in sorted(known_costs.items(), key=lambda kv: repr(kv[0])):
             self.comp.note_cost_declaration(node, cost)
-        self.phase = "phase2"
-        self._batch_recompute_pending = False
-        self._announced_routes = {}
-        self._announced_avoid = {}
-        self.comp.reset_phase2()
-        self.recompute_and_announce(force_announce=True)
+        self.start_phase2()
 
     # ------------------------------------------------------------------
     # execution phase (mechanism usage)

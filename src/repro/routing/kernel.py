@@ -8,10 +8,12 @@ Section 4 — DATA1-DATA3* and the checker replay of Section 4.2/4.3.
 centre of every FPSS computation in this repository: ingest wire deltas,
 run the fused monotone relaxation, expose changed-key sets, hash the
 tables.  It has no I/O and no simulator coupling, so it is consumed by
-three very different clients:
+three very different clients, all of which settle through
+:meth:`ReplayKernel.settle`:
 
-* the principal's own :class:`~repro.routing.fpss.FPSSComputation`
-  (a thin subclass, kept for the protocol-facing name);
+* the principal's own :class:`~repro.routing.fpss.FPSSNode`, whose
+  ``comp`` is a kernel and whose settle-and-announce step sends the
+  deltas :meth:`ReplayKernel.settle` returns;
 * a checker's :class:`~repro.faithful.mirror.PrincipalMirror`, which
   replays a neighbouring principal on forwarded copies through a
   :class:`SharedKernel` replay log; and
@@ -618,9 +620,9 @@ class ReplayKernel:
 
         Reads the changed-key set in O(|changes|) and consumes it,
         draining ids in rank order (== ``repr`` order; see the
-        class docstring).  Principals with an unmodified broadcast hook
-        and checker mirrors both encode from here, which is what keeps
-        actual and predicted broadcast streams bit-identical.  A
+        class docstring).  Principals and checker mirrors both encode
+        from here (through :meth:`settle`), which is what keeps actual
+        and predicted broadcast streams bit-identical.  A
         changed key whose entry was deleted (a destination withdrawn by
         a topology event) becomes the withdrawal row
         ``(dest, None, ())``; on a static graph deletions never happen
@@ -1244,13 +1246,12 @@ class ReplayKernel:
         pricing rows, and consumes the changed-key sets into the
         suggested-specification broadcast deltas — ``(route_delta,
         avoid_delta)``, each ``None`` when that table did not change.
-        Replay logs (:class:`SharedKernel`, hence every checker mirror)
-        and :func:`kernel_fixed_point` settle through here.  A
-        principal runs the same three steps in the same order itself
-        (``FPSSNode._settle_and_announce``), because it consumes a
-        changed-key set only when it announces; that shared order is
-        the replay-exactness contract that keeps predicted and actual
-        broadcast streams bit-identical.
+        Every client settles through here: the principal
+        (``FPSSNode._settle_and_announce`` announces the returned
+        deltas), replay logs (:class:`SharedKernel`, hence every checker
+        mirror) and :func:`kernel_fixed_point`.  One step on both sides
+        is the replay-exactness contract that keeps predicted and
+        actual broadcast streams bit-identical.
         """
         route_delta = (
             self.consume_route_delta() if self.recompute_routes() else None
@@ -1271,14 +1272,6 @@ class ReplayKernel:
 # ----------------------------------------------------------------------
 # shared checker replay
 # ----------------------------------------------------------------------
-
-#: Outcomes of submitting an op against a shared log position — the
-#: return vocabulary of :meth:`SharedKernel.ingest`; compare by
-#: identity against these constants.
-OP_HIT = "hit"  # op matched the log; result reused
-OP_EXTENDED = "extended"  # op appended at the frontier; kernel ran it
-OP_DIVERGED = "diverged"  # op conflicts with the log; caller must fork
-
 
 @dataclass
 class SharedKernel:
@@ -1358,15 +1351,15 @@ class SharedKernel:
         """The log position the kernel state corresponds to."""
         return len(self.ops)
 
-    def ingest(self, pos: int, kind: str, src: NodeId, rows: Tuple) -> str:
+    def ingest(self, pos: int, kind: str, src: NodeId, rows: Tuple) -> bool:
         """Submit one copy-apply op at log position ``pos``.
 
-        Returns ``"hit"`` (op matched the log; nothing ran),
-        ``"extended"`` (op appended at the frontier; the kernel ingested
-        it), or ``"diverged"`` (op conflicts with the log; the caller
-        must fork).  Honest multicast shares one rows tuple across all
-        receivers, so the verification compare is an identity check on
-        the hot path.
+        Returns False when the op conflicts with the log (the caller
+        must fork), else True: the op either matched the logged one
+        (nothing ran; counted in ``stats.shared_hits``) or was appended
+        at the frontier and ingested.  Honest multicast shares one rows
+        tuple across all receivers, so the verification compare is an
+        identity check on the hot path.
         """
         ops = self.ops
         if pos < len(ops):
@@ -1378,14 +1371,14 @@ class SharedKernel:
                 and (logged[3] is rows or logged[3] == rows)
             ):
                 self.stats.shared_hits += 1
-                return OP_HIT
-            return OP_DIVERGED
+                return True
+            return False
         ops.append(("apply", kind, src, rows))
         if kind == KIND_RT_UPDATE:
             self.kernel.apply_route_delta(src, rows)
         else:
             self.kernel.apply_avoid_delta(src, rows)
-        return OP_EXTENDED
+        return True
 
     def flush(self, pos: int) -> Optional[Tuple[int, Optional[Tuple], Optional[Tuple], bool]]:
         """Submit one relaxation-boundary op at log position ``pos``.

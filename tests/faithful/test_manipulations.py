@@ -19,6 +19,9 @@ from repro.faithful import (
     faithful_deviant_factory,
     plain_deviant_factory,
 )
+from repro.faithful.manipulations import _scale_row_costs
+from repro.faithful.mirror import PrincipalMirror
+from repro.faithful.protocol import run_checked_construction
 from repro.routing import figure1_graph
 from repro.workloads import uniform_all_pairs
 
@@ -184,3 +187,57 @@ class TestOtherTargets:
         spec = DEVIATION_CATALOGUE["payment-underreport"]
         result = run_faithful(spec, target=target)
         assert result.detection.detected_any
+
+
+class TestBroadcastSeams:
+    """A rewriting principal sends its checkers' honest predictions,
+    scaled: the computation manipulations rewrite the settled delta
+    itself, in both delivery modes."""
+
+    @pytest.mark.parametrize("batch", [True, False])
+    @pytest.mark.parametrize(
+        "name, kind, param",
+        [
+            ("false-route-announce", "route", "shade"),
+            ("false-price-announce", "price", "inflate"),
+        ],
+    )
+    def test_every_broadcast_is_the_scaled_prediction(
+        self, monkeypatch, batch, name, kind, param
+    ):
+        spec = DEVIATION_CATALOGUE[name]
+        scale = float(spec.params[param])
+        seen = {"route": [], "price": []}
+
+        def recording(which, original):
+            queue = "_expected_" + which
+
+            def observe(mirror, rows):
+                if mirror.principal_id == TARGET:
+                    expected = getattr(mirror, queue)
+                    seen[which].append((expected[0] if expected else None, rows))
+                original(mirror, rows)
+
+            return observe
+
+        for which in seen:
+            attr = f"observe_{which}_broadcast"
+            monkeypatch.setattr(
+                PrincipalMirror,
+                attr,
+                recording(which, getattr(PrincipalMirror, attr)),
+            )
+        run_checked_construction(
+            GRAPH,
+            batch_delivery=batch,
+            node_factory=faithful_deviant_factory(spec, TARGET),
+        )
+        assert seen["route"] and seen["price"]
+        for which, observed in seen.items():
+            for predicted, sent in observed:
+                assert predicted is not None
+                if which == kind:
+                    assert sent == _scale_row_costs(predicted, scale)
+                else:
+                    assert sent == predicted
+        assert any(predicted != sent for predicted, sent in seen[kind])

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
 from repro.routing import (
-    FPSSComputation,
     FPSSNode,
+    ReplayKernel,
     decode_avoid_vector,
     decode_route_vector,
     encode_avoid_vector,
@@ -55,14 +55,14 @@ class TestEncodings:
 
 class TestComputationUnit:
     def test_rejects_update_from_non_neighbor(self):
-        comp = FPSSComputation("a", ["b"], 1.0)
+        comp = ReplayKernel("a", ["b"], 1.0)
         with pytest.raises(ProtocolError, match="non-neighbour"):
             comp.apply_route_delta("z", ())
         with pytest.raises(ProtocolError, match="non-neighbour"):
             comp.apply_avoid_delta("z", ())
 
     def test_direct_neighbor_route(self):
-        comp = FPSSComputation("a", ["b"], 1.0)
+        comp = ReplayKernel("a", ["b"], 1.0)
         comp.note_cost_declaration("b", 2.0)
         assert comp.recompute_routes()
         entry = comp.routing.entry("b")
@@ -70,7 +70,7 @@ class TestComputationUnit:
         assert entry.path == ("a", "b")
 
     def test_loop_paths_rejected(self):
-        comp = FPSSComputation("a", ["b"], 1.0)
+        comp = ReplayKernel("a", ["b"], 1.0)
         comp.note_cost_declaration("b", 2.0)
         comp.apply_route_delta(
             "b", encode_route_delta({"z": RouteEntry(1.0, ("b", "a", "z"))}, {})
@@ -79,7 +79,7 @@ class TestComputationUnit:
         assert comp.routing.entry("z") is None
 
     def test_reset_phase2_clears_tables(self):
-        comp = FPSSComputation("a", ["b"], 1.0)
+        comp = ReplayKernel("a", ["b"], 1.0)
         comp.note_cost_declaration("b", 2.0)
         comp.recompute_routes()
         comp.reset_phase2()

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.routing import (
-    FPSSComputation,
+    ReplayKernel,
     RouteEntry,
     run_plain_fpss,
     verify_against_oracle,
@@ -25,7 +25,7 @@ from repro.workloads import random_biconnected_graph
 
 
 def build_computation(graph, owner):
-    comp = FPSSComputation(owner, graph.neighbors(owner), graph.cost(owner))
+    comp = ReplayKernel(owner, graph.neighbors(owner), graph.cost(owner))
     for node in graph.nodes:
         comp.note_cost_declaration(node, graph.cost(node))
     return comp

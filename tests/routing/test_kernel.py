@@ -20,7 +20,6 @@ from repro.faithful.manipulations import (
 from repro.faithful.protocol import run_checked_construction
 from repro.routing import (
     ASGraph,
-    FPSSComputation,
     KernelStats,
     MirrorKernelPool,
     ReplayKernel,
@@ -32,25 +31,19 @@ from repro.routing import (
     kernel_fixed_point,
     run_plain_fpss,
 )
-from repro.routing.kernel import (
-    KIND_PRICE_UPDATE,
-    KIND_RT_UPDATE,
-    OP_DIVERGED,
-    OP_EXTENDED,
-    OP_HIT,
-)
+from repro.routing.kernel import KIND_PRICE_UPDATE, KIND_RT_UPDATE
 from repro.routing.dynamic import DynamicTopologyEngine
 from repro.sim.churn import ChurnEvent
 from repro.workloads import random_biconnected_graph
 
 
 class TestKernelIdentity:
-    def test_fpss_computation_is_the_kernel(self):
-        """The protocol-facing class is the kernel under another name."""
-        assert issubclass(FPSSComputation, ReplayKernel)
-        comp = FPSSComputation("a", ("b", "c"), 1.0)
-        assert isinstance(comp, ReplayKernel)
-        assert isinstance(comp.stats, KernelStats)
+    def test_a_node_computes_on_the_kernel(self):
+        """A node's computation is a plain replay kernel."""
+        _, nodes, _ = run_plain_fpss(figure1_graph())
+        for node in nodes.values():
+            assert type(node.comp) is ReplayKernel
+            assert isinstance(node.comp.stats, KernelStats)
 
 
 def assert_route_state_tracks_entries(kernel):
@@ -190,11 +183,12 @@ class TestSharedKernel:
         principal = shared.owner
         neighbor = graph.neighbors(principal)[0]
         rows = (("x", 1.0, (neighbor, "x")),)
-        assert shared.ingest(0, KIND_RT_UPDATE, neighbor, rows) is OP_EXTENDED
+        assert shared.ingest(0, KIND_RT_UPDATE, neighbor, rows) is True
+        assert shared.frontier == 1 and shared.stats.shared_hits == 0
         # A second mirror submitting the same op at the same position
         # is satisfied from the log without kernel work.
-        assert shared.ingest(0, KIND_RT_UPDATE, neighbor, rows) is OP_HIT
-        assert shared.stats.shared_hits == 1
+        assert shared.ingest(0, KIND_RT_UPDATE, neighbor, rows) is True
+        assert shared.frontier == 1 and shared.stats.shared_hits == 1
 
     def test_divergent_op_refused(self, shared, graph):
         principal = shared.owner
@@ -202,7 +196,8 @@ class TestSharedKernel:
         rows = (("x", 1.0, (neighbor, "x")),)
         altered = (("x", 9.0, (neighbor, "x")),)
         shared.ingest(0, KIND_RT_UPDATE, neighbor, rows)
-        assert shared.ingest(0, KIND_RT_UPDATE, neighbor, altered) is OP_DIVERGED
+        assert shared.ingest(0, KIND_RT_UPDATE, neighbor, altered) is False
+        assert shared.frontier == 1 and shared.stats.shared_hits == 0
 
     def test_flush_records_predictions(self, shared, graph):
         principal = shared.owner

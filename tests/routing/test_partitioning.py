@@ -24,7 +24,7 @@ from repro.faithful import (
     PlainFPSSProtocol,
     plain_deviant_factory,
 )
-from repro.routing import FPSSComputation, RouteEntry
+from repro.routing import ReplayKernel, RouteEntry
 from repro.routing.fpss import encode_avoid_delta, encode_route_delta
 from repro.workloads import random_biconnected_graph, uniform_all_pairs
 
@@ -38,7 +38,7 @@ class TestRelaxationExclusion:
         for the key ``(z, k)`` is its avoidance row, and k is interior
         to i's own route ``(i, k, z)``, so i holds that key.
         """
-        comp = FPSSComputation("i", ["k", "m"], 1.0)
+        comp = ReplayKernel("i", ["k", "m"], 1.0)
         for node, cost in (("i", 1.0), ("k", 1.0), ("m", 1.0), ("z", 1.0)):
             comp.note_cost_declaration(node, cost)
         comp.apply_route_delta(

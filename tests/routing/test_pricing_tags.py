@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.routing import (
     DynamicTopologyEngine,
-    FPSSComputation,
+    ReplayKernel,
     RouteEntry,
     kernel_fixed_point,
     run_plain_fpss,
@@ -158,7 +158,7 @@ class TestTagsUnderArbitraryOffers:
         )
         nodes = sorted(graph.nodes)
         owner = rng.choice(nodes)
-        comp = FPSSComputation(owner, graph.neighbors(owner), graph.cost(owner))
+        comp = ReplayKernel(owner, graph.neighbors(owner), graph.cost(owner))
         for node in nodes:
             comp.note_cost_declaration(node, graph.cost(node))
         comp.settle()

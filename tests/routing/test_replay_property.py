@@ -1,4 +1,4 @@
-"""Property: FPSSComputation is a pure function of its message sequence.
+"""Property: a node's ReplayKernel is a pure function of its message sequence.
 
 This is the invariant the entire checker scheme rests on (Figure 2): a
 mirror fed the same inputs in the same order must reproduce the
@@ -13,13 +13,13 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.routing import FPSSComputation, RouteEntry
+from repro.routing import ReplayKernel, RouteEntry
 from repro.routing.fpss import encode_route_delta
 from repro.workloads import random_biconnected_graph
 
 
 def build_computation(graph, owner):
-    comp = FPSSComputation(owner, graph.neighbors(owner), graph.cost(owner))
+    comp = ReplayKernel(owner, graph.neighbors(owner), graph.cost(owner))
     for node in graph.nodes:
         comp.note_cost_declaration(node, graph.cost(node))
     return comp

@@ -175,16 +175,21 @@ class TestWireRows:
 
 def stored_offers(comp, sender):
     """The route and avoidance rows ``comp`` holds from ``sender``."""
-    routes = {row[0]: row[1:] for row in comp._route_offers[sender].values()}
-    avoid = {row[:2]: row[2:] for row in comp._avoid_offers[sender].values()}
+    routes = {row[0]: row[1:] for row in comp._route_offers.get(sender, {}).values()}
+    avoid = {row[:2]: row[2:] for row in comp._avoid_offers.get(sender, {}).values()}
     return routes, avoid
 
 
 class TestFreshLinkNextToDeviant:
-    """A link-up resends what the deviant's other neighbours hold."""
+    """A link-up resends what the deviant's other neighbours hold.
+
+    The resend leaves through the same broadcast seams as every delta,
+    so a rewriting deviant resends rewritten rows and a suppressing one
+    sends the new neighbour no routes at all.
+    """
 
     @pytest.mark.parametrize(
-        "name", ["false-price-announce", "false-route-announce"]
+        "name", ["false-price-announce", "false-route-announce", "route-suppress"]
     )
     def test_new_neighbour_holds_the_announced_tables(self, name):
         graph = random_biconnected_graph(10, random.Random(4), extra_edge_prob=0.2)
