@@ -12,8 +12,9 @@ Three gates:
 
 * a *dedup gate* (default tier): on the same graph, the shared kernel
   must do strictly fewer checker-side relaxations than the
-  per-neighbour oracle path, with bit-identical digests and zero flags
-  either way — a counter comparison, not a wall-clock race;
+  per-neighbour oracle path (none at all on an honest run, where every
+  principal leads its checkers' log), with bit-identical digests and
+  zero flags either way — a counter comparison, not a wall-clock race;
 * a *coalescing gate* (default tier): checker-copy traffic is counted
   per batch bundle, and must land strictly below the per-copy message
   count the pre-coalescing implementation would have produced (the
@@ -39,13 +40,16 @@ from repro.faithful.node import KIND_CHECKER_COPY
 from repro.routing import verify_epoch_equivalence
 from repro.workloads import random_biconnected_graph
 
-#: The checked 64-node acceptance number: the shared-kernel run takes
-#: ~9 s standalone on the development machine (147 s per-neighbour).
+#: The checked 64-node acceptance number.  With each obedient principal
+#: leading its checkers' replay log, the run takes 0.4-0.6 s standalone
+#: on a shared 2-vCPU x86-64 VM under Python 3.11 (0.7-1.3 s when every
+#: principal kept a second kernel, 2-4 s per-neighbour); 128 nodes take
+#: 2.4-3.1 s (4-6.5 s before) and 256 take 16-19 s (26-36 s before).
 ACCEPTANCE_64 = 10.0
 #: The tier gate adds 50% headroom on top: late in a pytest session
-#: the same run costs ~1-2 s more (fragmented heap, warmed caches), and
-#: the regression signal this bound protects is an order-of-magnitude
-#: one — losing the dedup puts the run back at minutes, not seconds.
+#: the same run costs more (fragmented heap, warmed caches), and the
+#: bound only catches a gross slowdown — lost sharing, lost coalescing
+#: and false flags are gated by exact counters below.
 #: REPRO_BENCH_TIME_SCALE widens it further on slower CI runners.
 BOUND_64 = 1.5 * ACCEPTANCE_64 * float(os.environ.get("REPRO_BENCH_TIME_SCALE", "1"))
 
@@ -123,7 +127,10 @@ def test_bench_checked_convergence_64(benchmark):
               checked.phase2_events,
               checked.metrics["total_checker_computations"],
               checked.kernel_stats.shared_hits,
-              checked.kernel_stats.rows_ingested]],
+              checked.kernel_stats.rows_ingested + sum(
+                  node.comp.stats.rows_ingested
+                  for node in checked.nodes.values()
+              )]],
             title="Checked 64-node convergence (shared kernel, "
             "oracle + fixed-point digests verified)",
         )
@@ -164,8 +171,10 @@ def test_bench_shared_vs_per_neighbour(benchmark):
                 ["shared", round(shared_s, 3), shared_comps,
                  stats.shared_hits, stats.forks],
                 ["per-neighbour", round(private_s, 3), private_comps, 0, 0],
+                # Shared checker comps read 0 on an honest run (every
+                # principal leads its log), so no comps ratio is shown.
                 ["speedup", round(private_s / max(shared_s, 1e-9), 1),
-                 round(private_comps / max(shared_comps, 1), 1), "", ""],
+                 "", "", ""],
             ],
             title=f"Checked {COMPARE_SIZE}-node construction: "
             f"shared kernel vs per-neighbour replay",

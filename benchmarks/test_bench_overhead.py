@@ -6,7 +6,10 @@ and (checker) computations for plain FPSS vs the faithful extension
 over growing random biconnected graphs.  Expected shape: plain FPSS is
 strictly cheaper; the factor grows with the checker fan-out (average
 degree), because every received update is copied to every neighbour
-and every neighbour replays every computation.
+and every neighbour replays every computation.  The table runs the
+paper's deployment, one replay per checker (``shared_checking=False``);
+with shared checking an obedient principal leads its checkers' replay
+log, so an honest run executes no checker relaxation at all.
 """
 
 import os
@@ -16,7 +19,12 @@ import time
 from conftest import once
 
 from repro.analysis import render_table
-from repro.faithful import FaithfulFPSSProtocol, PlainFPSSProtocol
+from repro.faithful import (
+    DEVIATION_CATALOGUE,
+    FaithfulFPSSProtocol,
+    PlainFPSSProtocol,
+    faithful_deviant_factory,
+)
 from repro.obs import BUS, NullSink, span
 from repro.routing import measure_convergence
 from repro.workloads import random_biconnected_graph, uniform_all_pairs
@@ -34,8 +42,19 @@ def measure_overhead(sizes=SIZES, seed=21):
         graph = random_biconnected_graph(size, rng)
         traffic = uniform_all_pairs(graph)
         plain = PlainFPSSProtocol(graph, traffic).run()
-        faithful = FaithfulFPSSProtocol(graph, traffic).run()
+        faithful = FaithfulFPSSProtocol(
+            graph, traffic, shared_checking=False
+        ).run()
         assert faithful.progressed and not faithful.detection.detected_any
+        shared = FaithfulFPSSProtocol(graph, traffic).run()
+        deviant = FaithfulFPSSProtocol(
+            graph,
+            traffic,
+            node_factory=faithful_deviant_factory(
+                DEVIATION_CATALOGUE["false-route-announce"],
+                sorted(graph.nodes, key=repr)[0],
+            ),
+        ).run()
         rows.append(
             {
                 "size": size,
@@ -48,6 +67,12 @@ def measure_overhead(sizes=SIZES, seed=21):
                 "faithful_comps": faithful.metrics["total_computations"]
                 + faithful.metrics["total_checker_computations"],
                 "checker_comps": faithful.metrics[
+                    "total_checker_computations"
+                ],
+                "shared_checker_comps": shared.metrics[
+                    "total_checker_computations"
+                ],
+                "deviant_checker_comps": deviant.metrics[
                     "total_checker_computations"
                 ],
             }
@@ -93,6 +118,11 @@ def test_bench_overhead(benchmark):
         assert r["faithful_msgs"] > r["plain_msgs"]
         assert r["checker_comps"] > 0
         assert r["faithful_comps"] > r["plain_comps"]
+        # Shared checking: honest principals lead their checkers' logs,
+        # so no checker relaxation runs; a deviant principal computes
+        # apart from its checkers' log, which a checker advances.
+        assert r["shared_checker_comps"] == 0
+        assert r["deviant_checker_comps"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,12 @@ class CheckedChurnRun:
         return out
 
     def kernel_stats(self) -> KernelStats:
-        """Aggregated shared-replay counters (zeroed without sharing)."""
+        """The pool's counters over all epochs (zeroed without sharing).
+
+        Hits, forks and seed refusals, plus the kernels of logs no
+        principal led; a led log's kernel is its principal's ``comp``,
+        counted there.
+        """
         if self.pool is None:
             return KernelStats()
         return self.pool.collected_stats()

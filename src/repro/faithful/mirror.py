@@ -33,11 +33,15 @@ advanced it.  Because a principal's copies reach all of its checkers
 identically, a mirror normally follows the log its host's
 :class:`~repro.routing.kernel.MirrorKernelPool` keeps for the
 principal: the expensive replayed kernel is then one instance per
-principal per simulated host, advanced by whichever mirror reaches the
-log frontier first, while every other mirror *verifies* its own ops
-against the log and reuses the recorded predictions.  Per-mirror state
-shrinks to the own-sent ledger, the expected-broadcast queues, the
-deferred-flush flag, and a log cursor.
+principal per simulated host, while every mirror *verifies* its own ops
+against the log and reuses the recorded predictions.  When the
+principal is obedient it leads the log itself: its own computation
+appends each op before any copy of it reaches a checker, so its
+mirrors only ever verify (the principal's ``comp`` *is* the log's
+kernel).  Otherwise the log is advanced by whichever mirror reaches
+its frontier first.  Per-mirror state shrinks to the own-sent ledger,
+the expected-broadcast queues, the deferred-flush flag, and a log
+cursor.
 
 A mirror with no pool, or whose seed the pool refused, starts a log of
 its own (:meth:`~repro.routing.kernel.SharedKernel.seeded`) and stays
@@ -45,7 +49,10 @@ at its frontier.  The first op that diverges from a shared log —
 different copies to different checkers, selectively dropped copies, a
 lazy checker — forks the mirror onto a new log of its own that
 replays its *own* verified prefix
-(:meth:`~repro.routing.kernel.SharedKernel.fork_at`).  So the flags and
+(:meth:`~repro.routing.kernel.SharedKernel.fork_at`).  So does an op
+that reaches the frontier of a log its principal leads: only the
+principal writes there, so no mirror can mutate the principal's state.
+So the flags and
 digests each mirror produces equal those of a mirror that replayed
 alone from the start, in every case (property-tested against
 ``shared_checking=False`` in ``tests/faithful/test_shared_mirror.py``).
@@ -392,7 +399,8 @@ class PrincipalMirror:
         started without sharing (seed mismatch, reference mode) or
         forked off a shared log.  Mirrors on a pooled log return
         ``None``: their work is accounted on the pooled
-        :class:`~repro.routing.kernel.SharedKernel`, and per-mirror
+        :class:`~repro.routing.kernel.SharedKernel` (or, on a log its
+        principal leads, on the principal's ``comp``), and per-mirror
         collection would multiply it.
         """
         if self._owns_log and self._log is not None:

@@ -15,6 +15,12 @@ node and a checker node for all of its neighbors".  A
   :class:`~repro.routing.kernel.SharedKernel` per principal when a
   :class:`~repro.routing.kernel.MirrorKernelPool` is installed on
   :attr:`FaithfulRoutingNode.mirror_pool` — and accumulates flags;
+* one principal computation path: the node's own kernel is the kernel
+  of the replay log it writes (:attr:`FaithfulRoutingNode.replay_log`).
+  An obedient node (exactly this class, no deviation mixin or
+  collusion role) leads its checkers' pooled log, so each principal is
+  computed once per host; any other node, or one whose seed the pool
+  refuses, writes a log of its own that no mirror follows;
 * signed bank reporting for the BANK1/BANK2 checkpoints and the
   execution-phase settlement;
 * execution-phase observation: each packet received from a neighbour
@@ -40,7 +46,7 @@ from ..routing.fpss import (
     delta_size,
 )
 from ..routing.graph import Cost
-from ..routing.kernel import MirrorKernelPool
+from ..routing.kernel import MirrorKernelPool, SharedKernel
 from ..sim.crypto import SigningAuthority
 from ..sim.messages import Message, NodeId
 from .audit import Flag, FlagKind
@@ -90,6 +96,9 @@ class FaithfulRoutingNode(FPSSNode):
         #: mirror a replay log of its own — the per-neighbour reference
         #: path standalone nodes and the equivalence tests use.
         self.mirror_pool: Optional[MirrorKernelPool] = None
+        #: The replay log this node writes as a principal (None before
+        #: phase 2); :attr:`comp` is its kernel.
+        self.replay_log: Optional[SharedKernel] = None
         #: neighbour -> that neighbour's own neighbour set, provided by
         #: the checker-setup handshake before phase 2.
         self._neighbor_neighbors: Dict[NodeId, Tuple[NodeId, ...]] = {}
@@ -163,6 +172,47 @@ class FaithfulRoutingNode(FPSSNode):
             )
         super().start_phase2()
 
+    # --- the principal computes on the log it writes ------------------
+
+    def _restart_computation(self) -> Tuple[Optional[Tuple], Optional[Tuple]]:
+        """Start this phase's replay log and compute on its kernel.
+
+        An obedient node leads its pool's log, seeded like its
+        checkers' (:meth:`MirrorKernelPool.lead
+        <repro.routing.kernel.MirrorKernelPool.lead>`); any other node,
+        or one the pool refuses, writes a log of its own.  The log
+        already ran the phase start, so its recorded deltas are the
+        first announcements.
+        """
+        comp = self.comp
+        assert comp is not None
+        seed = (self.node_id, self.neighbors, comp.own_cost, comp.costs.as_dict())
+        log = None
+        if self.mirror_pool is not None and type(self) is FaithfulRoutingNode:
+            log = self.mirror_pool.lead(*seed)
+        if log is None:
+            log = SharedKernel.seeded(*seed)
+            log.led = True
+        # Work counters carry across phase-2 restarts, as they did on
+        # one kernel.
+        log.kernel.stats.merge(comp.stats)
+        self.replay_log = log
+        self.comp = log.kernel
+        return log.initial_route, log.initial_price
+
+    def _ingest(self, kind: str, src: NodeId, rows: Tuple) -> None:
+        """Append one received update to the log (its next op)."""
+        log = self.replay_log
+        assert log is not None
+        log.ingest(log.frontier, kind, src, rows, lead=True)
+
+    def _settle(self) -> Tuple[Optional[Tuple], Optional[Tuple]]:
+        """Settle the batch as the log's next flush op."""
+        log = self.replay_log
+        assert log is not None
+        _pos, route_delta, price_delta, _ran = log.flush(log.frontier, lead=True)
+        return route_delta, price_delta
+
     # --- announcements are ledgered per principal ---------------------
 
     def announce_routes(
@@ -222,7 +272,9 @@ class FaithfulRoutingNode(FPSSNode):
         A checker computation is recorded only when the mirror actually
         executed the relaxation here — replays satisfied from a shared
         kernel's op log cost a cursor advance, not a computation, which
-        is exactly the dedup the overhead metrics should show.
+        is exactly the dedup the overhead metrics should show.  On a log
+        its principal leads, no follower ever executes, so an honest
+        shared run records none.
         """
         if mirror.flush_pending():
             self.sim.metrics.record_computation(self.node_id, as_checker=True)

@@ -457,7 +457,11 @@ class CheckedConstruction:
     phase1_events: int
     phase2_events: int
     flags: list
-    #: Aggregated shared-replay counters (zeroed when sharing is off).
+    #: Checking's own kernel work: the pool's counters (logs no
+    #: principal leads, hits, forks) plus mirrors on logs of their own.
+    #: A led log's kernel is its principal's ``comp`` and is not
+    #: counted here, so an honest shared run counts hits and no kernel
+    #: work.
     kernel_stats: KernelStats
 
     @property

@@ -30,7 +30,10 @@ settle-and-announce step: :meth:`ReplayKernel.settle
 <repro.routing.kernel.ReplayKernel.settle>`, the step every checker
 mirror replays, then the changed tables' deltas out through the
 broadcast seams.  At a phase start the freshly reset kernel has every
-neighbour dirty, so that step is the initial relaxation.
+neighbour dirty, so that step is the initial relaxation.  Inputs,
+settles and phase starts reach the kernel through three private seams
+(``_ingest``, ``_settle``, ``_restart_computation``), which the
+faithful node runs through the replay log its checkers follow.
 
 Distributed pricing
 -------------------
@@ -332,15 +335,13 @@ class FPSSNode(ProtocolNode):
             raise ProtocolError(f"{self.node_id!r} cannot enter phase 2 before 1")
         self.phase = "phase2"
         self._batch_recompute_pending = False
-        self.comp.reset_phase2()
-        self.recompute_and_announce(force_announce=True)
+        self.recompute_and_announce()
 
-    def recompute_and_announce(self, force_announce: bool = False) -> None:
-        """Phase start: settle the reset kernel and announce.
+    def recompute_and_announce(self) -> None:
+        """Phase start: restart the computation and announce both tables.
 
-        ``reset_phase2`` left every neighbour dirty, so the ordinary
-        settle is the initial relaxation; ``force_announce`` makes both
-        first announcements unconditional (deltas against nothing).
+        Both first announcements are unconditional (deltas against
+        nothing).
         """
         assert self.comp is not None
         self.sim.metrics.record_computation(self.node_id)
@@ -350,22 +351,53 @@ class FPSSNode(ProtocolNode):
             owner=str(self.node_id),
             phase=self.phase,
         ):
-            self._settle_and_announce(force_announce)
+            self._announce(*self._restart_computation(), force=True)
 
-    def _settle_and_announce(self, force_announce: bool = False) -> None:
-        """Relax the dirty entries once; broadcast each changed kind.
+    # --- computation seams (see the module docstring) ----------------
 
-        The one settle step of the protocol: phase starts, the
-        batch-boundary flush and topology kicks all run it.  It is
-        :meth:`ReplayKernel.settle`, the step every checker mirror
-        replays, so identical ingested inputs give identical deltas on
-        both sides.
+    def _restart_computation(self) -> Tuple[Optional[Tuple], Optional[Tuple]]:
+        """Reset the kernel for a phase start; returns its first deltas.
+
+        ``reset_phase2`` leaves every neighbour dirty, so the ordinary
+        settle is the initial relaxation.
         """
         assert self.comp is not None
-        route_delta, avoid_delta = self.comp.settle()
-        if route_delta is not None or force_announce:
+        self.comp.reset_phase2()
+        return self.comp.settle()
+
+    def _ingest(self, kind: str, src: NodeId, rows: Tuple) -> None:
+        """Feed one received update's rows to the computation."""
+        assert self.comp is not None
+        if kind == KIND_RT_UPDATE:
+            self.comp.apply_route_delta(src, rows)
+        else:
+            self.comp.apply_avoid_delta(src, rows)
+
+    def _settle(self) -> Tuple[Optional[Tuple], Optional[Tuple]]:
+        """Relax the dirty entries once: :meth:`ReplayKernel.settle`."""
+        assert self.comp is not None
+        return self.comp.settle()
+
+    def _settle_and_announce(self) -> None:
+        """Relax the dirty entries once; broadcast each changed kind.
+
+        The one settle step of the protocol: the batch-boundary flush
+        and topology kicks run it.  It is :meth:`ReplayKernel.settle`,
+        the step every checker mirror replays, so identical ingested
+        inputs give identical deltas on both sides.
+        """
+        self._announce(*self._settle())
+
+    def _announce(
+        self,
+        route_delta: Optional[Tuple],
+        avoid_delta: Optional[Tuple],
+        force: bool = False,
+    ) -> None:
+        """Broadcast each changed table's delta (both when ``force``)."""
+        if route_delta is not None or force:
             self.announce_routes(route_delta or ())
-        if avoid_delta is not None or force_announce:
+        if avoid_delta is not None or force:
             self.announce_prices(avoid_delta or ())
         if BUS.enabled:
             self._emit_kernel_counters()
@@ -422,7 +454,7 @@ class FPSSNode(ProtocolNode):
         boundary recomputes LCPs."""
         if self.comp is None or self.phase != "phase2":
             return
-        self.comp.apply_route_delta(message.src, message.payload["vector"])
+        self._ingest(KIND_RT_UPDATE, message.src, message.payload["vector"])
         self.after_route_input(message)
         self._batch_recompute_pending = True
 
@@ -431,7 +463,7 @@ class FPSSNode(ProtocolNode):
         boundary recomputes pricing."""
         if self.comp is None or self.phase != "phase2":
             return
-        self.comp.apply_avoid_delta(message.src, message.payload["vector"])
+        self._ingest(KIND_PRICE_UPDATE, message.src, message.payload["vector"])
         self.after_price_input(message)
         self._batch_recompute_pending = True
 

@@ -13,7 +13,8 @@ three very different clients, all of which settle through
 
 * the principal's own :class:`~repro.routing.fpss.FPSSNode`, whose
   ``comp`` is a kernel and whose settle-and-announce step sends the
-  deltas :meth:`ReplayKernel.settle` returns;
+  deltas :meth:`ReplayKernel.settle` returns (a faithful principal
+  settles through the :class:`SharedKernel` log it writes);
 * a checker's :class:`~repro.faithful.mirror.PrincipalMirror`, which
   replays a neighbouring principal on forwarded copies through a
   :class:`SharedKernel` replay log; and
@@ -82,6 +83,18 @@ and is always at its frontier; that is the per-neighbour reference
 (``shared_checking=False``) the pooled path is property-tested against
 (``tests/faithful/test_shared_mirror.py``).
 
+The principal's own computation is the same op stream once more: its
+received updates are the copies, its batch settles the flushes.  So an
+*obedient* principal (an unhooked
+:class:`~repro.faithful.node.FaithfulRoutingNode`) **leads** its pooled
+log (:meth:`MirrorKernelPool.lead`): its ``comp`` is the log's kernel,
+it appends every input through :meth:`SharedKernel.ingest` and settles
+every batch through :meth:`SharedKernel.flush`, and it announces the
+log's recorded deltas.  One kernel per principal is left per host.  The
+principal always reaches an op first, because its copies leave at its
+flush boundary and reach checkers a link delay later.  Any other
+faithful principal writes a log of its own that no mirror follows.
+
 Sharing invariant
 -----------------
 Mirrors of one principal may share a log **iff** they replay the same
@@ -103,6 +116,15 @@ assumed:
   flush`, and the mirror continues on it alone.  Fork cost is one
   replay of the prefix, paid only on divergence — i.e. only in deviant
   runs, where detection work is the point.
+* *leader*: only the principal writes a led log.  A follower that
+  reaches its frontier gets ``False`` from :meth:`SharedKernel.ingest`
+  or ``None`` from :meth:`SharedKernel.flush` and forks, as on any
+  divergence, so no checker can ever mutate the principal's state.  A
+  node with a deviation mixin or a collusion role, or whose seed the
+  pool refuses, never leads: every deviation is computed apart from
+  the log it is checked against.
+  What this gives up, and the guards that remain, are in
+  ``docs/architecture.md`` §4.
 
 The kernel keeps no state outside its instances: ``repr`` sort keys
 are derived per call, so replay cannot depend on what else the process
@@ -1249,7 +1271,8 @@ class ReplayKernel:
         Every client settles through here: the principal
         (``FPSSNode._settle_and_announce`` announces the returned
         deltas), replay logs (:class:`SharedKernel`, hence every checker
-        mirror) and :func:`kernel_fixed_point`.  One step on both sides
+        mirror and every faithful principal) and
+        :func:`kernel_fixed_point`.  One step on both sides
         is the replay-exactness contract that keeps predicted and
         actual broadcast streams bit-identical.
         """
@@ -1280,8 +1303,9 @@ class SharedKernel:
     Built from the *seed* every checker derives independently (the
     principal's neighbour set from the checker-setup handshake, its
     declared cost, and the converged DATA1), then advanced op by op by
-    whichever mirror reaches the log frontier first.  See the module
-    docstring for the sharing invariant and fork semantics.
+    whichever client reaches the log frontier first — or, once
+    :attr:`led`, by the principal alone.  See the module docstring for
+    the sharing invariant, the leader rule and fork semantics.
     """
 
     owner: NodeId
@@ -1296,6 +1320,9 @@ class SharedKernel:
     initial_route: Tuple = field(init=False)
     initial_price: Tuple = field(init=False)
     stats: KernelStats = field(default_factory=KernelStats)
+    #: Whether a principal writes this log: followers may then only
+    #: verify ops, never append them.
+    led: bool = False
 
     def __post_init__(self) -> None:
         """Replicate the principal's ``start_phase2`` exactly once."""
@@ -1351,15 +1378,19 @@ class SharedKernel:
         """The log position the kernel state corresponds to."""
         return len(self.ops)
 
-    def ingest(self, pos: int, kind: str, src: NodeId, rows: Tuple) -> bool:
+    def ingest(
+        self, pos: int, kind: str, src: NodeId, rows: Tuple, lead: bool = False
+    ) -> bool:
         """Submit one copy-apply op at log position ``pos``.
 
-        Returns False when the op conflicts with the log (the caller
+        Returns False when the op conflicts with the log, or reaches
+        the frontier of a :attr:`led` log without ``lead`` (the caller
         must fork), else True: the op either matched the logged one
         (nothing ran; counted in ``stats.shared_hits``) or was appended
         at the frontier and ingested.  Honest multicast shares one rows
         tuple across all receivers, so the verification compare is an
-        identity check on the hot path.
+        identity check on the hot path.  The leading principal passes
+        ``lead=True`` at the frontier.
         """
         ops = self.ops
         if pos < len(ops):
@@ -1373,6 +1404,8 @@ class SharedKernel:
                 self.stats.shared_hits += 1
                 return True
             return False
+        if self.led and not lead:
+            return False
         ops.append(("apply", kind, src, rows))
         if kind == KIND_RT_UPDATE:
             self.kernel.apply_route_delta(src, rows)
@@ -1380,14 +1413,18 @@ class SharedKernel:
             self.kernel.apply_avoid_delta(src, rows)
         return True
 
-    def flush(self, pos: int) -> Optional[Tuple[int, Optional[Tuple], Optional[Tuple], bool]]:
+    def flush(
+        self, pos: int, lead: bool = False
+    ) -> Optional[Tuple[int, Optional[Tuple], Optional[Tuple], bool]]:
         """Submit one relaxation-boundary op at log position ``pos``.
 
         Returns ``(new_pos, route_delta, price_delta, ran)`` where the
         deltas are the predicted broadcasts (``None`` when that table
         did not change) and ``ran`` says whether this call executed the
         relaxation (False on a log hit).  Returns ``None`` when the log
-        holds a conflicting op at ``pos`` — the caller must fork.
+        holds a conflicting op at ``pos``, or when ``pos`` is the
+        frontier of a :attr:`led` log and ``lead`` is not set — the
+        caller must fork.
         """
         ops = self.ops
         if pos < len(ops):
@@ -1396,6 +1433,8 @@ class SharedKernel:
                 return None
             self.stats.shared_hits += 1
             return (pos + 1, logged[1], logged[2], False)
+        if self.led and not lead:
+            return None
         route_delta, price_delta = self.kernel.settle()
         ops.append(("flush", route_delta, price_delta))
         return (pos + 1, route_delta, price_delta, True)
@@ -1452,10 +1491,11 @@ class MirrorKernelPool:
     ) -> Optional[SharedKernel]:
         """The shared kernel for a principal, or None if seeds differ.
 
-        The first checker to ask creates the kernel from its own seed;
-        later checkers share only if their independently derived seed
-        is identical (the sharing invariant) — otherwise they get None
-        and start a log of their own (:meth:`SharedKernel.seeded`).
+        The first client to ask (a checker, or the principal through
+        :meth:`lead`) creates the kernel from its own seed; later ones
+        share only if their independently derived seed is identical
+        (the sharing invariant) — otherwise they get None and start a
+        log of their own (:meth:`SharedKernel.seeded`).
         """
         entry = self._kernels.get(principal)
         if entry is None:
@@ -1469,18 +1509,49 @@ class MirrorKernelPool:
             return None
         return entry
 
+    def lead(
+        self,
+        principal: NodeId,
+        neighbors: Sequence[NodeId],
+        declared_cost: Cost,
+        known_costs: Mapping[NodeId, Cost],
+    ) -> Optional[SharedKernel]:
+        """The principal's pooled log, now led by the principal itself.
+
+        Acquires with the principal's own seed (:meth:`acquire`, which
+        counts a refusal).  ``None`` when the pool refuses the seed or
+        the log has already advanced or is led (a stale log kept by a
+        missed :meth:`new_epoch`); the principal then writes a log of
+        its own.
+        """
+        entry = self.acquire(principal, neighbors, declared_cost, known_costs)
+        if entry is None or entry.led or entry.ops:
+            return None
+        entry.led = True
+        return entry
+
+    @staticmethod
+    def _merge_entry(total: KernelStats, entry: SharedKernel) -> None:
+        """One log's counters; a led kernel's work is its principal's
+        (``node.comp.stats``), so it is not counted here."""
+        total.merge(entry.stats)
+        if not entry.led:
+            total.merge(entry.kernel.stats)
+
     def _collect_stats(self) -> None:
         for entry in self._kernels.values():
-            self.stats.merge(entry.stats)
-            self.stats.merge(entry.kernel.stats)
+            self._merge_entry(self.stats, entry)
 
     def collected_stats(self) -> KernelStats:
-        """Aggregated counters over all epochs (live kernels included)."""
+        """Aggregated counters over all epochs (live kernels included).
+
+        Counts checking's own work: every log's hits and forks, and the
+        kernels of logs no principal leads.
+        """
         total = KernelStats()
         total.merge(self.stats)
         for entry in self._kernels.values():
-            total.merge(entry.stats)
-            total.merge(entry.kernel.stats)
+            self._merge_entry(total, entry)
         return total
 
 

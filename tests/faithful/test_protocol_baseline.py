@@ -9,7 +9,12 @@ import random
 
 import pytest
 
-from repro.faithful import FaithfulFPSSProtocol, PlainFPSSProtocol
+from repro.faithful import (
+    DEVIATION_CATALOGUE,
+    FaithfulFPSSProtocol,
+    PlainFPSSProtocol,
+    faithful_deviant_factory,
+)
 from repro.routing import (
     figure1_graph,
     route_payments,
@@ -99,7 +104,11 @@ class TestFaithfulEqualsPlainWhenObedient:
 
 class TestOverheadAccounting:
     def test_checker_work_counted(self, fig1, fig1_traffic):
-        faithful = FaithfulFPSSProtocol(fig1, fig1_traffic).run()
+        # One replay per checker, the paper's deployment: nothing is
+        # shared, so every checker relaxation runs and is counted.
+        faithful = FaithfulFPSSProtocol(
+            fig1, fig1_traffic, shared_checking=False
+        ).run()
         plain = PlainFPSSProtocol(fig1, fig1_traffic).run()
         assert faithful.metrics["total_checker_computations"] > 0
         assert plain.metrics["total_checker_computations"] == 0
@@ -108,6 +117,25 @@ class TestOverheadAccounting:
             faithful.metrics["total_messages"]
             > plain.metrics["total_messages"]
         )
+
+    def test_shared_checker_work_runs_only_off_a_led_log(
+        self, fig1, fig1_traffic
+    ):
+        """With shared checking an obedient principal leads its
+        checkers' log, so an honest run executes no checker relaxation;
+        a deviant principal writes a log of its own and its checkers'
+        pooled log is advanced by a checker again."""
+        honest = FaithfulFPSSProtocol(fig1, fig1_traffic).run()
+        assert honest.metrics["total_checker_computations"] == 0
+        deviant = FaithfulFPSSProtocol(
+            fig1,
+            fig1_traffic,
+            node_factory=faithful_deviant_factory(
+                DEVIATION_CATALOGUE["false-route-announce"], "C"
+            ),
+        ).run()
+        assert deviant.detection.detected_any
+        assert deviant.metrics["total_checker_computations"] > 0
 
     def test_random_graph_baseline_clean(self):
         rng = random.Random(77)

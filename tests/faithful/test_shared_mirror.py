@@ -8,7 +8,9 @@ digests to per-neighbour replay (every mirror on a replay log of its
 own) across delivery modes, heterogeneous link delays,
 withdrawal-carrying streams, and every catalogued manipulation —
 including the deviations that force mirrors to fork off the shared log
-(unequal copies, lazy checkers).
+(unequal copies, lazy checkers) — and pin the leader rule: an obedient
+principal computes on the log its checkers follow, every deviant and
+colluder on a log of its own.
 """
 
 import random
@@ -24,9 +26,19 @@ from repro.faithful import (
     run_checked_construction,
     verify_checked_network,
 )
-from repro.faithful.node import encode_flag
+from repro.faithful.collusion import coalition_factory
+from repro.faithful.epochs import run_checked_churn
+from repro.faithful.manipulations import _deviant_class
+from repro.faithful.node import FaithfulRoutingNode, encode_flag
+from repro.faithful.protocol import (
+    anchor_checkers,
+    build_checked_network,
+    live_mirrors,
+)
 from repro.routing import MirrorKernelPool, figure1_graph
+from repro.routing.convergence import run_phase
 from repro.routing.kernel import KIND_PRICE_UPDATE, KIND_RT_UPDATE
+from repro.sim.churn import ChurnEvent, ChurnSchedule
 from repro.workloads import random_biconnected_graph, uniform_all_pairs
 
 
@@ -405,4 +417,224 @@ class TestMirrorLevelStream:
         assert (
             mirrors[diligent].routing_digest()
             != mirrors[lazy].routing_digest()
+        )
+
+
+# ----------------------------------------------------------------------
+# the obedient principal leads its checkers' log
+# ----------------------------------------------------------------------
+
+#: Every catalogued deviation on C, plus a full checker coalition
+#: shielding a false-route announcer at C.
+SCENARIOS = sorted(DEVIATION_CATALOGUE) + ["collusion"]
+
+
+def scenario_factory(graph, scenario):
+    if scenario == "collusion":
+        return coalition_factory(
+            DEVIATION_CATALOGUE["false-route-announce"], "C",
+            graph.neighbors("C"),
+        )
+    return faithful_deviant_factory(DEVIATION_CATALOGUE[scenario], "C")
+
+
+def deviants(graph, scenario):
+    if scenario == "collusion":
+        return {"C", *graph.neighbors("C")}
+    return {"C"}
+
+
+def pooled_log(node):
+    """The pool's log for ``node`` as a principal."""
+    return node.mirror_pool._kernels[node.node_id]
+
+
+def assert_leads(node):
+    log = pooled_log(node)
+    assert log.led
+    assert node.replay_log is log
+    assert node.comp is log.kernel
+
+
+def assert_own_kernel(node):
+    """The node writes a log no mirror follows and leads no pooled one."""
+    log = node.replay_log
+    assert log is not None and log.led
+    assert node.comp is log.kernel
+    pooled = node.mirror_pool._kernels.get(node.node_id)
+    assert pooled is not log and not (pooled is not None and pooled.led)
+
+
+def checked_phase2(graph, shared, batch, node_factory):
+    """Both construction phases, stopped before the quiescence
+    checkpoint so the mirrors' expected-broadcast queues are live."""
+    pool = MirrorKernelPool() if shared else None
+    simulator, nodes = build_checked_network(
+        graph, pool, batch_delivery=batch, node_factory=node_factory
+    )
+    run_phase(simulator, nodes, "phase1", 1_000_000)
+    anchor_checkers(nodes, graph)
+    if pool is not None:
+        pool.new_epoch()
+    run_phase(simulator, nodes, "phase2", 1_000_000)
+    return simulator, nodes
+
+
+def observables(nodes):
+    """Per-mirror queues, digests and flags, and every node's digest."""
+    seen = {}
+    for checker, principal, mirror in live_mirrors(nodes):
+        seen[(checker, principal)] = (
+            list(mirror._expected_route),
+            list(mirror._expected_price),
+            mirror.routing_digest(),
+            mirror.pricing_digest(),
+            [encode_flag(f) for f in mirror.checkpoint_flags()],
+        )
+    for node_id, node in nodes.items():
+        seen[node_id] = node.comp.full_digest()
+    return seen
+
+
+class TestPrincipalLeads:
+    def test_obedient_principal_computes_on_its_pool_log(self):
+        g = random_biconnected_graph(10, random.Random(7))
+        checked = run_checked_construction(g)
+        verify_checked_network(g, checked)
+        for node in checked.nodes.values():
+            assert_leads(node)
+        # No checker ever executes a relaxation on a led log, and the
+        # pool counts no kernel work (it is on the principals' comps).
+        assert checked.metrics["total_checker_computations"] == 0
+        assert checked.kernel_stats.rows_ingested == 0
+        assert checked.kernel_stats.shared_hits > 0
+        assert checked.kernel_stats.forks == 0
+
+    def test_without_a_pool_every_principal_writes_its_own_log(self):
+        g = random_biconnected_graph(6, random.Random(3))
+        checked = run_checked_construction(g, shared_checking=False)
+        for node in checked.nodes.values():
+            assert node.replay_log is not None
+            assert node.comp is node.replay_log.kernel
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_deviants_and_colluders_keep_their_own_kernel(self, scenario):
+        g = figure1_graph()
+        checked = run_checked_construction(
+            g, node_factory=scenario_factory(g, scenario)
+        )
+        marked = deviants(g, scenario)
+        for node_id, node in checked.nodes.items():
+            if node_id in marked:
+                assert type(node) is not FaithfulRoutingNode
+                assert_own_kernel(node)
+            else:
+                assert_leads(node)
+
+    def test_principal_counters_carry_across_phase_restarts(
+        self, graph, traffic
+    ):
+        """Each phase-2 attempt computes on a new log's kernel; the
+        principal's work counters still cover every attempt."""
+        protocol = FaithfulFPSSProtocol(
+            graph,
+            traffic,
+            node_factory=faithful_deviant_factory(
+                DEVIATION_CATALOGUE["route-suppress"], "C"
+            ),
+        )
+        assert protocol.run().detection.restarts > 0
+        for node_id, node in protocol.nodes.items():
+            last_attempt = sum(
+                len(op[3]) for op in node.replay_log.ops if op[0] == "apply"
+            )
+            assert node.comp.stats.rows_ingested > last_attempt, node_id
+
+    def test_node_turned_deviant_mid_churn_stops_leading(self):
+        spec = DEVIATION_CATALOGUE["false-route-announce"]
+        deviant_cls = _deviant_class(FaithfulRoutingNode, spec)
+        led_before = []
+
+        def inject(epoch, nodes):
+            if epoch == 2:
+                led_before.append(nodes["C"].replay_log.led and (
+                    nodes["C"].replay_log is pooled_log(nodes["C"])
+                ))
+                nodes["C"].__class__ = deviant_cls
+                nodes["C"]._handlers.clear()
+
+        schedule = ChurnSchedule(epochs=tuple(
+            (ChurnEvent(kind="cost", node=node, cost=cost),)
+            for node, cost in (("D", 2.0), ("A", 3.0))
+        ))
+        run = run_checked_churn(
+            figure1_graph(), schedule, on_epoch_start=inject, verify=False
+        )
+        assert led_before == [True]
+        assert_own_kernel(run.nodes["C"])
+        assert run.epochs[1].flags
+        for node_id, node in run.nodes.items():
+            if node_id != "C":
+                assert_leads(node)
+
+    def test_follower_at_a_led_frontier_forks_without_touching_the_principal(
+        self,
+    ):
+        """A copy the principal never ingested reaches the frontier of
+        its led log: refused, so the mirror forks; the principal's log
+        and tables are untouched.  Same for a flush the principal never
+        ran."""
+        graph = figure1_graph()
+        principal = "C"
+        known = {n: graph.cost(n) for n in graph.nodes}
+        seed = (principal, graph.neighbors(principal), graph.cost(principal),
+                known)
+        pool = MirrorKernelPool()
+        log = pool.lead(*seed)
+        src = graph.neighbors(principal)[0]
+        rows = (("x", 1.0, (src, "x")),)
+        log.ingest(log.frontier, KIND_RT_UPDATE, src, rows, lead=True)
+        log.flush(log.frontier, lead=True)
+        digest = log.kernel.full_digest()
+        frontier = log.frontier
+
+        def follower(checker):
+            mirror = PrincipalMirror(checker, principal)
+            mirror.start_phase2(
+                graph.neighbors(principal), graph.cost(principal), known,
+                shared=pool.acquire(*seed),
+            )
+            mirror.apply_copy(KIND_RT_UPDATE, src, rows)
+            assert mirror.flush_pending() is False  # a hit, not a run
+            assert mirror.private_kernel_stats() is None
+            return mirror
+
+        checkers = [n for n in graph.neighbors(principal) if n != src]
+        ahead = follower(checkers[0])
+        ahead.apply_copy(KIND_RT_UPDATE, src, (("y", 2.0, (src, "y")),))
+        assert ahead.private_kernel_stats() is not None  # forked
+        assert ahead.flush_pending() is True  # ran on its own log
+        flusher = follower(checkers[1])
+        flusher._replay_pending = True  # a flush with no input behind it
+        assert flusher.flush_pending() is True
+        assert flusher.private_kernel_stats() is not None  # forked
+        assert log.frontier == frontier
+        assert log.kernel.full_digest() == digest
+        assert log.stats.forks == 2
+
+    @pytest.mark.parametrize("batch", [True, False], ids=["batched", "unbatched"])
+    @pytest.mark.parametrize("scenario", ["obedient"] + SCENARIOS)
+    def test_queues_digests_and_flags_equal_reference(self, scenario, batch):
+        g = figure1_graph()
+        factory = None if scenario == "obedient" else scenario_factory(
+            g, scenario
+        )
+        runs = {
+            shared: checked_phase2(g, shared, batch, factory)
+            for shared in (True, False)
+        }
+        assert observables(runs[True][1]) == observables(runs[False][1])
+        assert (
+            runs[True][0].metrics.summary()["total_messages"]
+            == runs[False][0].metrics.summary()["total_messages"]
         )

@@ -282,6 +282,62 @@ class TestMirrorKernelPool:
         assert pool.epoch == 1
 
 
+class TestLedLog:
+    """Only the leading principal writes a led log; followers verify."""
+
+    @pytest.fixture
+    def graph(self):
+        return figure1_graph()
+
+    @pytest.fixture
+    def principal(self, graph):
+        return sorted(graph.nodes, key=repr)[0]
+
+    def test_follower_at_led_frontier_is_refused(self, graph, principal):
+        args = _seeded_pool_args(graph, principal)
+        pool = MirrorKernelPool()
+        log = pool.lead(principal, **args)
+        assert log is not None and log.led
+        assert pool.acquire(principal, **args) is log
+        neighbor = graph.neighbors(principal)[0]
+        rows = (("x", 1.0, (neighbor, "x")),)
+        digest = log.kernel.full_digest()
+        assert log.ingest(0, KIND_RT_UPDATE, neighbor, rows) is False
+        assert log.flush(0) is None
+        assert log.frontier == 0
+        assert log.kernel.full_digest() == digest
+        # The leader appends; a follower then verifies the same ops.
+        assert log.ingest(0, KIND_RT_UPDATE, neighbor, rows, lead=True)
+        pos, route_delta, price_delta, ran = log.flush(1, lead=True)
+        assert (pos, ran) == (2, True)
+        assert log.ingest(0, KIND_RT_UPDATE, neighbor, rows) is True
+        assert log.flush(1) == (2, route_delta, price_delta, False)
+        assert log.stats.shared_hits == 2
+        # A fork of a led log is a log of the follower's own.
+        fork = log.fork_at(2)
+        assert not fork.led
+        assert fork.kernel.full_digest() == log.kernel.full_digest()
+
+    def test_lead_refuses_mismatched_advanced_or_led_logs(
+        self, graph, principal
+    ):
+        args = _seeded_pool_args(graph, principal)
+        pool = MirrorKernelPool()
+        divergent = dict(args, declared_cost=args["declared_cost"] + 1.0)
+        assert pool.acquire(principal, **divergent) is not None
+        assert pool.lead(principal, **args) is None  # seed refused
+        assert pool.collected_stats().seed_mismatches == 1
+        pool.new_epoch()
+        log = pool.acquire(principal, **args)
+        neighbor = graph.neighbors(principal)[0]
+        log.ingest(0, KIND_RT_UPDATE, neighbor, (("x", 1.0, (neighbor, "x")),))
+        assert pool.lead(principal, **args) is None  # already advanced
+        assert not log.led
+        pool.new_epoch()
+        assert pool.lead(principal, **args) is not None
+        assert pool.lead(principal, **args) is None  # already led
+
+
 class TestKernelStats:
     def test_counters_move_on_protocol_run(self):
         graph = figure1_graph()

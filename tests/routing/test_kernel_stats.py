@@ -4,7 +4,9 @@
 and the telemetry ``kernel`` counter records trade in, and
 :meth:`MirrorKernelPool.collected_stats` is the cross-epoch aggregation
 the checker-scaling results report — both deserve direct coverage, not
-just incidental exercise through protocol runs.
+just incidental exercise through protocol runs.  A log its principal
+leads is counted once: its kernel on the principal, its hits on the
+pool.
 """
 
 from repro.routing.kernel import KernelStats, MirrorKernelPool
@@ -107,6 +109,26 @@ class TestMirrorKernelPoolCollectedStats:
         fresh = self._acquire(pool)
         assert fresh is not shared
         assert pool.collected_stats().rows_ingested == 4
+
+    def test_led_kernel_is_counted_on_its_principal_only(self):
+        """A led log's kernel is its principal's ``comp``, whose counters
+        are read there; the pool keeps counting the log's hits."""
+        pool = MirrorKernelPool()
+        led = pool.lead(
+            "A", self.SEED["neighbors"], self.SEED["declared_cost"],
+            self.SEED["known_costs"],
+        )
+        led.kernel.stats.rows_ingested = 7
+        led.stats.shared_hits = 3
+        other = pool.acquire("B", ("A", "C"), 3.0, self.SEED["known_costs"])
+        other.kernel.stats.rows_ingested = 2
+        collected = pool.collected_stats()
+        assert collected.rows_ingested == 2
+        assert collected.shared_hits == 3
+        pool.new_epoch()
+        banked = pool.collected_stats()
+        assert banked.rows_ingested == 2
+        assert banked.shared_hits == 3
 
     def test_collection_spans_epochs_without_double_count(self):
         pool = MirrorKernelPool()
