@@ -6,13 +6,14 @@ coalition consisting of a deviant principal together with **all** of
 its checkers can evade the catch-and-punish machinery, because every
 piece of evidence against a principal originates at its checkers.
 
-Concretely, a :class:`ComplicitCheckerMixin` node performs its checker
-role except that it never raises (or reports) flags about the protected
-principal and never "sees" the principal's broadcast mismatches.  A
-principal whose own tables stay internally consistent (e.g. the
-false-route announcer, which computes honestly but *announces* shaded
-costs) then passes BANK1/BANK2: its digests match its mirrors, and the
-only witnesses — the checkers — stay silent.
+Concretely, a :class:`ComplicitCheckerMixin` node runs the ordinary
+checker path, but its mirror of the protected principal is a
+:class:`SilentMirror`: it replays, compares and reports digests like
+any other, and never raises a flag.  A principal whose own tables stay
+internally consistent (e.g. the false-route announcer, which computes
+honestly but *announces* shaded costs) then passes BANK1/BANK2: its
+digests match its mirrors, and the only witnesses — the checkers —
+stay silent.
 
 This is not a bug in the reproduction; it is the paper's explicit
 knowledge assumption surfaced as an experiment (benchmarks
@@ -27,77 +28,37 @@ from typing import FrozenSet, Iterable
 
 from ..routing.graph import Cost
 from ..sim.crypto import SigningAuthority
-from ..sim.messages import Message, NodeId
+from ..sim.messages import NodeId
+from .audit import FlagKind
 from .manipulations import DeviationSpec, _deviant_class
+from .mirror import PrincipalMirror
 from .node import FaithfulRoutingNode
+
+
+class SilentMirror(PrincipalMirror):
+    """A mirror that never flags its principal."""
+
+    def _flag(self, kind: FlagKind, **detail) -> None:
+        """Witness nothing."""
 
 
 class ComplicitCheckerMixin:
     """A checker that shields one principal from scrutiny.
 
-    The class attribute ``protected`` names the coalition's principal.
-    The node behaves faithfully in every other respect (its own tables,
-    its own announcements, its checker duties toward other
-    neighbours), so nothing else in the network can incriminate it.
+    The class attribute ``protected`` names the coalition's principal,
+    whose mirror is a :class:`SilentMirror`.  The node behaves
+    faithfully in every other respect (its own tables, its own
+    announcements, its checker duties toward other neighbours), so
+    nothing else in the network can incriminate it.
     """
 
     protected: NodeId = None
 
-    def on_rt_update(self, message: Message) -> None:
-        """Skip the mirror comparison for the protected principal."""
-        if message.src == self.protected and self.phase == "phase2":
-            # Swallow the broadcast-vs-mirror comparison, then let the
-            # principal-role processing proceed normally.
-            mirror = self.mirrors.get(message.src)
-            if mirror is not None and mirror.comp is not None:
-                expected = mirror._expected_route
-                if expected:
-                    expected.popleft()
-            # Skip FaithfulRoutingNode's observation by calling the
-            # plain FPSS handler path with mirror checks removed.
-            from ..routing.fpss import FPSSNode
-
-            FPSSNode.on_rt_update(self, message)
-            return
-        super().on_rt_update(message)
-
-    def on_price_update(self, message: Message) -> None:
-        """Skip the mirror comparison for the protected principal."""
-        if message.src == self.protected and self.phase == "phase2":
-            mirror = self.mirrors.get(message.src)
-            if mirror is not None and mirror.comp is not None:
-                expected = mirror._expected_price
-                if expected:
-                    expected.popleft()
-            from ..routing.fpss import FPSSNode
-
-            FPSSNode.on_price_update(self, message)
-            return
-        super().on_price_update(message)
-
-    def on_bank_request(self, message: Message) -> None:
-        """Answer honestly, then scrub evidence about the protégé."""
-        protected = self.protected
-        mirror = self.mirrors.get(protected)
-        if mirror is not None:
-            # Clear any flags accumulated against the principal and
-            # mute the pending-broadcast bookkeeping so checkpoint
-            # flags cannot appear either.
-            mirror.flags = [
-                f for f in mirror.flags if f.principal != protected
-            ]
-            mirror._expected_route.clear()
-            mirror._expected_price.clear()
-            mirror._awaiting_copy.clear()
-        super().on_bank_request(message)
-
-    def report_mirror_digest_override(self) -> None:  # pragma: no cover
-        """Placeholder for subclasses coordinating digest fabrication.
-
-        The shipped coalition does not need it: a principal that only
-        lies in *broadcasts* keeps its own tables equal to the honest
-        replay, so truthful mirror digests already match.
-        """
+    def make_mirror(self, principal: NodeId) -> PrincipalMirror:
+        """A silent mirror for the protected principal."""
+        if principal == self.protected:
+            return SilentMirror(self.node_id, principal)
+        return super().make_mirror(principal)
 
 
 def coalition_factory(

@@ -40,8 +40,8 @@ appends each op before any copy of it reaches a checker, so its
 mirrors only ever verify (the principal's ``comp`` *is* the log's
 kernel).  Otherwise the log is advanced by whichever mirror reaches
 its frontier first.  Per-mirror state shrinks to the own-sent ledger,
-the expected-broadcast queues, the deferred-flush flag, and a log
-cursor.
+the expected-broadcast queue per update kind, the deferred-flush flag,
+and a log cursor.
 
 A mirror with no pool, or whose seed the pool refused, starts a log of
 its own (:meth:`~repro.routing.kernel.SharedKernel.seeded`) and stays
@@ -63,9 +63,13 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..routing.fpss import KIND_PRICE_UPDATE, KIND_RT_UPDATE
 from ..routing.graph import Cost
-from ..routing.kernel import KernelStats, ReplayKernel, SharedKernel
+from ..routing.kernel import (
+    UPDATE_KINDS,
+    KernelStats,
+    ReplayKernel,
+    SharedKernel,
+)
 from ..obs.events import BUS
 from ..obs.trace import emit_counters, emit_marker
 from ..sim.messages import NodeId
@@ -99,9 +103,10 @@ class PrincipalMirror:
         self._cursor = 0
         self.flags: List[Flag] = []
         #: Broadcast vectors the replay says the principal must emit
-        #: next, in order (separate queues per message kind).
-        self._expected_route: Deque[Tuple] = deque()
-        self._expected_price: Deque[Tuple] = deque()
+        #: next, one FIFO queue per update kind.
+        self._expected: Dict[str, Deque[Tuple]] = {
+            kind: deque() for kind in UPDATE_KINDS
+        }
         #: Ground-truth ledger of updates this checker sent to the
         #: principal, awaiting copy-return.
         self._awaiting_copy: Deque[Tuple[str, Tuple]] = deque()
@@ -164,8 +169,8 @@ class PrincipalMirror:
         starts a log of its own from these arguments.
         """
         self.flags = []
-        self._expected_route.clear()
-        self._expected_price.clear()
+        for expected in self._expected.values():
+            expected.clear()
         self._awaiting_copy.clear()
         self._replay_pending = False
         self._cursor = 0
@@ -181,8 +186,17 @@ class PrincipalMirror:
         # The log already replicated the principal's start_phase2
         # (reset, settle, unconditional initial announcements); queue
         # the recorded predictions.
-        self._expected_route.append(shared.initial_route)
-        self._expected_price.append(shared.initial_price)
+        self._expect(shared.initial_route, shared.initial_price)
+
+    def _expect(self, *deltas: Optional[Tuple]) -> None:
+        """Queue each table's predicted broadcast (None: unchanged).
+
+        ``deltas`` are in :data:`UPDATE_KINDS` order, the order a
+        settle returns them.
+        """
+        for kind, delta in zip(UPDATE_KINDS, deltas, strict=True):
+            if delta is not None:
+                self._expected[kind].append(delta)
 
     def _flag(self, kind: FlagKind, **detail) -> None:
         self.flags.append(
@@ -262,7 +276,7 @@ class PrincipalMirror:
             return
         if orig_src == self.checker_id:
             self._match_returned_copy(orig_kind, encoded_vector)
-        if orig_kind not in (KIND_RT_UPDATE, KIND_PRICE_UPDATE):
+        if orig_kind not in UPDATE_KINDS:
             self._flag(FlagKind.SPOOFED_COPY, claimed_message_kind=orig_kind)
             return
 
@@ -304,10 +318,7 @@ class PrincipalMirror:
             result = self._log.flush(self._cursor)
             assert result is not None
         self._cursor, route_delta, price_delta, ran = result
-        if route_delta is not None:
-            self._expected_route.append(route_delta)
-        if price_delta is not None:
-            self._expected_price.append(price_delta)
+        self._expect(route_delta, price_delta)
         if ran:
             self.replays_run += 1
         return ran
@@ -316,23 +327,14 @@ class PrincipalMirror:
     # observations: the principal's actual broadcasts
     # ------------------------------------------------------------------
 
-    def observe_route_broadcast(self, encoded_vector: Tuple) -> None:
-        """Compare an actual routing broadcast against the replay."""
-        if not self._expected_route:
-            self._flag(FlagKind.UNEXPECTED_BROADCAST, message_kind=KIND_RT_UPDATE)
+    def observe_broadcast(self, kind: str, encoded_vector: Tuple) -> None:
+        """Compare an actual broadcast of either kind against the replay."""
+        expected = self._expected[kind]
+        if not expected:
+            self._flag(FlagKind.UNEXPECTED_BROADCAST, message_kind=kind)
             return
-        expected = self._expected_route.popleft()
-        if expected != tuple(encoded_vector):
-            self._flag(FlagKind.BROADCAST_MISMATCH, message_kind=KIND_RT_UPDATE)
-
-    def observe_price_broadcast(self, encoded_vector: Tuple) -> None:
-        """Compare an actual pricing broadcast against the replay."""
-        if not self._expected_price:
-            self._flag(FlagKind.UNEXPECTED_BROADCAST, message_kind=KIND_PRICE_UPDATE)
-            return
-        expected = self._expected_price.popleft()
-        if expected != tuple(encoded_vector):
-            self._flag(FlagKind.BROADCAST_MISMATCH, message_kind=KIND_PRICE_UPDATE)
+        if expected.popleft() != tuple(encoded_vector):
+            self._flag(FlagKind.BROADCAST_MISMATCH, message_kind=kind)
 
     # ------------------------------------------------------------------
     # checkpoint
@@ -346,20 +348,14 @@ class PrincipalMirror:
         principal suppressed an update, and any unreturned ledger entry
         means it dropped a checker copy.
         """
-        if self._expected_route:
-            self._flag(
-                FlagKind.SUPPRESSED_UPDATE,
-                message_kind=KIND_RT_UPDATE,
-                pending=len(self._expected_route),
-            )
-            self._expected_route.clear()
-        if self._expected_price:
-            self._flag(
-                FlagKind.SUPPRESSED_UPDATE,
-                message_kind=KIND_PRICE_UPDATE,
-                pending=len(self._expected_price),
-            )
-            self._expected_price.clear()
+        for kind, expected in self._expected.items():
+            if expected:
+                self._flag(
+                    FlagKind.SUPPRESSED_UPDATE,
+                    message_kind=kind,
+                    pending=len(expected),
+                )
+                expected.clear()
         if self._awaiting_copy:
             self._flag(
                 FlagKind.COPY_MISSING, pending=len(self._awaiting_copy)

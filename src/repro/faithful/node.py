@@ -30,8 +30,12 @@ node and a checker node for all of its neighbors".  A
 Deviation seams inherited from :class:`FPSSNode` (declared cost, the
 ``announce_routes`` / ``announce_prices`` broadcast seams, charges,
 hops, payment reports) plus the new ``forward_copy_to_checkers`` and
-digest-report seams are what the manipulation catalogue overrides.
-This class overrides the broadcast seams only to ledger what it sends.
+digest-report seams are what the manipulation catalogue overrides;
+``make_mirror`` is the collusion seam
+(:mod:`repro.faithful.collusion`).  This class overrides the broadcast
+seams only to ledger what it sends.  Routing and pricing updates share
+one handler body (``on_table_update``) and one copy-to-checkers hook
+(``after_update_input``), keyed by the message kind.
 """
 
 from __future__ import annotations
@@ -150,7 +154,7 @@ class FaithfulRoutingNode(FPSSNode):
         for principal in self.neighbors:
             mirror = self.mirrors.get(principal)
             if mirror is None:
-                mirror = PrincipalMirror(self.node_id, principal)
+                mirror = self.make_mirror(principal)
                 self.mirrors[principal] = mirror
             principal_neighbors = self._neighbor_neighbors.get(principal)
             if principal_neighbors is None:
@@ -171,6 +175,14 @@ class FaithfulRoutingNode(FPSSNode):
                 shared=shared,
             )
         super().start_phase2()
+
+    def make_mirror(self, principal: NodeId) -> PrincipalMirror:
+        """A new mirror of ``principal``, this node's checker role.
+
+        Collusion seam: a complicit checker returns a mirror that never
+        flags the principal it shields.
+        """
+        return PrincipalMirror(self.node_id, principal)
 
     # --- the principal computes on the log it writes ------------------
 
@@ -242,7 +254,7 @@ class FaithfulRoutingNode(FPSSNode):
 
     # --- checker observation of the sender's broadcasts ---------------
 
-    def on_rt_update(self, message: Message) -> None:
+    def on_table_update(self, message: Message) -> None:
         """Check the broadcast against the sender's mirror, then act.
 
         Any copies of the sender's batch still awaiting replay are
@@ -254,17 +266,11 @@ class FaithfulRoutingNode(FPSSNode):
             mirror = self.mirrors.get(message.src)
             if mirror is not None and mirror.comp is not None:
                 self._flush_mirror(mirror)
-                mirror.observe_route_broadcast(message.payload["vector"])
-        super().on_rt_update(message)
+                mirror.observe_broadcast(message.kind, message.payload["vector"])
+        super().on_table_update(message)
 
-    def on_price_update(self, message: Message) -> None:
-        """Check the broadcast against the sender's mirror, then act."""
-        if self.phase == "phase2":
-            mirror = self.mirrors.get(message.src)
-            if mirror is not None and mirror.comp is not None:
-                self._flush_mirror(mirror)
-                mirror.observe_price_broadcast(message.payload["vector"])
-        super().on_price_update(message)
+    # The aliases bind a function, so an override of the body re-binds them.
+    on_rt_update = on_price_update = on_table_update
 
     def _flush_mirror(self, mirror: PrincipalMirror) -> None:
         """Run a mirror's deferred replay, accounting the computation.
@@ -308,20 +314,14 @@ class FaithfulRoutingNode(FPSSNode):
 
     # --- principal duty: forward copies before recomputing ------------
 
-    def after_route_input(self, message: Message) -> None:
-        """[PRINC1] message passing: copy the input to all checkers."""
+    def after_update_input(self, message: Message) -> None:
+        """[PRINC1]/[PRINC2] message passing: copy the input to all
+        checkers."""
         # The delivered message's size is already cached from its own
         # transmission; a copy adds two scalars (orig_kind, orig_src).
         self._copy_size_hint = message.size + 2
         self.forward_copy_to_checkers(
-            KIND_RT_UPDATE, message.src, message.payload["vector"]
-        )
-
-    def after_price_input(self, message: Message) -> None:
-        """[PRINC2] message passing: copy the input to all checkers."""
-        self._copy_size_hint = message.size + 2
-        self.forward_copy_to_checkers(
-            KIND_PRICE_UPDATE, message.src, message.payload["vector"]
+            message.kind, message.src, message.payload["vector"]
         )
 
     def forward_copy_to_checkers(

@@ -9,7 +9,6 @@ extension), and the distributed, trusting FPSS protocol.
 from .convergence import (
     ConvergenceStats,
     build_network,
-    build_plain_network,
     link_delay,
     measure_convergence,
     run_construction_phases,
@@ -117,7 +116,6 @@ __all__ = [
     "all_pairs_lcp",
     "all_pairs_payments",
     "build_network",
-    "build_plain_network",
     "decode_avoid_vector",
     "decode_route_vector",
     "economics_under_traffic",

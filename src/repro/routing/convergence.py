@@ -112,22 +112,6 @@ def run_phase(
     return simulator.run_until_quiescent(max_events=max_events)
 
 
-def build_plain_network(
-    graph: ASGraph,
-    node_factory: Optional[Callable[[NodeId, Cost], FPSSNode]] = None,
-    link_delays=1.0,
-    batch_delivery: bool = True,
-) -> Tuple[Simulator, Dict[NodeId, FPSSNode]]:
-    """A simulator populated with (possibly customised) FPSS nodes.
-
-    ``node_factory`` lets callers substitute manipulation subclasses
-    for chosen nodes; the default builds obedient :class:`FPSSNode`.
-    """
-    return build_network(
-        graph, node_factory or FPSSNode, link_delays, batch_delivery
-    )
-
-
 @dataclass
 class ConvergenceStats:
     """How much work the construction phases took."""
@@ -190,11 +174,8 @@ def run_plain_fpss(
     ``(simulator, nodes, stats)`` — the quiesced simulator, the node
     map, and the per-phase :class:`ConvergenceStats` work counters.
     """
-    simulator, nodes = build_plain_network(
-        graph,
-        node_factory=node_factory,
-        link_delays=link_delays,
-        batch_delivery=batch_delivery,
+    simulator, nodes = build_network(
+        graph, node_factory or FPSSNode, link_delays, batch_delivery
     )
     stats = run_construction_phases(simulator, nodes, max_events=max_events)
     return simulator, nodes, stats

@@ -226,7 +226,10 @@ class FPSSNode(ProtocolNode):
     (every routing or pricing row this node sends — settled deltas and
     fresh-link resends alike — leaves through them), the
     cost-flooding relay, and the execution-phase seams (charges, hops,
-    forwarding, payment reports).
+    forwarding, payment reports).  Both phase-2 update kinds reach one
+    handler body, :meth:`on_table_update`, whose input hook
+    :meth:`after_update_input` is where the faithful extension copies
+    each input to its checkers.
     """
 
     def __init__(self, node_id: NodeId, true_cost: Cost) -> None:
@@ -449,31 +452,28 @@ class FPSSNode(ProtocolNode):
         ):
             self._settle_and_announce()
 
-    def on_rt_update(self, message: Message) -> None:
-        """[PRINC1] computation half: ingest new input; the batch
-        boundary recomputes LCPs."""
+    def on_table_update(self, message: Message) -> None:
+        """[PRINC1]/[PRINC2] computation half, for either table.
+
+        Routing and pricing updates take one path, keyed by the message
+        kind: ingest the rows, run the input hook, and leave the
+        recomputation to the batch boundary (:meth:`flush_batch`).
+        """
         if self.comp is None or self.phase != "phase2":
             return
-        self._ingest(KIND_RT_UPDATE, message.src, message.payload["vector"])
-        self.after_route_input(message)
+        self._ingest(message.kind, message.src, message.payload["vector"])
+        self.after_update_input(message)
         self._batch_recompute_pending = True
 
-    def on_price_update(self, message: Message) -> None:
-        """[PRINC2] computation half: ingest new input; the batch
-        boundary recomputes pricing."""
-        if self.comp is None or self.phase != "phase2":
-            return
-        self._ingest(KIND_PRICE_UPDATE, message.src, message.payload["vector"])
-        self.after_price_input(message)
-        self._batch_recompute_pending = True
+    # ``dispatch`` resolves ``on_<kind>``: both kinds reach one body.
+    on_rt_update = on_price_update = on_table_update
 
-    # Hooks the faithful extension overrides to forward copies to
-    # checkers *before* recomputation, per PRINC1/PRINC2 ordering.
-    def after_route_input(self, message: Message) -> None:
-        """Called after storing a route update (pre-recompute)."""
+    def after_update_input(self, message: Message) -> None:
+        """Called after storing an update, before the recomputation.
 
-    def after_price_input(self, message: Message) -> None:
-        """Called after storing a price update (pre-recompute)."""
+        The faithful extension copies the input to its checkers here,
+        per the [PRINC1]/[PRINC2] ordering.
+        """
 
     # ------------------------------------------------------------------
     # dynamic topology (reconvergence epochs)

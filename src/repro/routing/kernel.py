@@ -148,6 +148,9 @@ from .tables import PricingTable, RouteEntry, RoutingTable, TransitCostTable
 #: :mod:`repro.routing.fpss`, which owns the protocol nodes).
 KIND_RT_UPDATE = "rt-update"
 KIND_PRICE_UPDATE = "price-update"
+#: Both kinds, in the order :meth:`ReplayKernel.settle` returns their
+#: deltas.
+UPDATE_KINDS = (KIND_RT_UPDATE, KIND_PRICE_UPDATE)
 
 RouteVector = Dict[NodeId, RouteEntry]
 AvoidKey = Tuple[NodeId, NodeId]  # (destination, avoided node)

@@ -158,12 +158,11 @@ class TestUnbatchedCopySpoof:
                 return outbound(message)
 
             node.outbound = watch
-            for hook in ("after_route_input", "after_price_input"):
-                def counted(message, inner=getattr(node, hook)):
-                    record["inputs"] += 1
-                    inner(message)
+            def counted(message, inner=node.after_update_input):
+                record["inputs"] += 1
+                inner(message)
 
-                setattr(node, hook, counted)
+            node.after_update_input = counted
             return node
 
         return factory, record

@@ -22,7 +22,7 @@ from repro.faithful import (
 from repro.faithful.manipulations import _scale_row_costs
 from repro.faithful.mirror import PrincipalMirror
 from repro.faithful.protocol import run_checked_construction
-from repro.routing import figure1_graph
+from repro.routing import KIND_PRICE_UPDATE, KIND_RT_UPDATE, figure1_graph
 from repro.workloads import uniform_all_pairs
 
 GRAPH = figure1_graph()
@@ -205,34 +205,25 @@ class TestBroadcastSeams:
     def test_every_broadcast_is_the_scaled_prediction(
         self, monkeypatch, batch, name, kind, param
     ):
+        kind = {"route": KIND_RT_UPDATE, "price": KIND_PRICE_UPDATE}[kind]
         spec = DEVIATION_CATALOGUE[name]
         scale = float(spec.params[param])
-        seen = {"route": [], "price": []}
+        seen = {KIND_RT_UPDATE: [], KIND_PRICE_UPDATE: []}
+        original = PrincipalMirror.observe_broadcast
 
-        def recording(which, original):
-            queue = "_expected_" + which
+        def observe(mirror, which, rows):
+            if mirror.principal_id == TARGET:
+                expected = mirror._expected[which]
+                seen[which].append((expected[0] if expected else None, rows))
+            original(mirror, which, rows)
 
-            def observe(mirror, rows):
-                if mirror.principal_id == TARGET:
-                    expected = getattr(mirror, queue)
-                    seen[which].append((expected[0] if expected else None, rows))
-                original(mirror, rows)
-
-            return observe
-
-        for which in seen:
-            attr = f"observe_{which}_broadcast"
-            monkeypatch.setattr(
-                PrincipalMirror,
-                attr,
-                recording(which, getattr(PrincipalMirror, attr)),
-            )
+        monkeypatch.setattr(PrincipalMirror, "observe_broadcast", observe)
         run_checked_construction(
             GRAPH,
             batch_delivery=batch,
             node_factory=faithful_deviant_factory(spec, TARGET),
         )
-        assert seen["route"] and seen["price"]
+        assert seen[KIND_RT_UPDATE] and seen[KIND_PRICE_UPDATE]
         for which, observed in seen.items():
             for predicted, sent in observed:
                 assert predicted is not None

@@ -25,15 +25,21 @@ def mirror():
 
 def initial_vector_of(mirror):
     """The first expected broadcast (direct routes of 'p')."""
-    return mirror._expected_route[0]
+    return mirror._expected[KIND_RT_UPDATE][0]
+
+
+def observe_initial(mirror):
+    """Observe both initial broadcasts exactly as predicted."""
+    for kind in (KIND_RT_UPDATE, KIND_PRICE_UPDATE):
+        mirror.observe_broadcast(kind, mirror._expected[kind][0])
 
 
 class TestLifecycle:
     def test_initial_expected_broadcasts_queued(self, mirror):
         # start_phase2 predicts the principal's unconditional initial
         # announcements of both vectors.
-        assert len(mirror._expected_route) == 1
-        assert len(mirror._expected_price) == 1
+        assert len(mirror._expected[KIND_RT_UPDATE]) == 1
+        assert len(mirror._expected[KIND_PRICE_UPDATE]) == 1
 
     def test_initial_routes_are_direct(self, mirror):
         vector = dict(
@@ -49,18 +55,18 @@ class TestLifecycle:
 class TestBroadcastObservation:
     def test_matching_broadcast_passes(self, mirror):
         expected = initial_vector_of(mirror)
-        mirror.observe_route_broadcast(expected)
+        mirror.observe_broadcast(KIND_RT_UPDATE, expected)
         assert mirror.flags == []
 
     def test_mismatched_broadcast_flagged(self, mirror):
         fake = encode_route_vector({"q": RouteEntry(9.0, ("p", "q"))})
-        mirror.observe_route_broadcast(fake)
+        mirror.observe_broadcast(KIND_RT_UPDATE, fake)
         assert mirror.flags[0].kind is FlagKind.BROADCAST_MISMATCH
 
     def test_unexpected_broadcast_flagged(self, mirror):
         expected = initial_vector_of(mirror)
-        mirror.observe_route_broadcast(expected)
-        mirror.observe_route_broadcast(expected)  # nothing pending
+        mirror.observe_broadcast(KIND_RT_UPDATE, expected)
+        mirror.observe_broadcast(KIND_RT_UPDATE, expected)  # nothing pending
         assert mirror.flags[0].kind is FlagKind.UNEXPECTED_BROADCAST
 
 
@@ -69,7 +75,7 @@ class TestCopies:
         mirror.apply_copy(KIND_RT_UPDATE, "stranger", ())
         assert mirror.flags[0].kind is FlagKind.SPOOFED_COPY
         # The spoof was not applied: no new expected broadcast.
-        assert len(mirror._expected_route) == 1
+        assert len(mirror._expected[KIND_RT_UPDATE]) == 1
 
     def test_unknown_kind_flagged(self, mirror):
         mirror.apply_copy("weird-kind", "q", ())
@@ -100,22 +106,21 @@ class TestCopies:
         )
         mirror.apply_copy(KIND_RT_UPDATE, "q", vector)
         # Ingesting alone predicts nothing; the batch boundary replays.
-        assert len(mirror._expected_route) == 1
+        assert len(mirror._expected[KIND_RT_UPDATE]) == 1
         assert mirror.flush_pending() is True
         assert mirror.flush_pending() is False  # nothing left pending
         # The replay must now predict a new announcement containing z.
-        assert len(mirror._expected_route) == 2
+        assert len(mirror._expected[KIND_RT_UPDATE]) == 2
         latest = dict(
             (dest, tuple(path))
-            for dest, cost, path in mirror._expected_route[-1]
+            for dest, cost, path in mirror._expected[KIND_RT_UPDATE][-1]
         )
         assert latest["z"] == ("p", "q", "z")
 
 
 class TestCheckpoint:
     def test_clean_checkpoint_after_all_observed(self, mirror):
-        mirror.observe_route_broadcast(mirror._expected_route[0])
-        mirror.observe_price_broadcast(mirror._expected_price[0])
+        observe_initial(mirror)
         assert mirror.checkpoint_flags() == []
 
     def test_suppressed_update_flagged(self, mirror):
@@ -124,8 +129,7 @@ class TestCheckpoint:
         assert FlagKind.SUPPRESSED_UPDATE in kinds
 
     def test_missing_copy_flagged(self, mirror):
-        mirror.observe_route_broadcast(mirror._expected_route[0])
-        mirror.observe_price_broadcast(mirror._expected_price[0])
+        observe_initial(mirror)
         mirror.record_sent(KIND_RT_UPDATE, ())
         flags = mirror.checkpoint_flags()
         assert any(f.kind is FlagKind.COPY_MISSING for f in flags)

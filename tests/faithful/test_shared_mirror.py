@@ -316,8 +316,7 @@ class TestMirrorLevelStream:
         self._boundary(mirrors.values(), reference.values())
         for checker in mirrors:
             shared_m, ref = mirrors[checker], reference[checker]
-            assert list(shared_m._expected_route) == list(ref._expected_route)
-            assert list(shared_m._expected_price) == list(ref._expected_price)
+            assert shared_m._expected == ref._expected
             assert shared_m.routing_digest() == ref.routing_digest()
             assert shared_m.pricing_digest() == ref.pricing_digest()
             assert [f.kind for f in shared_m.flags] == [
@@ -350,8 +349,8 @@ class TestMirrorLevelStream:
                 mirrors[checker].routing_digest()
                 == reference[checker].routing_digest()
             )
-            assert list(mirrors[checker]._expected_route) == list(
-                reference[checker]._expected_route
+            assert list(mirrors[checker]._expected[KIND_RT_UPDATE]) == list(
+                reference[checker]._expected[KIND_RT_UPDATE]
             )
 
     @staticmethod
@@ -394,8 +393,7 @@ class TestMirrorLevelStream:
                     self._assert_at_own_frontier(mirror)
         self._boundary(mirrors.values(), reference.values())
         forked, ref = mirrors[victim], reference[victim]
-        assert list(forked._expected_route) == list(ref._expected_route)
-        assert list(forked._expected_price) == list(ref._expected_price)
+        assert forked._expected == ref._expected
         assert forked.pricing_digest() == ref.pricing_digest()
 
     def test_straggler_digest_forks_to_own_position(self):
@@ -485,8 +483,8 @@ def observables(nodes):
     seen = {}
     for checker, principal, mirror in live_mirrors(nodes):
         seen[(checker, principal)] = (
-            list(mirror._expected_route),
-            list(mirror._expected_price),
+            list(mirror._expected[KIND_RT_UPDATE]),
+            list(mirror._expected[KIND_PRICE_UPDATE]),
             mirror.routing_digest(),
             mirror.pricing_digest(),
             [encode_flag(f) for f in mirror.checkpoint_flags()],

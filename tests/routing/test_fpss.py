@@ -140,9 +140,9 @@ class TestRandomGraphProperty:
 
 class TestPhaseHandling:
     def test_phase2_requires_phase1(self, fig1):
-        from repro.routing import build_plain_network
+        from repro.routing import build_network
 
-        simulator, nodes = build_plain_network(fig1)
+        simulator, nodes = build_network(fig1, FPSSNode)
         with pytest.raises(ProtocolError, match="before 1"):
             nodes["A"].start_phase2()
 
@@ -154,9 +154,9 @@ class TestPhaseHandling:
             node.pricing_table()
 
     def test_messages_ignored_outside_phase2(self, fig1):
-        from repro.routing import build_plain_network
+        from repro.routing import build_network
 
-        simulator, nodes = build_plain_network(fig1)
+        simulator, nodes = build_network(fig1, FPSSNode)
         for node_id in fig1.nodes:
             simulator.schedule_local(
                 node_id, 0.0, nodes[node_id].start_phase1
