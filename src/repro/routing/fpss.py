@@ -555,7 +555,7 @@ class FPSSNode(ProtocolNode):
         first_hop = self.choose_first_hop(destination)
         # TTL bounds forwarding loops created by misrouting deviants,
         # as IP's hop limit does; honest LCP forwarding never hits it.
-        ttl = 4 * max(4, len(self.comp.known_nodes()))
+        ttl = 4 * max(4, len(self.comp.costs))
         self.send(
             first_hop,
             KIND_PACKET,

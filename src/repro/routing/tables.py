@@ -333,6 +333,10 @@ class PricingEntry:
     tag: FrozenSet[NodeId] = frozenset()
 
 
+#: Shared empty row for lookups of an unpriced destination (read only).
+_NO_ROW: Dict[NodeId, PricingEntry] = {}
+
+
 class PricingTable:
     """DATA3*: per-destination map of transit node -> priced entry."""
 
@@ -364,13 +368,12 @@ class PricingTable:
 
     def price(self, destination: NodeId, transit: NodeId) -> Cost:
         """The price for one transit node (0 if absent, as off-path)."""
-        return self._entries.get(destination, {}).get(
-            transit, PricingEntry(0.0)
-        ).price
+        entry = self._entries.get(destination, _NO_ROW).get(transit)
+        return 0.0 if entry is None else entry.price
 
     def entry(self, destination: NodeId, transit: NodeId) -> Optional[PricingEntry]:
         """The full cell, tags included."""
-        return self._entries.get(destination, {}).get(transit)
+        return self._entries.get(destination, _NO_ROW).get(transit)
 
     def row(self, destination: NodeId) -> Dict[NodeId, PricingEntry]:
         """Copy of one destination's row."""

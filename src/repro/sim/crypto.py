@@ -72,15 +72,7 @@ class SigningAuthority:
             {"kind": message.kind, "author": repr(message.author), **dict(message.payload)}
         )
         tag = hmac.new(key, body, hashlib.sha256).hexdigest()
-        return Message(
-            src=message.src,
-            dst=message.dst,
-            kind=message.kind,
-            payload=message.payload,
-            author=message.author,
-            msg_id=message.msg_id,
-            signature=tag,
-        )
+        return message.signed(tag)
 
     def verify(self, signer: NodeId, message: Message) -> bool:
         """Check the signature allegedly produced by ``signer``."""

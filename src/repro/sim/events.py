@@ -2,7 +2,9 @@
 
 Events are ordered by ``(time, seq)`` where ``seq`` is a monotonically
 increasing tie-breaker, making every simulation fully deterministic for
-a given schedule of insertions.
+a given schedule of insertions.  An :class:`Event` is a named tuple, so
+the heap compares entries in C; its ``label`` rides along uncompared
+for the verbose ``sim.dispatch`` spans.
 
 :class:`DeliveryInbox` is the coalescing structure behind the
 simulator's batched delivery mode: all messages arriving at one node at
@@ -19,24 +21,26 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..errors import SimulationError
 
 
-@dataclass(frozen=True, order=True)
-class Event:
+class Event(NamedTuple):
     """A scheduled callback.
 
-    Ordering is by (time, seq) only; the callback itself is excluded
-    from comparisons.
+    A plain tuple, so heap comparisons run in C.  ``seq`` is unique per
+    queue, so ordering is decided by ``(time, seq)`` and the callback
+    and label are never compared.
     """
 
     time: float
     seq: int
-    callback: Callable[[], None] = field(compare=False)
-    label: str = field(default="", compare=False)
+    callback: Callable[[], None]
+    label: str = ""
+
+
+_new_event = tuple.__new__
 
 
 class EventQueue:
@@ -53,7 +57,7 @@ class EventQueue:
         """Insert a callback to fire at simulated ``time``."""
         if time < 0:
             raise SimulationError(f"cannot schedule event at negative time {time}")
-        event = Event(time=time, seq=next(self._seq), callback=callback, label=label)
+        event = _new_event(Event, (time, next(self._seq), callback, label))
         heapq.heappush(self._heap, event)
         return event
 

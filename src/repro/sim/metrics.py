@@ -87,9 +87,9 @@ class MetricsRegistry:
         """Messages sent with this wire kind across all nodes."""
         return self._by_kind[kind]
 
-    def record_receive(self, node_id: NodeId) -> None:
-        """Count one delivered message."""
-        self._per_node[node_id].messages_received += 1
+    def record_receive(self, node_id: NodeId, count: int = 1) -> None:
+        """Count ``count`` delivered messages (one delivery batch)."""
+        self._per_node[node_id].messages_received += count
 
     def record_computation(self, node_id: NodeId, as_checker: bool = False) -> None:
         """Count one mechanism computation (table recomputation etc.)."""

@@ -1,16 +1,24 @@
-"""Static network topology with FIFO links.
+"""Network topology with FIFO links.
 
 The paper (following FPSS and Griffin-Wilfong) assumes a static
 network: the node set and link set do not change during a mechanism
 run.  Links are bidirectional FIFO channels with a fixed per-link
 delay; determinism of the event queue then guarantees per-link FIFO
-delivery.
+delivery.  The dynamic-topology engine mutates the topology only
+between reconvergence epochs, at quiescence.
+
+Every send reads the topology, so :class:`NetworkTopology` keeps the
+answers the send path asks for as state, maintained by ``add_link``,
+``remove_link`` and ``remove_node``: each node's ``repr``-sorted
+neighbour tuple (:meth:`~NetworkTopology.neighbors` is a dict lookup)
+and a directed ``(src, dst) -> delay`` map
+(:attr:`~NetworkTopology.delays`, one dict read per transmission).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from ..errors import SimulationError
 from .messages import NodeId
@@ -37,11 +45,17 @@ class Link:
 
 
 class NetworkTopology:
-    """An undirected static topology over registered node ids."""
+    """An undirected topology over registered node ids.
+
+    Besides the links themselves it keeps two derived maps, rebuilt
+    only for the endpoints a mutation touches: ``_neighbors`` (node ->
+    ``repr``-sorted neighbour tuple; its keys are the node set) and
+    ``_delays`` (both directions of every link -> the link's delay).
+    """
 
     def __init__(self) -> None:
-        self._nodes: Set[NodeId] = set()
-        self._adjacency: Dict[NodeId, Set[NodeId]] = {}
+        self._neighbors: Dict[NodeId, Tuple[NodeId, ...]] = {}
+        self._delays: Dict[Tuple[NodeId, NodeId], float] = {}
         self._links: Dict[FrozenSet[NodeId], Link] = {}
 
     # ------------------------------------------------------------------
@@ -50,22 +64,22 @@ class NetworkTopology:
 
     def add_node(self, node_id: NodeId) -> None:
         """Register a node (idempotent)."""
-        if node_id not in self._nodes:
-            self._nodes.add(node_id)
-            self._adjacency[node_id] = set()
+        self._neighbors.setdefault(node_id, ())
 
     def add_link(self, a: NodeId, b: NodeId, delay: float = 1.0) -> Link:
         """Connect two registered nodes with a FIFO link."""
         for endpoint in (a, b):
-            if endpoint not in self._nodes:
+            if endpoint not in self._neighbors:
                 raise SimulationError(f"unknown node {endpoint!r}; add it first")
         key = frozenset((a, b))
         if key in self._links:
             raise SimulationError(f"link {a!r}-{b!r} already exists")
         link = Link(a=a, b=b, delay=delay)
         self._links[key] = link
-        self._adjacency[a].add(b)
-        self._adjacency[b].add(a)
+        self._delays[(a, b)] = self._delays[(b, a)] = link.delay
+        neighbors = self._neighbors
+        neighbors[a] = tuple(sorted(neighbors[a] + (b,), key=repr))
+        neighbors[b] = tuple(sorted(neighbors[b] + (a,), key=repr))
         return link
 
     # ------------------------------------------------------------------
@@ -79,22 +93,22 @@ class NetworkTopology:
 
     def remove_link(self, a: NodeId, b: NodeId) -> Link:
         """Disconnect a link (a failure event); returns the old link."""
-        key = frozenset((a, b))
-        link = self._links.pop(key, None)
+        link = self._links.pop(frozenset((a, b)), None)
         if link is None:
             raise SimulationError(f"no link between {a!r} and {b!r}")
-        self._adjacency[a].discard(b)
-        self._adjacency[b].discard(a)
+        del self._delays[(a, b)], self._delays[(b, a)]
+        neighbors = self._neighbors
+        neighbors[a] = tuple(n for n in neighbors[a] if n != b)
+        neighbors[b] = tuple(n for n in neighbors[b] if n != a)
         return link
 
     def remove_node(self, node_id: NodeId) -> None:
         """Unregister a node and every link incident to it."""
-        if node_id not in self._nodes:
+        if node_id not in self._neighbors:
             raise SimulationError(f"unknown node {node_id!r}")
-        for neighbor in tuple(self._adjacency[node_id]):
+        for neighbor in self._neighbors[node_id]:
             self.remove_link(node_id, neighbor)
-        del self._adjacency[node_id]
-        self._nodes.discard(node_id)
+        del self._neighbors[node_id]
 
     # ------------------------------------------------------------------
     # queries
@@ -103,7 +117,7 @@ class NetworkTopology:
     @property
     def nodes(self) -> FrozenSet[NodeId]:
         """All registered node ids."""
-        return frozenset(self._nodes)
+        return frozenset(self._neighbors)
 
     @property
     def links(self) -> Tuple[Link, ...]:
@@ -113,15 +127,22 @@ class NetworkTopology:
             for key in sorted(self._links, key=lambda k: sorted(map(repr, k)))
         )
 
+    @property
+    def delays(self) -> Mapping[Tuple[NodeId, NodeId], float]:
+        """Live ``(src, dst) -> delay`` map over both directions of
+        every link; read-only by contract (the simulator keeps it)."""
+        return self._delays
+
     def neighbors(self, node_id: NodeId) -> Tuple[NodeId, ...]:
         """Neighbours of a node, sorted by repr for determinism."""
-        if node_id not in self._nodes:
-            raise SimulationError(f"unknown node {node_id!r}")
-        return tuple(sorted(self._adjacency[node_id], key=repr))
+        try:
+            return self._neighbors[node_id]
+        except KeyError:
+            raise SimulationError(f"unknown node {node_id!r}") from None
 
     def has_link(self, a: NodeId, b: NodeId) -> bool:
         """True if an (a, b) link exists."""
-        return frozenset((a, b)) in self._links
+        return (a, b) in self._delays
 
     def link(self, a: NodeId, b: NodeId) -> Optional[Link]:
         """The (a, b) link, or ``None`` if there is none."""
@@ -130,16 +151,16 @@ class NetworkTopology:
     def degree(self, node_id: NodeId) -> int:
         """Number of neighbours (= number of checkers in the faithful
         extension, where every neighbour checks the node)."""
-        return len(self._adjacency.get(node_id, ()))
+        return len(self._neighbors.get(node_id, ()))
 
     def __contains__(self, node_id: NodeId) -> bool:
-        return node_id in self._nodes
+        return node_id in self._neighbors
 
     def __iter__(self) -> Iterator[NodeId]:
-        return iter(sorted(self._nodes, key=repr))
+        return iter(sorted(self._neighbors, key=repr))
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._neighbors)
 
     # ------------------------------------------------------------------
     # structure checks
@@ -147,18 +168,18 @@ class NetworkTopology:
 
     def is_connected(self) -> bool:
         """True if the topology is a single connected component."""
-        if not self._nodes:
+        if not self._neighbors:
             return True
-        start = next(iter(self._nodes))
+        start = next(iter(self._neighbors))
         seen = {start}
         frontier: List[NodeId] = [start]
         while frontier:
             node = frontier.pop()
-            for neighbor in self._adjacency[node]:
+            for neighbor in self._neighbors[node]:
                 if neighbor not in seen:
                     seen.add(neighbor)
                     frontier.append(neighbor)
-        return len(seen) == len(self._nodes)
+        return len(seen) == len(self._neighbors)
 
     @classmethod
     def from_edges(

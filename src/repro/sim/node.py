@@ -83,8 +83,7 @@ class ProtocolNode:
 
     def send(self, dst: NodeId, kind: str, **payload: Any) -> Optional[Message]:
         """Construct and transmit a fresh message to ``dst``."""
-        message = Message(src=self.node_id, dst=dst, kind=kind, payload=payload)
-        return self.send_message(message)
+        return self.send_message(Message(self.node_id, dst, kind, payload))
 
     def send_message(self, message: Message) -> Optional[Message]:
         """Transmit a pre-built message through the outbound filter."""
@@ -115,8 +114,9 @@ class ProtocolNode:
         scalar count (e.g. from encoding it) skip the counting walk.
         """
         size = size_hint
+        src = self.node_id
         for dst in targets:
-            message = Message(src=self.node_id, dst=dst, kind=kind, payload=payload)
+            message = Message(src, dst, kind, payload)
             if size is not None:
                 message.seed_size(size)
             self.send_message(message)
@@ -131,16 +131,17 @@ class ProtocolNode:
         """Process the messages arriving at this node at one instant.
 
         The simulator's only way in: the batch is in send order, one
-        message long when delivery is unbatched.  Each message is
-        counted, passed through :meth:`inbound` and dispatched to its
-        handler in turn; the :meth:`flush_batch` hook then runs once at
-        the batch boundary.  Protocol nodes that maintain derived state
-        override *the hook*, not this method: their handlers only
-        ingest, and the hook settles the recomputation.
+        message long when delivery is unbatched.  The batch's receipts
+        are counted at once; each message is then passed through
+        :meth:`inbound` and dispatched to its handler in turn, and the
+        :meth:`flush_batch` hook runs once at the batch boundary.
+        Protocol nodes that maintain derived state override *the
+        hook*, not this method: their handlers only ingest, and the
+        hook settles the recomputation.
         """
         sim = self.sim
+        sim.metrics.record_receive(self.node_id, len(messages))
         for message in messages:
-            sim.metrics.record_receive(self.node_id)
             filtered = self.inbound(message)
             if filtered is None:
                 sim.note_drop(self.node_id)

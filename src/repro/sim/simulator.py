@@ -18,6 +18,15 @@ simulated instant into one such batch
 once per batch instead of once per message.  ``batch_delivery=False``
 delivers each message as a batch of its own, in its own event; both
 modes are deterministic and converge to the same fixed point.
+
+Per-message cost
+----------------
+Every message pays :meth:`Simulator.transmit` once, so it does a
+constant amount of work: one read of the topology's directed delay map
+(kept in step by :class:`~repro.sim.network.NetworkTopology`'s
+mutators), one metrics update, and an inbox append or one heap push of
+a tuple :class:`~repro.sim.events.Event`.  A delivery batch counts its
+receipts with one metrics update.
 """
 
 from __future__ import annotations
@@ -40,10 +49,12 @@ class Simulator:
     Parameters
     ----------
     topology:
-        The static network.  Messages may only flow along its links,
-        except for nodes registered as *well-known* (the bank), which
-        every node can reach directly — modelling the paper's signed
-        out-of-band bank channel.
+        The network.  Messages may only flow along its links, except
+        to and from nodes registered as *well-known* (the bank), which
+        every node reaches directly in one tick — modelling the
+        paper's signed out-of-band bank channel.  The simulator keeps
+        the topology it was built with; mutate that object, do not
+        replace it.
     batch_delivery:
         Coalesce same-instant deliveries to one node into one event
         (the default).  ``False`` delivers each message as a batch of
@@ -56,6 +67,9 @@ class Simulator:
         batch_delivery: bool = True,
     ) -> None:
         self.topology = topology
+        #: The topology's live directed delay map (mutations between
+        #: epochs update it in place).
+        self._delays = topology.delays
         self.queue = EventQueue()
         self.metrics = MetricsRegistry()
         self.batch_delivery = batch_delivery
@@ -74,6 +88,8 @@ class Simulator:
         ``well_known=True`` marks the node as reachable by every other
         node without a topology link (used for the bank; the paper
         assumes signed communication between every node and the bank).
+        Topology links are read first, so a well-known node that is
+        also a vertex reaches its link neighbours over those links.
         """
         if node.node_id in self._nodes:
             raise SimulationError(f"duplicate node id {node.node_id!r}")
@@ -110,39 +126,39 @@ class Simulator:
     def transmit(self, message: Message) -> None:
         """Accept a message from a node and schedule its delivery.
 
-        One link lookup both checks that the endpoints are neighbours
-        (the bank, reachable by all, excepted) and reads the delay.  In
-        batched mode the message joins the receiver's inbox slot for
-        its arrival instant; only the slot's first message costs a
-        queue event.  Unbatched, it is a batch of one in its own event.
+        One read of the topology's directed delay map both checks that
+        the endpoints are neighbours and gives the delay; only a miss
+        falls back to the well-known rule (the bank, reachable by all
+        in one tick) or raises.  In batched mode the message joins the
+        receiver's inbox slot for its arrival instant; only the slot's
+        first message costs a queue event.  Unbatched, it is a batch of
+        one in its own event.
         """
         src = message.src
         dst = message.dst
-        if src in self._well_known or dst in self._well_known:
-            delay = 1.0
-        else:
-            link = self.topology.link(src, dst)
-            if link is None:
+        delay = self._delays.get((src, dst))
+        if delay is None:
+            if src not in self._well_known and dst not in self._well_known:
                 raise SimulationError(
                     f"{src!r} cannot send to non-neighbour {dst!r}; "
                     "only the bank is reachable without a link"
                 )
-            delay = link.delay
+            delay = 1.0
         if dst not in self._nodes:
             raise SimulationError(f"message to unknown node {dst!r}")
-        self.metrics.record_send(src, payload_units=message.size, kind=message.kind)
+        self.metrics.record_send(src, message.size, message.kind)
         arrival = self._now + delay
         if not self.batch_delivery:
             self.queue.schedule(
                 arrival,
                 lambda: self._nodes[dst].deliver_batch((message,)),
-                label=f"deliver:{message.kind}:{src}->{dst}",
+                f"deliver:{message.kind}:{src}->{dst}",
             )
         elif self._inbox.add(arrival, dst, message):
             self.queue.schedule(
                 arrival,
                 lambda time=arrival, dst=dst: self._deliver_batch(time, dst),
-                label=f"deliver-batch:->{dst}",
+                f"deliver-batch:->{dst}",
             )
 
     def _deliver_batch(self, time: float, dst: NodeId) -> None:
@@ -180,19 +196,19 @@ class Simulator:
         """Dispatch one event; returns False if the queue was empty."""
         if not self.queue:
             return False
-        event = self.queue.pop()
-        if event.time < self._now:
+        time, _, callback, label = self.queue.pop()
+        if time < self._now:
             raise SimulationError("event queue went backwards in time")
-        self._now = event.time
+        self._now = time
         self.metrics.events_processed += 1
         if BUS.verbose:
             # Per-event dispatch spans are opt-in even with a sink
             # attached: one pair of records per event is debugging
             # granularity, not feed granularity.
-            with span("sim.dispatch", sim_time=event.time, label=event.label):
-                event.callback()
+            with span("sim.dispatch", sim_time=time, label=label):
+                callback()
             return True
-        event.callback()
+        callback()
         return True
 
     def run_until_quiescent(self, max_events: int = 1_000_000) -> int:

@@ -126,3 +126,23 @@ class TestComplicitCheckersStaySilent:
             about = about_principal(flags)
             assert about
             assert {checker for _kind, checker in about} == {honest}
+
+
+class TestCheckedChurnVerifiesDeviantRuns:
+    """With ``verify=True`` the epoch oracle runs only on all-obedient
+    networks; an unflagged coalition keeps its manipulated tables, and
+    the run still finishes (mirror agreement is checked either way)."""
+
+    @pytest.mark.parametrize("accomplices", [CHECKERS, ()], ids=["full", "none"])
+    def test_verified_run_matches_unverified_flags(self, accomplices):
+        factory = coalition_factory(SPEC, PRINCIPAL, accomplices)
+        schedule = ChurnSchedule.single(ChurnEvent(kind="cost", node="D", cost=3.0))
+        runs = [
+            run_checked_churn(GRAPH, schedule, node_factory=factory, verify=verify)
+            for verify in (True, False)
+        ]
+        flags = [
+            [run.initial.flags] + [report.flags for report in run.epochs]
+            for run in runs
+        ]
+        assert flags[0] == flags[1]

@@ -106,6 +106,15 @@ class TestFigure1Convergence:
         assert cell is not None
         assert cell.tag  # non-empty supplier set
 
+    def test_flow_ttl_scales_with_known_nodes(self, fig1):
+        """A packet's hop limit is 4x the DATA1 node count (min 16)."""
+        _, nodes, _ = run_plain_fpss(fig1)
+        x = nodes["X"]
+        sent = []
+        x.send = lambda dst, kind, **payload: sent.append(payload)
+        x.originate_flow("Z", 1.0)
+        assert sent[0]["ttl"] == 4 * max(4, len(x.comp.known_nodes())) == 24
+
     def test_x_pays_c_and_d_four_each(self, fig1):
         """The DATA3 entries match the centralized VCG formula."""
         _, nodes, _ = run_plain_fpss(fig1)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import EventQueue
+from repro.sim import Event, EventQueue, NetworkTopology, ProtocolNode, Simulator
 
 
 class TestEventQueue:
@@ -56,3 +56,63 @@ class TestEventQueue:
         queue = EventQueue()
         queue.schedule(1.0, lambda: None, label="hello")
         assert queue.pop().label == "hello"
+
+
+class Uncomparable:
+    """A callback stand-in that refuses every ordering comparison."""
+
+    def __lt__(self, other):
+        raise AssertionError("callbacks must never be compared")
+
+    __gt__ = __le__ = __ge__ = __lt__
+
+    def __call__(self):
+        pass
+
+
+class TestEventTuples:
+    def test_schedule_returns_an_event_tuple(self):
+        event = EventQueue().schedule(1.0, lambda: None, label="x")
+        assert isinstance(event, Event) and isinstance(event, tuple)
+        assert (event.time, event.seq, event.label) == (1.0, 0, "x")
+
+    def test_order_is_time_then_seq_without_touching_callbacks(self):
+        queue = EventQueue()
+        times = [3.0, 1.0, 2.0, 1.0, 3.0, 1.0, 2.0]
+        for time in times:
+            queue.schedule(time, Uncomparable(), label=f"t{time}")
+        popped = [(e.time, e.seq) for e in queue.drain()]
+        assert popped == sorted((t, i) for i, t in enumerate(times))
+
+    def test_events_are_immutable(self):
+        event = EventQueue().schedule(1.0, lambda: None)
+        with pytest.raises(AttributeError):
+            event.time = 0.0
+
+
+class Quiet(ProtocolNode):
+    def on_note(self, message):
+        pass
+
+
+class TestDeliveryLabels:
+    """Verbose ``sim.dispatch`` spans read these labels."""
+
+    @staticmethod
+    def pair(batch_delivery):
+        sim = Simulator(NetworkTopology.from_edges([("a", "b")]), batch_delivery)
+        a, b = Quiet("a"), Quiet("b")
+        sim.add_node(a)
+        sim.add_node(b)
+        return sim, a
+
+    def test_batched_label(self):
+        sim, a = self.pair(True)
+        a.send("b", "note")
+        a.send("b", "note")
+        assert [e.label for e in sim.queue.drain()] == ["deliver-batch:->b"]
+
+    def test_unbatched_label(self):
+        sim, a = self.pair(False)
+        a.send("b", "note")
+        assert [e.label for e in sim.queue.drain()] == ["deliver:note:a->b"]

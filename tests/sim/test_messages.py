@@ -1,6 +1,12 @@
 """Tests for the immutable message envelope."""
 
-from dataclasses import replace
+import pickle
+from dataclasses import FrozenInstanceError, replace
+from decimal import Decimal
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Message
 
@@ -116,3 +122,73 @@ class TestForwardedCopy:
         tampered = original.altered(extra=(1, 2, 3))
         assert tampered.size == 7
         assert tampered.forwarded("b", "c").size == 7
+
+
+def reference_count(value):
+    """Recursive scalar count: containers recurse, empty ones count 1."""
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return sum(map(reference_count, value)) if value else 1
+    if isinstance(value, dict):
+        return sum(map(reference_count, value.values())) if value else 1
+    return 1
+
+
+leaves = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=3),
+    st.decimals(allow_nan=False, allow_infinity=False),
+)
+hashable = st.one_of(leaves, st.tuples(leaves, leaves), st.frozensets(leaves, max_size=3))
+values = st.recursive(
+    st.one_of(leaves, st.sets(hashable, max_size=4), st.frozensets(hashable, max_size=4)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=2), inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestSizeMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(payload=st.dictionaries(st.text(max_size=3), values, max_size=5))
+    def test_size_equals_recursive_count(self, payload):
+        expected = max(1, sum(map(reference_count, payload.values())))
+        assert Message("a", "b", "k", payload).size == expected
+
+    def test_empty_containers_and_odd_leaves(self):
+        payload = {
+            "empty": ((), [], {}, set(), frozenset()),
+            "leaves": (True, None, Decimal("1.5"), b"x", 2.0),
+        }
+        assert Message("a", "b", "k", payload).size == 10
+
+
+class TestImmutable:
+    @pytest.mark.parametrize(
+        "name", ["src", "dst", "kind", "payload", "author", "msg_id", "signature"]
+    )
+    def test_assigning_a_field_raises(self, name):
+        msg = Message(src="a", dst="b", kind="k", payload={"v": 1})
+        with pytest.raises(FrozenInstanceError):
+            setattr(msg, name, "x")
+        with pytest.raises(FrozenInstanceError):
+            delattr(msg, name)
+
+    def test_no_new_attributes(self):
+        msg = Message(src="a", dst="b", kind="k")
+        with pytest.raises((FrozenInstanceError, AttributeError)):
+            msg.extra = 1
+        with pytest.raises(FrozenInstanceError):
+            msg._size_cache = 5
+
+    def test_copies_build_the_same_fields(self):
+        original = Message("a", "b", "k", {"v": 1}, signature="s")
+        signed = original.signed("t")
+        assert signed == replace(original, signature="t")
+        assert original.readdressed("c") == replace(original, dst="c")
+        assert pickle.loads(pickle.dumps(original)) == original

@@ -215,6 +215,26 @@ class TestFiltersAndHooks:
         assert sim.metrics.total_messages == 2
         assert sim.metrics.events_processed == 2
 
+    @pytest.mark.parametrize("batch_delivery", [True, False])
+    def test_batch_receipts_counted_once_per_batch(self, batch_delivery, monkeypatch):
+        topo = NetworkTopology.from_edges([("a", "b")])
+        sim = Simulator(topo, batch_delivery=batch_delivery)
+        a, b = Echo("a"), Echo("b")
+        sim.add_node(a)
+        sim.add_node(b)
+        calls = []
+        record = sim.metrics.record_receive
+        monkeypatch.setattr(
+            sim.metrics,
+            "record_receive",
+            lambda node_id, count=1: (calls.append(count), record(node_id, count)),
+        )
+        for _ in range(3):
+            a.send("b", "pong")
+        sim.run_until_quiescent()
+        assert sim.metrics.node("b").messages_received == 3 == b.pongs
+        assert calls == ([3] if batch_delivery else [1, 1, 1])
+
     def test_detached_node_has_no_sim(self):
         node = ProtocolNode("lonely")
         with pytest.raises(SimulationError, match="not attached"):
