@@ -2,52 +2,67 @@
 
 Reproduces: Section 4 of Shneidman & Parkes (PODC'04), extended to the
 recomputation setting the paper's faithfulness claims assume: when the
-network changes, the construction phases re-run and every checker
-mirror must *re-anchor* on the new topology before replaying.
+network changes, every principal's computation and every checker
+mirror replaying it must move onto the new topology together.
 
 Epoch semantics
 ---------------
 :func:`run_checked_churn` drives a fully mirrored network (every node a
 :class:`~repro.faithful.node.FaithfulRoutingNode` checking all of its
 neighbours) through an initial construction plus one reconvergence
-epoch per entry of a :class:`~repro.sim.churn.ChurnSchedule`.  Each
-epoch applies its events at network quiescence, then re-runs both
-construction phases from scratch — the paper's recomputation protocol,
-where DATA1 re-floods and phase 2 restarts on the post-event graph.
-Every epoch runs :func:`~repro.faithful.protocol.construct_checked`,
-the step :func:`~repro.faithful.protocol.run_checked_construction`
-runs once: checked construction is epoch 0 of checked churn.
+epoch per entry of a :class:`~repro.sim.churn.ChurnSchedule`.  Epoch 0
+is :func:`~repro.faithful.protocol.construct_checked`, the step
+:func:`~repro.faithful.protocol.run_checked_construction` runs.  Every
+later epoch repairs the live network at quiescence, the way
+:class:`~repro.routing.dynamic.DynamicTopologyEngine` does:
 
-Mirror re-anchoring is the load-bearing invariant: with shared
-checking, :meth:`~repro.routing.kernel.MirrorKernelPool.new_epoch` must
-be called before every phase-2 (re)start so no restarted mirror ever
-attaches to a consumed op log.  Skipping the bump (``epoch_bump=False``,
-kept as a regression seam) is *detected, never silent*: a stale shared
-kernel's seed no longer matches the checkers' freshly derived one, so
-:meth:`~repro.routing.kernel.MirrorKernelPool.acquire` refuses to share
-(counting ``seed_mismatches``) and every mirror starts a replay log of
-its own — digests stay correct, the pool stats scream.
+1. The epoch's link events change the simulator's topology, and a
+   changed cost is re-declared through the ordinary ``cost-decl``
+   flood.  Every node holds the flooded declarations; no kernel
+   changes yet (``phase1_events`` counts the flood).
+2. At the boundary each checker re-runs the checker-setup handshake
+   on the new graph.  A checker that gained a principal across a
+   fresh link takes over the replay the principal's other checkers
+   verified: it joins the pooled log at its frontier, or, without a
+   pool, forks another checker's log.  Only then are the mirrors of
+   lost principals dropped; their flags were collected at the last
+   checkpoint.
+3. Every principal appends one *re-anchor op* to the replay log it
+   writes (:meth:`~repro.routing.kernel.SharedKernel.anchor`): its new
+   neighbour set, its declared cost and the epoch's other DATA1
+   changes, applied and settled in one step.  Every checker submits
+   the same op derived from its own handshake lists and its own DATA1,
+   so the seed rule covers each epoch's change: a match is a log hit,
+   a mismatch forks the mirror.  Kernels change only through log ops.
+   A principal that is no longer exactly ``FaithfulRoutingNode``
+   stops leading here and continues on a fork of its own.
+4. Both ends of a fresh link resend their full tables across it, then
+   every node's topology kick announces the deltas its op settled, and
+   the network reconverges (``phase2_events``).  A fresh-link checker
+   expects the resend before the deltas.
 
 Detection flags carry the epoch they fired in: each
 :class:`CheckedEpoch` holds exactly the flags its own quiescence
-checkpoint produced (mirrors reset their flag lists when they re-anchor
-at the epoch boundary), so a deviation injected in epoch *k* surfaces
-in epoch *k*'s report, not smeared across the run.
+checkpoint produced (mirrors reset their flag lists when they submit
+the re-anchor op), so a deviation injected in epoch *k* surfaces in
+epoch *k*'s report, not smeared across the run.
 
-Membership churn (``leave`` / ``join``) is out of scope here — the
-checker relation "every neighbour checks the node" is rebuilt per
-epoch, but the bank/identity plumbing assumes a fixed principal set;
-use :mod:`repro.routing.dynamic` for membership churn on the plain
+Membership churn (``leave`` / ``join``) is rejected.  A joiner has no
+checked history for a checker to take over, and a leaver's checkers
+would hold mirrors of a principal the bank no longer settles with; the
+bank and identity plumbing assume a fixed principal set.  Use
+:mod:`repro.routing.dynamic` for membership churn on the plain
 mechanism.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
-from ..obs.trace import emit_counters
+from ..obs.trace import emit_counters, emit_marker
 from ..routing.convergence import link_delay
 from ..routing.dynamic import verify_epoch_equivalence
 from ..routing.graph import ASGraph, NodeId
@@ -59,8 +74,10 @@ from .node import FaithfulRoutingNode, encode_flag
 from .protocol import (
     FaithfulNodeFactory,
     TrafficMatrix,
+    anchor_checkers,
     build_checked_network,
     construct_checked,
+    live_mirrors,
     originating_flows,
     run_execution,
     verify_mirror_agreement,
@@ -73,7 +90,7 @@ CHECKED_EVENT_KINDS: Tuple[str, ...] = ("cost", "link-down", "link-up")
 
 @dataclass
 class CheckedEpoch:
-    """One construction pass (epoch 0 = initial, then one per batch).
+    """One epoch: the initial construction (0), then one per batch.
 
     ``flags`` are the wire-encoded mirror flags raised *within this
     epoch's* checkpoint — the epoch a flag fired in is the epoch of the
@@ -83,9 +100,17 @@ class CheckedEpoch:
     epoch: int
     events: Tuple[ChurnEvent, ...]
     graph: ASGraph
+    #: Epoch 0: phase 1.  Later epochs: the re-declaration flood.
     phase1_events: int
+    #: Epoch 0: phase 2.  Later epochs: the reconvergence after the
+    #: re-anchor.
     phase2_events: int
     flags: List[Tuple] = field(default_factory=list)
+    #: Messages sent and simulated time elapsed from the epoch's events
+    #: to its quiescence checkpoint (flood and reconvergence; the whole
+    #: construction for epoch 0), before any traffic.
+    reconvergence_messages: int = 0
+    reconvergence_time: float = 0.0
     #: Execution-phase results (zeros unless traffic was supplied).
     routed_flows: int = 0
     unroutable_flows: int = 0
@@ -134,7 +159,7 @@ class CheckedChurnRun:
 
     @property
     def seed_mismatches(self) -> int:
-        """Sharing refusals — nonzero when an epoch bump was missed."""
+        """Sharing refusals at epoch 0's phase-2 start."""
         return self.kernel_stats().seed_mismatches
 
 
@@ -143,7 +168,6 @@ def run_checked_churn(
     schedule: ChurnSchedule,
     traffic: Optional[TrafficMatrix] = None,
     shared_checking: bool = True,
-    epoch_bump: bool = True,
     link_delays=1.0,
     batch_delivery: bool = True,
     max_events: int = 8_000_000,
@@ -162,11 +186,9 @@ def run_checked_churn(
     exactly :class:`FaithfulRoutingNode`), that each node's DATA1/DATA2/
     DATA3* digests are bit-identical to the fixed point of the
     post-event graph (:func:`~repro.routing.engine.fixed_point_digests`).
-    ``epoch_bump=False`` deliberately skips the
-    :meth:`~repro.routing.kernel.MirrorKernelPool.new_epoch` call on
-    reconvergence (regression seam; see module docstring).  Optional
-    ``traffic`` is routed after every epoch (including the initial
-    construction), accruing per-epoch VCG payments on the reports.
+    Optional ``traffic`` is routed after every epoch (including the
+    initial construction), accruing per-epoch VCG payments on the
+    reports.
 
     ``on_epoch_start(epoch, nodes)`` fires before each reconvergence
     epoch's events are applied — the injection seam for deviations that
@@ -194,13 +216,17 @@ def run_checked_churn(
         n: {} for n in node_ids
     }
 
-    def construct(epoch: int, events: Tuple[ChurnEvent, ...], current: ASGraph) -> CheckedEpoch:
-        phase1_events, phase2_events, flags = construct_checked(
-            simulator, nodes, current, pool, max_events,
-            epoch=epoch, bump=epoch == 0 or epoch_bump,
-        )
+    def run_epoch(
+        epoch: int,
+        events: Tuple[ChurnEvent, ...],
+        current: ASGraph,
+        step: Callable[[], Tuple[int, int, List[Flag]]],
+    ) -> CheckedEpoch:
+        """Run one epoch's ``step`` to its checkpoint, then report it."""
+        messages_before = simulator.metrics.total_messages
+        time_before = simulator.now
+        phase1_events, phase2_events, flags = step()
         flags.sort(key=Flag.sort_key)
-
         report = CheckedEpoch(
             epoch=epoch,
             events=tuple(events),
@@ -208,6 +234,10 @@ def run_checked_churn(
             phase1_events=phase1_events,
             phase2_events=phase2_events,
             flags=[encode_flag(f) for f in flags],
+            reconvergence_messages=(
+                simulator.metrics.total_messages - messages_before
+            ),
+            reconvergence_time=simulator.now - time_before,
         )
         if ledger is not None:
             _route_epoch(report)
@@ -225,9 +255,77 @@ def run_checked_churn(
                     "checked_epochs": 1,
                     "checked_flags": len(report.flags),
                     "reconvergence_events": phase1_events + phase2_events,
+                    "reconvergence_messages": report.reconvergence_messages,
                 },
             )
         return report
+
+    def reconverge(
+        index: int, events: Tuple[ChurnEvent, ...], current: ASGraph
+    ) -> Tuple[int, int, List[Flag]]:
+        """Apply one epoch at quiescence and repair in place."""
+        topology = simulator.topology
+        redeclared = set()
+        for event in events:
+            if event.kind == "cost":
+                nodes[event.node].true_cost = float(event.cost)  # type: ignore[index,arg-type]
+                redeclared.add(event.node)
+            elif event.kind == "link-down":
+                topology.remove_link(*event.link)  # type: ignore[misc]
+            else:  # link-up
+                a, b = event.link  # type: ignore[misc]
+                topology.add_link(a, b, delay=link_delay(link_delays, a, b))
+        for node_id in sorted(redeclared, key=repr):
+            simulator.schedule_local(
+                node_id, 0.0, nodes[node_id].redeclare_cost,
+                label="churn-redeclare",
+            )
+        flood_events = simulator.run_until_quiescent(max_events=max_events)
+
+        fresh = [
+            (node_id, peer)
+            for node_id in node_ids
+            for peer in current.neighbors(node_id)
+            if peer not in nodes[node_id].comp.neighbors  # type: ignore[union-attr]
+        ]
+        for principal, checker in fresh:
+            if pool is not None:
+                log, owns = pool.shared_log(principal), False
+            else:
+                source = next(
+                    nodes[old].mirrors[principal]
+                    for old in nodes[principal].comp.neighbors  # type: ignore[union-attr]
+                )
+                log, owns = source.own_fork(), True
+            mirror = nodes[checker].make_mirror(principal)
+            mirror.take_over(log, owns)  # type: ignore[arg-type]
+            nodes[checker].mirrors[principal] = mirror
+        anchor_checkers(nodes, current)
+        for node_id in node_ids:
+            nodes[node_id].reanchor()
+        for node_id in node_ids:
+            nodes[node_id].reanchor_mirrors()
+        emit_marker("mirror.epoch", sim_time=simulator.now, epoch=index)
+
+        # Fresh-link resends go first; the kicks' deltas apply on top.
+        for sender, receiver in fresh:
+            simulator.schedule_local(
+                sender, 0.0,
+                partial(nodes[sender].resend_full_tables, receiver),
+                label=f"churn-resend:->{receiver}",
+            )
+        for node_id in node_ids:
+            simulator.schedule_local(
+                node_id, 0.0, nodes[node_id].react_to_topology_change,
+                label="churn-react",
+            )
+        repair_events = simulator.run_until_quiescent(max_events=max_events)
+        flags = [
+            flag
+            for _checker, _principal, mirror in live_mirrors(nodes)
+            for flag in mirror.checkpoint_flags()
+        ]
+        return flood_events, repair_events, flags
 
     def _route_epoch(report: CheckedEpoch) -> None:
         before = sum(nodes[n].data4.total for n in node_ids)
@@ -284,7 +382,10 @@ def run_checked_churn(
             },
         )
 
-    initial = construct(0, (), graph)
+    initial = run_epoch(
+        0, (), graph,
+        partial(construct_checked, simulator, nodes, graph, pool, max_events),
+    )
     run = CheckedChurnRun(
         simulator=simulator,
         nodes=nodes,
@@ -299,18 +400,13 @@ def run_checked_churn(
             on_epoch_start(index, nodes)
         current = apply_churn_epoch(current, events)
         current.require_biconnected()
-        topology = simulator.topology
-        for event in events:
-            if event.kind == "cost":
-                nodes[event.node].true_cost = float(event.cost)  # type: ignore[index,arg-type]
-            elif event.kind == "link-down":
-                a, b = event.link  # type: ignore[misc]
-                topology.remove_link(a, b)
-            else:  # link-up
-                a, b = event.link  # type: ignore[misc]
-                topology.add_link(a, b, delay=link_delay(link_delays, a, b))
         run.graph = current
-        run.epochs.append(construct(index, events, current))
+        run.epochs.append(
+            run_epoch(
+                index, events, current,
+                partial(reconverge, index, events, current),
+            )
+        )
     return run
 
 

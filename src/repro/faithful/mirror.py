@@ -63,6 +63,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
+from ..routing.fpss import encode_full_tables
 from ..routing.graph import Cost
 from ..routing.kernel import (
     UPDATE_KINDS,
@@ -117,6 +118,9 @@ class PrincipalMirror:
         self.replays_run = 0
         self._replays_emitted = 0
         self._flags_emitted = 0
+        #: Whether the mirror joined across a fresh link this epoch and
+        #: so expects the principal's full-table resend.
+        self._fresh = False
 
     @property
     def comp(self) -> Optional[ReplayKernel]:
@@ -187,6 +191,58 @@ class PrincipalMirror:
         # (reset, settle, unconditional initial announcements); queue
         # the recorded predictions.
         self._expect(shared.initial_route, shared.initial_price)
+
+    def take_over(self, log: SharedKernel, owns: bool) -> None:
+        """Join a principal's replay across a fresh link, at ``log``'s
+        frontier.
+
+        ``log`` is the state the principal's other checkers verified:
+        the pooled log, or (``owns``) a fork of another checker's log.
+        The epoch's re-anchor op (:meth:`reanchor`) follows.
+        """
+        self._log = log
+        self._owns_log = owns
+        self._cursor = log.frontier
+        self._fresh = True
+
+    def reanchor(
+        self,
+        principal_neighbors: Tuple[NodeId, ...],
+        declared_cost: Cost,
+        changes: Tuple[Tuple[NodeId, Cost], ...],
+    ) -> None:
+        """Submit this checker's re-anchor op for a checked epoch.
+
+        The op is derived from this checker's own handshake and DATA1;
+        a hit verifies the epoch's change, a mismatch forks the mirror
+        onto a log of its own, as for any other op.  The epoch's flags
+        start empty (the last epoch's were collected at its
+        checkpoint).  A mirror that gained its principal across a fresh
+        link first expects the principal's full-table resend, then the
+        settled deltas.
+        """
+        self.flags = []
+        self._flags_emitted = 0
+        assert self._log is not None
+        op = (principal_neighbors, declared_cost, changes)
+        result = self._log.anchor(self._cursor, *op)
+        if result is None:
+            self._fork()
+            result = self._log.anchor(self._cursor, *op)
+            assert result is not None
+        self._cursor, route_delta, price_delta, ran = result
+        if ran:
+            self.replays_run += 1
+        if self._fresh:
+            self._fresh = False
+            self._expect(*encode_full_tables(self._log.kernel))
+        self._expect(route_delta, price_delta)
+
+    def own_fork(self) -> SharedKernel:
+        """A new log replaying this mirror's verified prefix, for a
+        checker that takes over the replay without a pool."""
+        assert self._log is not None
+        return self._log.fork_at(self._cursor)
 
     def _expect(self, *deltas: Optional[Tuple]) -> None:
         """Queue each table's predicted broadcast (None: unchanged).

@@ -44,6 +44,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ProtocolError
 from ..routing.fpss import (
+    KIND_COST_DECL,
     KIND_PRICE_UPDATE,
     KIND_RT_UPDATE,
     FPSSNode,
@@ -114,6 +115,12 @@ class FaithfulRoutingNode(FPSSNode):
         #: coalesced into one multicast per batch at the flush boundary.
         self._pending_copies: List[Tuple[str, NodeId, Tuple]] = []
         self._pending_copy_size = 0
+        #: Declarations flooded during a checked churn epoch, held out
+        #: of every kernel until the epoch's re-anchor op.
+        self._held_costs: Dict[NodeId, Cost] = {}
+        #: The deltas the epoch's re-anchor op settled, announced by
+        #: the topology kick.
+        self._anchor_deltas: Optional[Tuple[Optional[Tuple], Optional[Tuple]]] = None
 
     # ------------------------------------------------------------------
     # checker setup
@@ -361,6 +368,105 @@ class FaithfulRoutingNode(FPSSNode):
             return
         for orig_kind, orig_src, vector in message.payload["copies"]:
             mirror.apply_copy(orig_kind, orig_src, vector)
+
+    # ------------------------------------------------------------------
+    # checked churn epochs (re-anchoring in place)
+    # ------------------------------------------------------------------
+
+    def _note_cost(self, node: NodeId, cost: Cost) -> bool:
+        """Phase 1 notes declarations; later, a churn epoch's flood is
+        held until the epoch's re-anchor op (kernels change only
+        through replay-log ops)."""
+        if self.phase == "phase1":
+            return super()._note_cost(node, cost)
+        if self._known_cost(node) == cost:
+            return False
+        self._held_costs[node] = cost
+        return True
+
+    def _known_cost(self, node: NodeId) -> Optional[Cost]:
+        held = self._held_costs.get(node)
+        if held is not None:
+            return held
+        assert self.comp is not None
+        return self.comp.costs.get(node)
+
+    def redeclare_cost(self) -> None:
+        """Flood a changed declared cost through the ordinary
+        ``cost-decl`` path, holding it like any received one."""
+        cost = self.declared_cost()
+        if self._known_cost(self.node_id) == cost:
+            return
+        self._held_costs[self.node_id] = cost
+        self.broadcast(KIND_COST_DECL, node=self.node_id, cost=cost)
+
+    def anchor_view(
+        self, principal: NodeId
+    ) -> Tuple[Tuple[NodeId, ...], Cost, Tuple[Tuple[NodeId, Cost], ...]]:
+        """The re-anchor op this node derives for ``principal``'s log.
+
+        ``principal`` is this node or a neighbour: its neighbour set
+        (own links, or the handshake's list), its declared cost and the
+        epoch's other DATA1 changes, all from this node's own view.
+        """
+        assert self.comp is not None
+        if principal == self.node_id:
+            neighbors = self.neighbors
+        else:
+            neighbors = self._neighbor_neighbors[principal]
+        changes = tuple(
+            (node, cost)
+            for node, cost in sorted(
+                self._held_costs.items(), key=lambda kv: repr(kv[0])
+            )
+            if node != principal
+        )
+        return neighbors, self._known_cost(principal), changes
+
+    def reanchor(self) -> None:
+        """Epoch boundary, principal role: append the re-anchor op.
+
+        A node that is no longer exactly this class stops leading its
+        checkers' pooled log here: it continues on a fork of its own,
+        and the pooled log passes to the mirrors.  The op's settled
+        deltas wait for :meth:`react_to_topology_change`.
+        """
+        log = self.replay_log
+        assert log is not None
+        pool = self.mirror_pool
+        if (
+            type(self) is not FaithfulRoutingNode
+            and pool is not None
+            and pool.shared_log(self.node_id) is log
+            and log.led
+        ):
+            log.led = False
+            own = log.fork_at(log.frontier)
+            own.led = True
+            # The principal's work counters stay the principal's.
+            own.kernel.stats, log.kernel.stats = log.kernel.stats, own.kernel.stats
+            self.replay_log = log = own
+            self.comp = own.kernel
+        result = log.anchor(log.frontier, *self.anchor_view(self.node_id), lead=True)
+        assert result is not None
+        self._anchor_deltas = result[1:3]
+        self.phase = "phase2"
+
+    def reanchor_mirrors(self) -> None:
+        """Epoch boundary, checker role: every mirror submits the
+        re-anchor op this node derives for its principal; the held
+        declarations are spent."""
+        for principal in self.neighbors:
+            self.mirrors[principal].reanchor(*self.anchor_view(principal))
+        self._held_costs.clear()
+
+    def react_to_topology_change(self) -> None:
+        """The epoch kick: announce what the re-anchor op settled."""
+        deltas, self._anchor_deltas = self._anchor_deltas, None
+        if deltas is None:
+            return
+        self.sim.metrics.record_computation(self.node_id)
+        self._announce(*deltas)
 
     # ------------------------------------------------------------------
     # execution phase observation

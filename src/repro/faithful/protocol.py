@@ -13,8 +13,8 @@ providing the baseline that shows *why* the extension is needed
 (experiment E5).  :func:`run_checked_construction` isolates the fully
 mirrored construction (no bank, no traffic) for the checker-scaling
 benchmarks and parity tests; its step, :func:`construct_checked`, is
-every epoch of :func:`~repro.faithful.epochs.run_checked_churn`, so
-checked construction is epoch 0 of checked churn.  All of them build
+epoch 0 of :func:`~repro.faithful.epochs.run_checked_churn`, whose
+later epochs re-anchor the live network in place.  All of them build
 and run their phases through :mod:`repro.routing.convergence`.
 
 Utility model (Section 4.3 assumptions):
@@ -495,22 +495,20 @@ def construct_checked(
     graph: ASGraph,
     pool: Optional[MirrorKernelPool],
     max_events: int,
-    epoch: int = 0,
-    bump: bool = True,
 ) -> Tuple[int, int, List[Flag]]:
-    """One checked construction on ``graph``, epoch ``epoch`` of a run.
+    """One checked construction on ``graph``: epoch 0 of a churn run.
 
-    Phase 1, :func:`anchor_checkers`, the pool's epoch bump (unless
-    ``bump`` is False), phase 2.  Returns both phases' event counts and
-    every live mirror's checkpoint flags in :func:`live_mirrors` order.
+    Phase 1, :func:`anchor_checkers`, the pool's epoch bump, phase 2.
+    Returns both phases' event counts and every live mirror's
+    checkpoint flags in :func:`live_mirrors` order.
     """
     emit_marker("protocol.phase", sim_time=simulator.now, phase="phase1")
     phase1_events = run_phase(simulator, nodes, "phase1", max_events)
     anchor_checkers(nodes, graph)
-    if pool is not None and bump:
-        # Restarted mirrors must never attach to a consumed op log.
+    if pool is not None:
+        # Mirrors must never attach to a consumed op log.
         pool.new_epoch()
-        emit_marker("mirror.epoch", sim_time=simulator.now, epoch=epoch)
+        emit_marker("mirror.epoch", sim_time=simulator.now, epoch=0)
     emit_marker("protocol.phase", sim_time=simulator.now, phase="phase2")
     phase2_events = run_phase(simulator, nodes, "phase2", max_events)
     flags = [

@@ -33,7 +33,9 @@ broadcast seams.  At a phase start the freshly reset kernel has every
 neighbour dirty, so that step is the initial relaxation.  Inputs,
 settles and phase starts reach the kernel through three private seams
 (``_ingest``, ``_settle``, ``_restart_computation``), which the
-faithful node runs through the replay log its checkers follow.
+faithful node runs through the replay log its checkers follow.  A
+flooded declaration reaches it through ``_note_cost``, which the
+faithful node holds back during a checked churn epoch.
 
 Distributed pricing
 -------------------
@@ -110,6 +112,7 @@ __all__ = [
     "decode_route_vector",
     "encode_avoid_vector",
     "decode_avoid_vector",
+    "encode_full_tables",
     "encode_route_delta",
     "encode_avoid_delta",
 ]
@@ -162,6 +165,21 @@ def decode_avoid_vector(encoded: Sequence[Tuple]) -> AvoidVector:
         (dest, avoided): RouteEntry(cost=cost, path=tuple(path))
         for dest, avoided, cost, path in encoded
     }
+
+
+def encode_full_tables(comp: ReplayKernel) -> Tuple[Tuple, Tuple]:
+    """A kernel's whole DATA2 and avoidance table as wire rows.
+
+    What a node resends across a fresh link, and what a checker that
+    gains the link expects to see.
+    """
+    routing = comp.routing
+    return (
+        encode_route_vector(
+            {dest: routing.entry(dest) for dest in routing.destinations}
+        ),
+        encode_avoid_vector(comp.avoid),
+    )
 
 
 def encode_route_delta(current: Mapping[NodeId, RouteEntry],
@@ -313,11 +331,14 @@ class FPSSNode(ProtocolNode):
         """Flooding handler: record new declarations and relay them."""
         if self.comp is None:
             return
-        node = message.payload["node"]
-        cost = message.payload["cost"]
-        if self.comp.note_cost_declaration(node, cost):
+        if self._note_cost(message.payload["node"], message.payload["cost"]):
             self.sim.metrics.record_computation(self.node_id)
             self.relay_cost_declaration(message)
+
+    def _note_cost(self, node: NodeId, cost: Cost) -> bool:
+        """Record a flooded declaration; True if it is new here."""
+        assert self.comp is not None
+        return self.comp.note_cost_declaration(node, cost)
 
     def relay_cost_declaration(self, message: Message) -> None:
         """Forward a novel declaration to every neighbour.
@@ -503,16 +524,10 @@ class FPSSNode(ProtocolNode):
         untouched, so the regular delta streams go on as before, and a
         seam that rewrites or drops rows does the same to the resend.
         """
-        comp = self.comp
-        assert comp is not None
-        routing = comp.routing
-        self.announce_routes(
-            encode_route_vector(
-                {dest: routing.entry(dest) for dest in routing.destinations}
-            ),
-            (neighbor,),
-        )
-        self.announce_prices(encode_avoid_vector(comp.avoid), (neighbor,))
+        assert self.comp is not None
+        route_rows, avoid_rows = encode_full_tables(self.comp)
+        self.announce_routes(route_rows, (neighbor,))
+        self.announce_prices(avoid_rows, (neighbor,))
 
     def join_network(self, known_costs: Mapping[NodeId, Cost]) -> None:
         """Bootstrap a node joining mid-run, DATA1 seeded out of band.

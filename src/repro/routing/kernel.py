@@ -125,6 +125,11 @@ assumed:
   the log it is checked against.
   What this gives up, and the guards that remain, are in
   ``docs/architecture.md`` §4.
+* *epoch*: a checked churn epoch reaches a log as one re-anchor op
+  (:meth:`SharedKernel.anchor`): the principal's new neighbour set,
+  declared cost and DATA1 changes.  Every follower submits the op it
+  derives from its own handshake and DATA1, so the seed rule applies
+  to each epoch's change: a match is a hit, a mismatch forks.
 
 The kernel keeps no state outside its instances: ``repr`` sort keys
 are derived per call, so replay cannot depend on what else the process
@@ -533,10 +538,11 @@ class ReplayKernel:
     # topology deltas (dynamic networks)
     # ------------------------------------------------------------------
     #
-    # These mutators model rare out-of-band events — a link failing or
-    # being restored, a node leaving or changing its declared cost —
-    # applied synchronously at network quiescence by the dynamic
-    # topology engine.  Each one conservatively marks every derived
+    # These mutators model rare events — a link failing or being
+    # restored, a node leaving or changing its declared cost — applied
+    # synchronously at network quiescence by the dynamic topology
+    # engine, or by a checked epoch's re-anchor op (:meth:`reanchor`).
+    # Each one conservatively marks every derived
     # entry dirty: topology events are orders of magnitude rarer than
     # vector updates, so the next settle simply re-relaxes every key
     # from the stored offers and no event-specific invariant is needed.
@@ -601,6 +607,29 @@ class ReplayKernel:
         """Adopt a new declared transit cost for the owner itself."""
         self.own_cost = float(cost)
         return self.note_cost_declaration(self.owner, cost)
+
+    def reanchor(
+        self,
+        neighbors: Sequence[NodeId],
+        own_cost: Cost,
+        changes: Sequence[Tuple[NodeId, Cost]],
+    ) -> None:
+        """Move the kernel onto an epoch's topology and declarations.
+
+        Detaches lost neighbours, attaches new ones, adopts the owner's
+        declared cost and notes every other changed DATA1 entry — the
+        state change of a checked epoch's re-anchor op
+        (:meth:`SharedKernel.anchor`).
+        """
+        wanted = frozenset(neighbors)
+        for neighbor in self.neighbors:
+            if neighbor not in wanted:
+                self.detach_neighbor(neighbor)
+        for neighbor in sorted(wanted - self._neighbor_set, key=repr):
+            self.attach_neighbor(neighbor)
+        self.change_own_cost(own_cost)
+        for node, cost in changes:
+            self.note_cost_declaration(node, cost)
 
     # ------------------------------------------------------------------
     # phase 2: routing and pricing
@@ -1318,7 +1347,9 @@ class SharedKernel:
     kernel: ReplayKernel = field(init=False)
     #: Verified op log: ``("apply", kind, src, rows)`` for ingested
     #: copies, ``("flush", route_delta|None, price_delta|None)`` for
-    #: relaxation boundaries with their recorded broadcast predictions.
+    #: relaxation boundaries with their recorded broadcast predictions,
+    #: and ``("anchor", neighbors, cost, changes, route_delta|None,
+    #: price_delta|None)`` for a checked epoch's re-anchor and settle.
     ops: List[Tuple] = field(default_factory=list)
     initial_route: Tuple = field(init=False)
     initial_price: Tuple = field(init=False)
@@ -1442,6 +1473,40 @@ class SharedKernel:
         ops.append(("flush", route_delta, price_delta))
         return (pos + 1, route_delta, price_delta, True)
 
+    def anchor(
+        self,
+        pos: int,
+        neighbors: Tuple[NodeId, ...],
+        cost: Cost,
+        changes: Tuple[Tuple[NodeId, Cost], ...],
+        lead: bool = False,
+    ) -> Optional[Tuple[int, Optional[Tuple], Optional[Tuple], bool]]:
+        """Submit an epoch's re-anchor op at log position ``pos``.
+
+        The op moves the kernel onto the epoch's neighbour set, the
+        owner's declared cost and the epoch's other DATA1 changes
+        (:meth:`ReplayKernel.reanchor`), then settles once; the deltas
+        are recorded as the epoch's first broadcasts.  Returns and
+        refuses exactly like :meth:`flush`: a matching logged op is a
+        hit, a different one (another neighbour list, another DATA1
+        view) or the frontier of a :attr:`led` log without ``lead``
+        returns ``None`` and the caller forks.
+        """
+        op = ("anchor", neighbors, cost, changes)
+        ops = self.ops
+        if pos < len(ops):
+            logged = ops[pos]
+            if logged[:4] != op:
+                return None
+            self.stats.shared_hits += 1
+            return (pos + 1, logged[4], logged[5], False)
+        if self.led and not lead:
+            return None
+        self.kernel.reanchor(neighbors, cost, changes)
+        route_delta, price_delta = self.kernel.settle()
+        ops.append(op + (route_delta, price_delta))
+        return (pos + 1, route_delta, price_delta, True)
+
     def fork_at(self, pos: int) -> "SharedKernel":
         """A new log, from this log's seed, replaying its prefix ``[:pos]``.
 
@@ -1460,8 +1525,10 @@ class SharedKernel:
         for op in self.ops[:pos]:
             if op[0] == "apply":
                 fork.ingest(fork.frontier, op[1], op[2], op[3])
-            else:
+            elif op[0] == "flush":
                 fork.flush(fork.frontier)
+            else:
+                fork.anchor(fork.frontier, op[1], op[2], op[3])
         return fork
 
 
@@ -1470,7 +1537,9 @@ class MirrorKernelPool:
 
     One pool serves one simulated host (one process running the whole
     network); :meth:`new_epoch` must be called before every phase-2
-    (re)start so restarted mirrors never attach to a consumed log.
+    (re)start so restarted mirrors never attach to a consumed log.  A
+    checked churn epoch restarts nothing: its logs live on and take
+    the epoch as one re-anchor op (:meth:`SharedKernel.anchor`).
     """
 
     def __init__(self) -> None:
@@ -1511,6 +1580,10 @@ class MirrorKernelPool:
             self.stats.seed_mismatches += 1
             return None
         return entry
+
+    def shared_log(self, principal: NodeId) -> Optional[SharedKernel]:
+        """The log this pool keeps for ``principal``, if any."""
+        return self._kernels.get(principal)
 
     def lead(
         self,

@@ -1,11 +1,11 @@
 """Checked construction across reconvergence epochs.
 
 Reproduces: Section 4 of Shneidman & Parkes (PODC'04) in the
-recomputation setting — checker mirrors must re-anchor at every epoch
-boundary, a missed :meth:`MirrorKernelPool.new_epoch` bump must be
-detected (loud pool stats, never silent corruption), and every
-catalogued construction deviation must still be caught when the
-network has already reconverged once or twice.
+recomputation setting — checker mirrors re-anchor in place at every
+epoch boundary through one re-anchor op per replay log, a checker
+whose view of the epoch's change differs forks instead of touching the
+principal, and every catalogued construction deviation must still be
+caught when the network has already reconverged once or twice.
 """
 
 import random
@@ -34,6 +34,28 @@ def cost_schedule(epochs=2):
             (ChurnEvent(kind="cost", node=nodes[i % len(nodes)],
                         cost=2.0 + i),)
             for i in range(epochs)
+        )
+    )
+
+
+def with_chord_toggle(schedule):
+    """``schedule`` with the A–C chord of :func:`link_schedule` toggled
+    every epoch (up in odd epochs, down in even ones).
+
+    Epochs repair in place, so a deviation seam only gets rows when its
+    node's tables move; the toggle gives C a fresh link or a lost one
+    every epoch, and so a full-table resend or a withdrawal storm.
+    """
+    return ChurnSchedule(
+        epochs=tuple(
+            events
+            + (
+                ChurnEvent(
+                    kind="link-up" if index % 2 == 0 else "link-down",
+                    link=("A", "C"),
+                ),
+            )
+            for index, events in enumerate(schedule.epochs)
         )
     )
 
@@ -118,39 +140,58 @@ class TestObedientEpochs:
             run_checked_churn(figure1_graph(), schedule)
 
 
-class TestMissedEpochBump:
-    """Satellite regression: skipping MirrorKernelPool.new_epoch on
-    reconvergence must be loud (sharing refused, mismatches counted),
-    never a silent reuse of a consumed op log."""
+class TestReanchorOp:
+    """Each epoch reaches every replay log as one re-anchor op.  Honest
+    checkers derive the principal's op and hit; one whose view of the
+    epoch's change differs forks, and the principal never notices."""
 
-    def test_missed_bump_is_detected_not_silent(self):
-        graph = figure1_graph()
-        schedule = cost_schedule(1)
-        bumped = run_checked_churn(graph, schedule, epoch_bump=True)
-        skipped = run_checked_churn(graph, schedule, epoch_bump=False)
-        assert bumped.seed_mismatches == 0
-        # Every mirror's acquire() is refused against the stale epoch.
-        assert skipped.seed_mismatches > 0
-
-    def test_missed_bump_still_converges_correctly(self):
-        """The fallback is per-neighbour replay: digests stay correct
-        (verify=True would raise otherwise) and no false flags fire."""
-        run = run_checked_churn(
-            figure1_graph(), cost_schedule(2), epoch_bump=False, verify=True
-        )
-        assert run.all_flags == []
-        assert run.seed_mismatches > 0
-
-    def test_bumped_epochs_share_again(self):
-        """With the bump in place, reconvergence epochs keep sharing:
-        hits strictly grow after the second construction."""
+    def test_epochs_keep_sharing(self):
+        """Reconvergence epochs keep sharing: hits strictly grow, and
+        no mirror forks or is refused."""
         graph = figure1_graph()
         single = run_checked_churn(graph, ChurnSchedule(epochs=()))
-        churned = run_checked_churn(graph, cost_schedule(2))
-        assert (
-            churned.kernel_stats().shared_hits
-            > single.kernel_stats().shared_hits
+        churned = run_checked_churn(graph, with_chord_toggle(cost_schedule(2)))
+        stats = churned.kernel_stats()
+        assert stats.shared_hits > single.kernel_stats().shared_hits
+        assert stats.forks == 0
+        assert churned.seed_mismatches == 0
+
+    def test_every_log_takes_one_op_per_epoch(self):
+        run = run_checked_churn(figure1_graph(), with_chord_toggle(cost_schedule(3)))
+        for node in run.nodes.values():
+            kinds = [op[0] for op in node.replay_log.ops]
+            assert kinds.count("anchor") == 3
+
+    def test_wrong_data1_view_forks_without_touching_the_principal(self):
+        schedule = cost_schedule(2)
+        honest = run_checked_churn(figure1_graph(), schedule)
+
+        def inject(epoch, nodes):
+            if epoch == 2:
+                checker = nodes["B"]
+                view = checker.anchor_view
+
+                def wrong_view(principal):
+                    neighbors, cost, changes = view(principal)
+                    if principal == "C":
+                        changes = tuple(
+                            (node, value + 1.0) for node, value in changes
+                        )
+                    return neighbors, cost, changes
+
+                checker.anchor_view = wrong_view
+
+        run = run_checked_churn(
+            figure1_graph(), schedule, on_epoch_start=inject, verify=False
         )
+        assert run.kernel_stats().forks == 1
+        mirror = run.nodes["B"].mirrors["C"]
+        assert mirror.private_kernel_stats() is not None
+        principal = run.nodes["C"]
+        assert principal.replay_log.ops == honest.nodes["C"].replay_log.ops
+        assert principal.comp.full_digest() == honest.nodes["C"].comp.full_digest()
+        for checker in ("D", "Z"):
+            assert run.nodes[checker].mirrors["C"].private_kernel_stats() is None
 
 
 #: Deviations whose mixin misbehaves on *every* construction pass and
@@ -207,7 +248,7 @@ class TestDeviantEpochs:
             spec = DEVIATION_CATALOGUE[name]
             runs[name] = run_checked_churn(
                 graph,
-                cost_schedule(2),
+                with_chord_toggle(cost_schedule(2)),
                 node_factory=faithful_deviant_factory(spec, "C"),
                 verify=False,  # deviant tables need not match the oracle
             )
@@ -239,7 +280,7 @@ class TestDeviantEpochs:
         runs = {
             mode: run_checked_churn(
                 figure1_graph(),
-                cost_schedule(2),
+                with_chord_toggle(cost_schedule(2)),
                 shared_checking=mode,
                 node_factory=faithful_deviant_factory(spec, "C"),
                 verify=False,
@@ -273,7 +314,7 @@ class TestEpochInjectedDeviations:
 
         run = run_checked_churn(
             figure1_graph(),
-            cost_schedule(2),
+            with_chord_toggle(cost_schedule(2)),
             on_epoch_start=inject,
             verify=False,
         )

@@ -35,7 +35,7 @@ from repro.faithful import (
     synthesize_execution_reports,
 )
 from repro.faithful import settlement
-from repro.routing import figure1_graph
+from repro.routing import ASGraph, figure1_graph
 from repro.routing.vcg_payments import all_pairs_payments
 from repro.workloads import random_biconnected_graph, uniform_all_pairs
 
@@ -714,3 +714,46 @@ class TestNetPositions:
         assert positions["D"] == 0.0
         # A closed system always nets to zero overall.
         assert math.fsum(positions.values()) == pytest.approx(0.0)
+
+
+class TestExactTotals:
+    """The bank's totals are exact sums (``math.fsum``), not
+    left-to-right ones.  Ten observations that each charge the same
+    not-quite-0.1 price sum to a different float under plain ``sum``,
+    so a reduction that drifts to ``sum`` fails here.  The expected
+    values are ``math.fsum`` over the test's own priced terms."""
+
+    REPEATS = 10
+
+    @staticmethod
+    def square():
+        """S-T-D is the least-cost path, S-U-D its detour around T."""
+        return ASGraph(
+            {"S": 1.0, "T": 0.05, "D": 1.0, "U": 0.1},
+            [("S", "T"), ("T", "D"), ("S", "U"), ("U", "D")],
+        )
+
+    @pytest.mark.parametrize("engine", ["settle", "settle_netted"])
+    def test_ten_equal_charges_total_exactly(self, engine):
+        graph = self.square()
+        volume = 1.0
+        bundle = all_pairs_payments(graph)[("S", "D")]
+        assert bundle.route.path == ("S", "T", "D")
+        terms = [bundle.payments["T"] * volume] * self.REPEATS
+        exact = math.fsum(terms)
+        assert sum(terms) != exact  # the terms tell the two sums apart
+        bank = BankNode()
+        bank.reports["execution"] = synthesize_execution_reports(
+            graph, {("S", "D"): volume}, repeats=self.REPEATS
+        )
+        node_ids = tuple(sorted(graph.nodes, key=repr))
+        declared = {n: graph.cost(n) for n in node_ids}
+        if engine == "settle":
+            records, flags = bank.settle(node_ids, declared)
+        else:
+            netted = bank.settle_netted(node_ids, declared)
+            records, flags = netted.records, netted.flags
+        assert flags == []
+        assert records["S"].expected_total == exact
+        assert records["S"].charged == exact
+        assert records["T"].received == exact

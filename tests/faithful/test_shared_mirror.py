@@ -561,9 +561,15 @@ class TestPrincipalLeads:
                 nodes["C"].__class__ = deviant_cls
                 nodes["C"]._handlers.clear()
 
+        # Epochs repair in place: the A-C chord comes up in epoch 1 and
+        # goes down in epoch 2, so C's routing seam gets rows after the
+        # swap (without the chord it gets none in epoch 2).
         schedule = ChurnSchedule(epochs=tuple(
-            (ChurnEvent(kind="cost", node=node, cost=cost),)
-            for node, cost in (("D", 2.0), ("A", 3.0))
+            (ChurnEvent(kind="cost", node=node, cost=cost),
+             ChurnEvent(kind=link, link=("A", "C")))
+            for node, cost, link in (
+                ("D", 2.0, "link-up"), ("A", 3.0, "link-down")
+            )
         ))
         run = run_checked_churn(
             figure1_graph(), schedule, on_epoch_start=inject, verify=False

@@ -3,7 +3,7 @@
 Reconvergence must be observable: every epoch emits a ``churn.epoch``
 marker plus ``churn`` counter deltas on the default bus (and into
 ``telemetry.jsonl`` when a sink is attached), the faithful epoch
-runner emits ``mirror.epoch`` markers for the pool bumps, and the
+runner emits ``mirror.epoch`` markers when the mirrors anchor, and the
 sweep status renderer surfaces churn progress.
 """
 
@@ -55,11 +55,35 @@ class TestEpochMarkers:
             run_checked_churn(figure1_graph(), schedule)
         bumps = [e for e in sink.events if e.kind == "marker"
                  and e.name == "mirror.epoch"]
-        # One bump per construction: the initial one plus the epoch.
+        # One marker per anchoring: epoch 0's construction, then the
+        # epoch's re-anchor boundary.
         assert [b.attrs["epoch"] for b in bumps] == [0, 1]
         totals = aggregate_counters(sink.events)
         assert totals["churn.checked_epochs"] == 1
         assert totals["churn.reconvergence_events"] > 0
+
+    def test_checked_epochs_report_reconvergence_like_the_plain_engine(self):
+        """A checked epoch records messages and simulated time from its
+        events to its checkpoint, as ``EpochReport`` does, and its
+        ``churn`` counter record carries the messages."""
+        schedule = ChurnSchedule.single(
+            ChurnEvent(kind="cost", node="C", cost=2.0)
+        )
+        with BUS.capture() as sink:
+            run = run_checked_churn(figure1_graph(), schedule)
+        plain = run_dynamic_fpss(figure1_graph(), schedule).epochs[0]
+        report = run.epochs[0]
+        # 9 flood relays (2|E| - (n - 1) = 14 - 5), the plain engine's
+        # 18 table updates for the same epoch, and 26 checker-copy
+        # bundles.
+        assert plain.reconvergence_messages == 18
+        assert report.reconvergence_messages == 9 + 18 + 26
+        # 3 ticks of flood, the plain engine's 3 ticks of repair, and
+        # 1 tick for the last checker copies.
+        assert plain.reconvergence_time == 3.0
+        assert report.reconvergence_time == 3.0 + 3.0 + 1.0
+        totals = aggregate_counters(sink.events)
+        assert totals["churn.reconvergence_messages"] == 53
 
     def test_markers_reach_a_jsonl_sink(self, tmp_path):
         graph = random_biconnected_graph(6, random.Random(4))
