@@ -492,20 +492,73 @@ class ReplayKernel:
     def note_cost_declaration(self, node: NodeId, cost: Cost) -> bool:
         """Record a flooded declaration; True if DATA1 changed.
 
-        DATA1 is frozen before phase 2 in any honest run; if it does
-        change while phase-2 state exists, every derived entry is
-        conservatively marked dirty, so the next settle re-relaxes the
-        whole table from the stored offers.
+        A changed entry of another node marks exactly the keys it feeds
+        (:meth:`_cost_entry_moved`); the owner's own entry feeds none.
+        Declarations made before phase-2 state exists (phase 1 of every
+        honest run) mark nothing.
         """
         changed = self.costs.declare(node, cost)
-        if changed and (
-            self._route_offers or self._avoid_offers or self.routing.destinations
-        ):
-            self._mark_all_dirty()
+        if changed and node != self.owner:
+            self._cost_entry_moved(node)
         return changed
 
+    def _cost_entry_moved(self, node: NodeId) -> None:
+        """Mark the keys fed by ``node``'s changed, new or retracted
+        DATA1 entry (``node`` is not the owner).
+
+        As a neighbour, ``c_node`` prices every candidate it supplies:
+        each destination it offers gets it as a changed supplier, and
+        its repriced offer is fused into that destination's avoidance
+        keys, exactly as a wire row from it would be.  As a transit
+        node, ``c_node`` is a price term and ``knows(node)`` decides
+        which keys exist, so every routed destination with ``node``
+        interior to its path has its pricing row marked and its key set
+        resynced.  No route reads the owner's own cost.
+        """
+        if not (self._route_offers or self.routing.destinations):
+            return  # no phase-2 state derived yet
+        offers = self._route_offers.get(node)
+        if offers and node in self._neighbor_set:
+            owner_id = self._owner_id
+            dest_keys = self._dest_keys
+            for did in offers:
+                if did == owner_id:
+                    continue
+                self._mark_supplier(did, node)
+                if did in dest_keys:
+                    self._route_offer_moved(node, did)
+        pricing = self._dirty_pricing
+        resync = self._key_resync
+        # A route state's offer path ends at its destination, so
+        # ``node`` is interior to the route iff it is on the offer path
+        # and is not its last hop.
+        for did, state in enumerate(self._route_state_col):
+            if state is not None and node in state[3] and state[3][-1] != node:
+                pricing.add(did)
+                resync.add(did)
+
+    def _mark_supplier(self, did: int, neighbor: NodeId) -> None:
+        """Mark ``neighbor`` a changed supplier of destination ``did``."""
+        suppliers = self._dirty_routes.get(did)
+        if suppliers is not None:
+            suppliers.add(neighbor)
+        elif did not in self._dirty_routes:
+            self._dirty_routes[did] = {neighbor}
+
+    def _rescan_destination(self, did: int) -> None:
+        """Queue a full rescan of a destination and its active keys
+        (its base case appeared or disappeared)."""
+        self._dirty_routes[did] = None
+        self._avoid_rescan.update(self._dest_keys.get(did, ()))
+
     def _mark_all_dirty(self) -> None:
-        """Mark every derived entry dirty; the next settle re-relaxes all."""
+        """Mark every derived entry dirty; the next settle re-relaxes all.
+
+        The full re-relaxation reference: no event calls it.
+        ``tests/routing/test_incremental_property.py`` settles the
+        kernel's per-key marks against it after every wire delta and
+        every event.
+        """
         dirty = self._dirty_routes
         pricing = self._dirty_pricing
         for did, count in enumerate(self._ref_col):
@@ -542,17 +595,20 @@ class ReplayKernel:
     # restored, a node leaving or changing its declared cost — applied
     # synchronously at network quiescence by the dynamic topology
     # engine, or by a checked epoch's re-anchor op (:meth:`reanchor`).
-    # Each one conservatively marks every derived
-    # entry dirty: topology events are orders of magnitude rarer than
-    # vector updates, so the next settle simply re-relaxes every key
-    # from the stored offers and no event-specific invariant is needed.
+    # Each one follows the rule wire ingestion follows: it marks exactly
+    # the route, avoidance and pricing keys whose inputs it changed, and
+    # the next settle relaxes them through the same supplier sets and
+    # rescans as any wire delta.
 
     def detach_neighbor(self, neighbor: NodeId) -> None:
         """Remove a failed or departed link's peer from this kernel.
 
         Drops the neighbour's stored vectors (releasing their universe
-        references) and its base-case candidacy; the next settle
-        withdraws every entry the neighbour was supporting.
+        references) and its base-case candidacy.  Before they go, every
+        destination the neighbour offered gets it as a changed
+        supplier, every active key it reigns is queued for a rescan,
+        and its own destination gets a full rescan (its base case is
+        gone); the next settle withdraws every entry it was supporting.
         """
         if neighbor not in self._neighbor_set:
             raise ProtocolError(
@@ -561,22 +617,34 @@ class ReplayKernel:
         self.neighbors = tuple(n for n in self.neighbors if n != neighbor)
         self._neighbor_set = frozenset(self.neighbors)
         routes = self._route_offers.pop(neighbor, None)
-        owner_id = self._owner_id
         if routes:
+            owner_id = self._owner_id
+            dest_keys = self._dest_keys
+            state_col = self._avoid_state_col
+            rescan = self._avoid_rescan
             for did in routes:
-                if did != owner_id:
-                    self._universe_discard(did)
+                if did == owner_id:
+                    continue
+                self._universe_discard(did)
+                self._mark_supplier(did, neighbor)
+                for aid in dest_keys.get(did, ()):
+                    state = state_col[aid]
+                    if state is not None and state[0] == neighbor:
+                        rescan.add(aid)
         self._avoid_offers.pop(neighbor, None)
         # The base-case reference held for the neighbour itself.
-        self._universe_discard(self._node_ids[neighbor])
-        self._mark_all_dirty()
+        nid = self._node_ids[neighbor]
+        self._universe_discard(nid)
+        self._rescan_destination(nid)
 
     def attach_neighbor(self, neighbor: NodeId) -> None:
         """Add a restored or newly created link's peer to this kernel.
 
-        The peer starts with no stored vectors; the protocol layer is
-        responsible for the one-off full-table exchange that re-seeds
-        the delta streams across the new link.
+        The peer's destination and its active keys get a full rescan
+        (a new base case).  The peer starts with no stored vectors; the
+        protocol layer is responsible for the one-off full-table
+        exchange that re-seeds the delta streams across the new link,
+        and its offers arrive as ordinary deltas.
         """
         if neighbor == self.owner or neighbor in self._neighbor_set:
             raise ProtocolError(
@@ -584,8 +652,9 @@ class ReplayKernel:
             )
         self.neighbors = tuple(sorted(self.neighbors + (neighbor,), key=repr))
         self._neighbor_set = frozenset(self.neighbors)
-        self._universe_add(self._intern_node(neighbor))
-        self._mark_all_dirty()
+        nid = self._intern_node(neighbor)
+        self._universe_add(nid)
+        self._rescan_destination(nid)
 
     def retract_cost_declaration(self, node: NodeId) -> bool:
         """Forget a departed node's DATA1 entry; True if it was known.
@@ -593,14 +662,14 @@ class ReplayKernel:
         Avoidance keys on the departed node are withdrawn at the next
         settle: a fresh computation on the post-event graph never forms
         ``(dest, node)`` keys for a node it has no declaration for, and
-        the key resync skips unknown transit nodes.
+        the key resync (queued by :meth:`_cost_entry_moved`) skips
+        unknown transit nodes.
         """
         if node == self.owner:
             raise ProtocolError(f"{self.owner!r} cannot retract its own cost")
         if not self.costs.retract(node):
             return False
-        if self._route_offers or self._avoid_offers or self.routing.destinations:
-            self._mark_all_dirty()
+        self._cost_entry_moved(node)
         return True
 
     def change_own_cost(self, cost: Cost) -> bool:
@@ -737,12 +806,12 @@ class ReplayKernel:
         The route offer is the neighbour's candidate for every active
         key whose avoided node is off that route, and for the others it
         selects the neighbour's avoidance row; either way one candidate
-        per key changed, and :meth:`_fuse_candidate` settles it.
+        per key changed, and :meth:`_fuse_candidate` settles it.  A
+        neighbour without a DATA1 entry offers no candidate; if its
+        entry was just retracted, the keys it reigned are rescanned.
         """
         ncost = self.costs.get(neighbor)
-        if ncost is None:
-            return  # no candidate from this neighbour, before or after
-        new = self._route_offers[neighbor].get(did)
+        new = self._route_offers[neighbor].get(did) if ncost is not None else None
         offers_get = self._avoid_offers.get(neighbor, {}).get
         owner = self.owner
         akeys = self._avoid_keys
@@ -914,8 +983,11 @@ class ReplayKernel:
         lexicographic) tie-break shared with the centralized oracle.
         Relaxing only the dirty destinations suffices because a
         destination's candidate set depends only on its own rows in the
-        neighbour vectors (diffed on ingestion) and on DATA1 (frozen in
-        phase 2, conservatively handled otherwise).
+        neighbour vectors (diffed on ingestion), on the neighbour set
+        and on its neighbours' DATA1 entries, and every event that
+        changes the latter two marks the destinations they feed
+        (:meth:`detach_neighbor`, :meth:`attach_neighbor`,
+        :meth:`_cost_entry_moved`).
         """
         dirty = self._dirty_routes
         if not dirty:
@@ -1218,8 +1290,10 @@ class ReplayKernel:
         the avoidance entries along that path (each with its supplier)
         and DATA1, so it is marked dirty exactly when one of those
         changes: route adoption or withdrawal, an avoidance entry
-        adopted, rescanned to a new value or dropped, and any DATA1 or
-        topology change (:meth:`_mark_all_dirty`).
+        adopted, rescanned to a new value or dropped, and a DATA1 change
+        of a node interior to the route (:meth:`_cost_entry_moved`).
+        Topology events reach a row only through the route and
+        avoidance entries they move.
         """
         dirty = self._dirty_pricing
         if not dirty:

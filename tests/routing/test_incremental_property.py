@@ -10,7 +10,9 @@ check of the fixed point itself is the engine oracle
 """
 
 import random
+from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +23,7 @@ from repro.routing import (
     verify_against_oracle,
 )
 from repro.routing.fpss import encode_avoid_delta, encode_route_delta
+from repro.routing.kernel import kernel_fixed_point
 from repro.workloads import random_biconnected_graph
 
 
@@ -128,6 +131,215 @@ class TestDeltaPathEquivalence:
             reference._mark_all_dirty()
             assert settle_flags(reference) == settle_flags(incremental)
             assert digests(reference) == digests(incremental)
+
+
+def settle_observed(comp):
+    """Settle once; the change flags, both digests and both deltas."""
+    flags = settle_flags(comp)
+    return (
+        flags,
+        digests(comp),
+        comp.consume_route_delta(),
+        comp.consume_avoid_delta(),
+    )
+
+
+class EventDriver:
+    """Drive a kernel and its full re-relaxation reference in lockstep.
+
+    Both kernels take the same wire deltas and events; the reference is
+    marked entirely dirty before every settle, so any key an event fails
+    to mark shows as a difference in flags, digests or deltas.
+    """
+
+    def __init__(self, graph, owner, rng):
+        self.graph = graph
+        self.owner = owner
+        self.rng = rng
+        self.reference = build_computation(graph, owner)
+        self.incremental = build_computation(graph, owner)
+        self.universe = sorted(graph.nodes, key=repr)
+        self.last_routes = {n: {} for n in graph.neighbors(owner)}
+        self.last_avoid = {n: {} for n in graph.neighbors(owner)}
+        self.fresh = 0
+
+    def both(self, method, *args):
+        results = [getattr(c, method)(*args) for c in self.kernels()]
+        assert results[0] == results[1]
+
+    def kernels(self):
+        return (self.reference, self.incremental)
+
+    def cost(self):
+        # Small integers make cost ties (and the lex tie-break) common.
+        return float(self.rng.randint(1, 6))
+
+    def others(self):
+        return [n for n in self.universe if n != self.owner]
+
+    def wire(self):
+        neighbors = self.incremental.neighbors
+        if not neighbors:
+            return
+        sender = self.rng.choice(neighbors)
+        graph_view = SimpleNamespace(nodes=self.universe)
+        route_vector = random_route_vector(self.rng, graph_view, sender)
+        avoid_vector = random_avoid_vector(
+            self.rng, graph_view, sender, route_vector
+        )
+        route_delta = encode_route_delta(route_vector, self.last_routes[sender])
+        avoid_delta = encode_avoid_delta(avoid_vector, self.last_avoid[sender])
+        self.last_routes[sender] = route_vector
+        self.last_avoid[sender] = avoid_vector
+        self.both("apply_route_delta", sender, route_delta)
+        self.both("apply_avoid_delta", sender, avoid_delta)
+
+    def declare_known(self):
+        self.both("note_cost_declaration", self.rng.choice(self.others()), self.cost())
+
+    def declare_new(self):
+        node = f"x{self.fresh:02d}"
+        self.fresh += 1
+        self.universe.append(node)
+        self.universe.sort(key=repr)
+        self.both("note_cost_declaration", node, self.cost())
+
+    def change_own(self):
+        self.both("change_own_cost", self.cost())
+
+    def detach(self):
+        neighbors = self.incremental.neighbors
+        if neighbors:
+            peer = self.rng.choice(neighbors)
+            self.both("detach_neighbor", peer)
+            del self.last_routes[peer], self.last_avoid[peer]
+
+    def attach(self):
+        peers = [n for n in self.others() if n not in self.incremental.neighbors]
+        if peers:
+            peer = self.rng.choice(peers)
+            self.both("attach_neighbor", peer)
+            self.last_routes[peer] = {}
+            self.last_avoid[peer] = {}
+
+    def retract(self):
+        known = [n for n in self.incremental.known_nodes() if n != self.owner]
+        if known:
+            self.both("retract_cost_declaration", self.rng.choice(known))
+
+    def reanchor(self):
+        rng = self.rng
+        current = set(self.incremental.neighbors)
+        wanted = {n for n in current if rng.random() < 0.8}
+        wanted.update(n for n in self.others() if rng.random() < 0.15)
+        changes = tuple(
+            (node, self.cost())
+            for node in self.others()
+            if rng.random() < 0.25
+        )
+        self.both(
+            "reanchor", tuple(sorted(wanted, key=repr)), self.cost(), changes
+        )
+        for peer in current - wanted:
+            del self.last_routes[peer], self.last_avoid[peer]
+        for peer in wanted - current:
+            self.last_routes[peer] = {}
+            self.last_avoid[peer] = {}
+
+    def settle_and_compare(self):
+        self.reference._mark_all_dirty()
+        observed = settle_observed(self.incremental)
+        assert settle_observed(self.reference) == observed
+        return observed
+
+
+EVENTS = (
+    "declare_known", "declare_new", "change_own", "detach", "attach",
+    "retract", "reanchor",
+)
+
+
+class TestEventEquivalence:
+    """Events mark only the keys they feed: dirty set == everything dirty.
+
+    Every kernel event (a DATA1 entry noted, new, retracted or the
+    owner's own, a link detached or attached, and an epoch's re-anchor)
+    is interleaved with wire deltas; after every step the kernel must
+    settle exactly like the same kernel with every key marked dirty.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=100_000))
+    def test_interleaved_events_match_full_rescan(self, seed):
+        rng = random.Random(seed)
+        graph = random_biconnected_graph(rng.randint(4, 8), rng)
+        owner = rng.choice(sorted(graph.nodes, key=repr))
+        driver = EventDriver(graph, owner, rng)
+        driver.settle_and_compare()
+        for _ in range(3):  # seed offers first, so events have work
+            driver.wire()
+        driver.settle_and_compare()
+        for _step in range(12):
+            for _op in range(rng.randint(1, 3)):
+                if rng.random() < 0.5:
+                    driver.wire()
+                else:
+                    getattr(driver, rng.choice(EVENTS))()
+            driver.settle_and_compare()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_each_event_after_a_converged_table(self, seed):
+        """Each event once, on a kernel holding a converged table."""
+        graph = random_biconnected_graph(7, random.Random(seed))
+        owner = sorted(graph.nodes, key=repr)[seed % 7]
+        for event in EVENTS:
+            driver = converged_driver(graph, owner, random.Random(seed))
+            getattr(driver, event)()
+            driver.settle_and_compare()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_non_neighbor_transit_cost_change(self, seed):
+        """Directed: only a non-neighbour transit's DATA1 entry moves.
+
+        No offer changes, so the only input that moved is the price
+        term ``c_x`` of every row whose route crosses ``x``; the settle
+        must re-derive exactly those rows.
+        """
+        graph = random_biconnected_graph(9, random.Random(seed))
+        for owner in sorted(graph.nodes, key=repr):
+            driver = converged_driver(graph, owner, random.Random(seed))
+            kernel = driver.incremental
+            transits = sorted(
+                {
+                    node
+                    for dest in kernel.routing.destinations
+                    for node in kernel.routing.entry(dest).path[1:-1]
+                    if node not in kernel.neighbors
+                },
+                key=repr,
+            )
+            if transits:
+                break
+        else:
+            pytest.skip("no route crosses a non-neighbour transit")
+        x = transits[0]
+        before = digests(kernel)
+        work = kernel.stats.as_dict()
+        driver.both("note_cost_declaration", x, graph.cost(x) + 1.5)
+        flags, after, route_delta, avoid_delta = driver.settle_and_compare()
+        assert flags == (False, False, True)
+        assert after[0] == before[0] and after[1] != before[1]
+        assert route_delta == () and avoid_delta == ()
+        assert kernel.stats.as_dict() == work  # nothing relaxed or rescanned
+
+
+def converged_driver(graph, owner, rng):
+    """An :class:`EventDriver` whose two kernels hold ``owner``'s
+    converged tables (no wire deltas are driven on them)."""
+    driver = EventDriver(graph, owner, rng)
+    driver.reference = kernel_fixed_point(graph)[owner]
+    driver.incremental = kernel_fixed_point(graph)[owner]
+    return driver
 
 
 class TestProtocolEquivalence:

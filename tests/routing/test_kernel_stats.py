@@ -9,7 +9,13 @@ leads is counted once: its kernel on the principal, its hits on the
 pool.
 """
 
+import random
+
+import pytest
+
+from repro.routing import run_plain_fpss
 from repro.routing.kernel import KernelStats, MirrorKernelPool
+from repro.workloads import random_biconnected_graph
 
 FIELDS = (
     "rows_ingested",
@@ -141,3 +147,49 @@ class TestMirrorKernelPoolCollectedStats:
         assert collected.rows_ingested == 13
         # collected_stats is a pure read: calling it twice is stable.
         assert pool.collected_stats().rows_ingested == 13
+
+
+class TestEventWorkGate:
+    """Exact gate: an epoch's cost change relaxes only what it feeds.
+
+    On a converged plain network every kernel takes one cost change of
+    node ``x`` through :meth:`ReplayKernel.reanchor` and settles once.
+    The change feeds routes and avoidance keys only through ``x``'s
+    candidates, so kernels not adjacent to ``x`` (and ``x`` itself,
+    whose own cost no local key reads) relax nothing; an adjacent
+    kernel relaxes at most the destinations ``x`` offers it.
+    """
+
+    @pytest.mark.parametrize("x", ["n02", "n06", "n15"])
+    def test_cost_change_work_is_local(self, x):
+        graph = random_biconnected_graph(16, random.Random(3))
+        _, nodes, _ = run_plain_fpss(graph)
+        new_cost = graph.cost(x) + 2.5
+        adjacent = set(graph.neighbors(x))
+        offered = set(nodes[x].comp.routing.destinations)
+        crossing = 0
+        for node_id in sorted(nodes, key=repr):
+            kernel = nodes[node_id].comp
+            before = kernel.stats.as_dict()
+            if node_id == x:
+                kernel.reanchor(kernel.neighbors, new_cost, ())
+            else:
+                kernel.reanchor(
+                    kernel.neighbors, kernel.own_cost, ((x, new_cost),)
+                )
+            route_delta, avoid_delta = kernel.settle()
+            relaxed = kernel.stats.route_relaxations - before["route_relaxations"]
+            rescanned = kernel.stats.avoid_rescans - before["avoid_rescans"]
+            assert kernel.stats.rows_ingested == before["rows_ingested"]
+            if node_id in adjacent:
+                assert relaxed <= len(offered - {node_id})
+                continue
+            assert (relaxed, rescanned) == (0, 0), node_id
+            assert (route_delta, avoid_delta) == (None, None), node_id
+            crossing += any(
+                x in kernel.routing.entry(dest).path[1:-1]
+                for dest in kernel.routing.destinations
+            )
+        # The gate is not vacuous: some far kernel routes across x and
+        # re-derived pricing rows without relaxing anything.
+        assert crossing
