@@ -13,33 +13,31 @@ neighbours) through an initial construction plus one reconvergence
 epoch per entry of a :class:`~repro.sim.churn.ChurnSchedule`.  Epoch 0
 is :func:`~repro.faithful.protocol.construct_checked`, the step
 :func:`~repro.faithful.protocol.run_checked_construction` runs.  Every
-later epoch repairs the live network at quiescence, the way
-:class:`~repro.routing.dynamic.DynamicTopologyEngine` does:
+later epoch is the epoch step of
+:class:`~repro.routing.dynamic.DynamicTopologyEngine`; only its one
+boundary op differs, because each kernel's view of the epoch comes
+from the node itself rather than from the graph diff:
 
-1. The epoch's link events change the simulator's topology, and a
-   changed cost is re-declared through the ordinary ``cost-decl``
+1. A changed cost is re-declared through the ordinary ``cost-decl``
    flood.  Every node holds the flooded declarations; no kernel
    changes yet (``phase1_events`` counts the flood).
-2. At the boundary each checker re-runs the checker-setup handshake
-   on the new graph.  A checker that gained a principal across a
-   fresh link takes over the replay the principal's other checkers
-   verified: it joins the pooled log at its frontier, or, without a
-   pool, forks another checker's log.  Only then are the mirrors of
-   lost principals dropped; their flags were collected at the last
-   checkpoint.
+2. Each checker re-runs the checker-setup handshake on the new graph.
+   A checker that gained a principal across a fresh link takes over
+   the replay the principal's other checkers verified: it joins the
+   pooled log at its frontier, or, without a pool, forks another
+   checker's log.  Mirrors of lost principals are dropped; their
+   flags were collected at the last checkpoint.
 3. Every principal appends one *re-anchor op* to the replay log it
-   writes (:meth:`~repro.routing.kernel.SharedKernel.anchor`): its new
-   neighbour set, its declared cost and the epoch's other DATA1
-   changes, applied and settled in one step.  Every checker submits
-   the same op derived from its own handshake lists and its own DATA1,
-   so the seed rule covers each epoch's change: a match is a log hit,
-   a mismatch forks the mirror.  Kernels change only through log ops.
-   A principal that is no longer exactly ``FaithfulRoutingNode``
-   stops leading here and continues on a fork of its own.
-4. Both ends of a fresh link resend their full tables across it, then
-   every node's topology kick announces the deltas its op settled, and
-   the network reconverges (``phase2_events``).  A fresh-link checker
-   expects the resend before the deltas.
+   writes (:meth:`~repro.routing.kernel.SharedKernel.anchor`), from
+   its :meth:`~repro.faithful.node.FaithfulRoutingNode.anchor_view` of
+   the held flood, and settles it.  Every checker submits the op it
+   derives from its own handshake lists and DATA1: a match is a log
+   hit, a mismatch forks the mirror.  A principal that is no longer
+   exactly ``FaithfulRoutingNode`` stops leading here and continues on
+   a fork of its own.
+
+The engine's resends and kick follow, and the network reconverges
+(``phase2_events``); a fresh-link checker expects the resend first.
 
 Detection flags carry the epoch they fired in: each
 :class:`CheckedEpoch` holds exactly the flags its own quiescence
@@ -58,28 +56,25 @@ mechanism.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..obs.trace import emit_counters, emit_marker
-from ..routing.convergence import link_delay
-from ..routing.dynamic import verify_epoch_equivalence
+from ..routing.convergence import ConvergenceStats
+from ..routing.dynamic import ChurnRunResult, DynamicTopologyEngine, EpochReport
 from ..routing.graph import ASGraph, NodeId
 from ..routing.kernel import KernelStats, MirrorKernelPool
-from ..sim.churn import ChurnEvent, ChurnSchedule, apply_churn_epoch
-from ..sim.simulator import Simulator
+from ..routing.tables import RouteEntry
+from ..sim.churn import ChurnEvent, ChurnSchedule
 from .audit import Flag
 from .node import FaithfulRoutingNode, encode_flag
 from .protocol import (
     FaithfulNodeFactory,
     TrafficMatrix,
     anchor_checkers,
-    build_checked_network,
+    checked_node_factory,
+    checkpoint_flags,
     construct_checked,
-    live_mirrors,
-    originating_flows,
-    run_execution,
     verify_mirror_agreement,
 )
 from .settlement import NettingLedger
@@ -89,32 +84,20 @@ CHECKED_EVENT_KINDS: Tuple[str, ...] = ("cost", "link-down", "link-up")
 
 
 @dataclass
-class CheckedEpoch:
-    """One epoch: the initial construction (0), then one per batch.
+class CheckedEpoch(EpochReport):
+    """One checked epoch: the initial construction (0), then one per batch.
 
     ``flags`` are the wire-encoded mirror flags raised *within this
     epoch's* checkpoint — the epoch a flag fired in is the epoch of the
     report holding it.
     """
 
-    epoch: int
-    events: Tuple[ChurnEvent, ...]
-    graph: ASGraph
     #: Epoch 0: phase 1.  Later epochs: the re-declaration flood.
-    phase1_events: int
+    phase1_events: int = 0
     #: Epoch 0: phase 2.  Later epochs: the reconvergence after the
     #: re-anchor.
-    phase2_events: int
+    phase2_events: int = 0
     flags: List[Tuple] = field(default_factory=list)
-    #: Messages sent and simulated time elapsed from the epoch's events
-    #: to its quiescence checkpoint (flood and reconvergence; the whole
-    #: construction for epoch 0), before any traffic.
-    reconvergence_messages: int = 0
-    reconvergence_time: float = 0.0
-    #: Execution-phase results (zeros unless traffic was supplied).
-    routed_flows: int = 0
-    unroutable_flows: int = 0
-    payments_total: float = 0.0
     #: Settlement netting results (zeros unless traffic was supplied):
     #: the epoch's declared payment deltas netted into one batch
     #: transfer per debtor vs. the per-flow transfer count.
@@ -124,15 +107,10 @@ class CheckedEpoch:
 
 
 @dataclass
-class CheckedChurnRun:
+class CheckedChurnRun(ChurnRunResult):
     """A checked network driven through reconvergence epochs."""
 
-    simulator: Simulator
-    nodes: Dict[NodeId, FaithfulRoutingNode]
-    graph: ASGraph
-    pool: Optional[MirrorKernelPool]
-    initial: CheckedEpoch
-    epochs: List[CheckedEpoch] = field(default_factory=list)
+    pool: Optional[MirrorKernelPool] = None
     #: The run's netting ledger: each epoch's declared DATA4 payment
     #: deltas recorded as obligations and closed into batch transfers
     #: (None when the run carried no traffic).
@@ -141,10 +119,11 @@ class CheckedChurnRun:
     @property
     def all_flags(self) -> List[Tuple[int, Tuple]]:
         """Every flag of the run as ``(epoch, encoded_flag)``."""
-        out = [(0, f) for f in self.initial.flags]
-        for report in self.epochs:
-            out.extend((report.epoch, f) for f in report.flags)
-        return out
+        return [
+            (report.epoch, flag)
+            for report in (self.initial, *self.epochs)
+            for flag in report.flags
+        ]
 
     def kernel_stats(self) -> KernelStats:
         """The pool's counters over all epochs (zeroed without sharing).
@@ -161,6 +140,170 @@ class CheckedChurnRun:
     def seed_mismatches(self) -> int:
         """Sharing refusals at epoch 0's phase-2 start."""
         return self.kernel_stats().seed_mismatches
+
+
+class CheckedChurnEngine(DynamicTopologyEngine):
+    """The dynamic engine on a fully mirrored network.
+
+    Epoch 0 is a checked construction, each epoch's re-anchor view is
+    every node's own held flood, reports carry the checkpoint's flags,
+    and traffic is netted every epoch (with a ``ledger``).
+    """
+
+    report_type = CheckedEpoch
+
+    def __init__(
+        self,
+        graph: ASGraph,
+        pool: Optional[MirrorKernelPool],
+        ledger: Optional[NettingLedger],
+        on_epoch_start: Optional[Callable[[int, Dict], None]],
+        node_factory: Optional[FaithfulNodeFactory] = None,
+        **options,
+    ) -> None:
+        graph.require_biconnected()
+        super().__init__(graph, checked_node_factory(pool, node_factory), **options)
+        self.pool = pool
+        self.ledger = ledger
+        self.on_epoch_start = on_epoch_start
+        #: Last-seen declared payment totals per payer; the per-epoch
+        #: delta is what gets recorded as this epoch's obligations.
+        self._payment_snapshots: Dict[NodeId, Dict[NodeId, float]] = {
+            node_id: {} for node_id in graph.nodes
+        }
+
+    def run_epoch(self, events: Tuple[ChurnEvent, ...]) -> EpochReport:
+        """Fire ``on_epoch_start``, then run the engine's epoch step."""
+        if self.on_epoch_start is not None:
+            self.on_epoch_start(self.epoch + 1, self.nodes)
+        return super().run_epoch(events)
+
+    def _construct(self) -> Tuple[int, int]:
+        phase1_events, phase2_events = construct_checked(
+            self.simulator, self.nodes, self.graph, self.pool, self.max_events
+        )
+        metrics = self.simulator.metrics
+        self.initial_stats = ConvergenceStats(
+            phase1_events, phase2_events,
+            metrics.total_messages, metrics.total_computations,
+        )
+        return phase1_events, phase2_events
+
+    def _reanchor(
+        self,
+        events: Tuple[ChurnEvent, ...],
+        previous: ASGraph,
+        fresh: List[Tuple[NodeId, NodeId]],
+    ) -> int:
+        """The checked boundary: flood, handshake, takeover, one op per
+        replay log (steps 1-3 of the module docstring).  Returns the
+        flood's events."""
+        # The checking relation needs a biconnected graph.
+        self.graph.require_biconnected()
+        simulator, nodes, pool = self.simulator, self.nodes, self.pool
+        redeclared = {event.node for event in events if event.kind == "cost"}
+        for node_id in sorted(redeclared, key=repr):
+            simulator.schedule_local(
+                node_id, 0.0, nodes[node_id].redeclare_cost,
+                label="churn-redeclare",
+            )
+        flood_events = simulator.run_until_quiescent(max_events=self.max_events)
+        for principal, checker in fresh:
+            if pool is not None:
+                log, owns = pool.shared_log(principal), False
+            else:
+                source = next(
+                    nodes[old].mirrors[principal]
+                    for old in nodes[principal].comp.neighbors
+                )
+                log, owns = source.own_fork(), True
+            mirror = nodes[checker].make_mirror(principal)
+            mirror.take_over(log, owns)
+            nodes[checker].mirrors[principal] = mirror
+        anchor_checkers(nodes, self.graph)
+        for node_id in self.active:
+            node = nodes[node_id]
+            node.reanchor(*node.anchor_view(node_id))
+        for node_id in self.active:
+            nodes[node_id].reanchor_mirrors()
+        emit_marker("mirror.epoch", sim_time=simulator.now, epoch=self.epoch)
+        return flood_events
+
+    def _checkpoint(
+        self, report: CheckedEpoch, boundary_events: int, settle_events: int
+    ) -> None:
+        """Collect the epoch's flags; after an unflagged epoch (with
+        ``verify``) mirrors must agree with their principals and, when
+        every node is obedient, tables equal the fixed point."""
+        flags = checkpoint_flags(self.nodes)
+        flags.sort(key=Flag.sort_key)
+        report.phase1_events = boundary_events
+        report.phase2_events = settle_events
+        report.flags = [encode_flag(f) for f in flags]
+        if not self.verify or report.flags:
+            return
+        # The fixed-point oracle describes honest tables only; a
+        # deviant nobody flagged (a shielding coalition) keeps its
+        # manipulated ones, which is evasion, not a convergence bug.
+        if all(type(node) is FaithfulRoutingNode for node in self.nodes.values()):
+            self.verify_equivalence()
+        verify_mirror_agreement(self.nodes)
+
+    def _counters(self, report: EpochReport) -> Dict[str, int]:
+        return dict(super()._counters(report), flags=len(report.flags))
+
+    def _result(self) -> CheckedChurnRun:
+        return CheckedChurnRun(
+            **vars(super()._result()), pool=self.pool, ledger=self.ledger
+        )
+
+    def _route(
+        self, report: EpochReport, flows: List[Tuple[NodeId, NodeId, float]]
+    ) -> List[RouteEntry]:
+        routes = super()._route(report, flows)
+        if self.ledger is not None:
+            # One per-flow transfer per transit hop on the LCP — the
+            # payment count netting is measured against.
+            report.per_flow_transfers = sum(
+                max(0, len(entry.path) - 2) for entry in routes
+            )
+            self._net(report)
+        return routes
+
+    def _net(self, report: CheckedEpoch) -> None:
+        """Net the epoch's declared payment deltas into batch transfers.
+
+        Obligations are the *declared* DATA4 increments (what each
+        payer owes its transit carriers for this epoch's flows);
+        catching under-declaration is the settlement audit's job, not
+        the netting layer's.
+        """
+        ledger = self.ledger
+        assert ledger is not None
+        closure_time = float(report.epoch)
+        for node_id in self.active:
+            snapshot = self._payment_snapshots[node_id]
+            for payee, total in sorted(
+                self.nodes[node_id].report_payments().items(), key=repr
+            ):
+                delta = total - snapshot.get(payee, 0.0)
+                if delta > 0 and payee != node_id:
+                    ledger.record(
+                        node_id, payee, delta, accepted_at=closure_time
+                    )
+                snapshot[payee] = total
+        transfers = ledger.close_epoch(closure_time)
+        report.net_transfers = len(transfers)
+        report.net_payouts = sum(len(t.payouts) for t in transfers)
+        emit_counters(
+            "bank",
+            {
+                "nets": 1,
+                "net_transfers": report.net_transfers,
+                "net_payouts": report.net_payouts,
+                "transfer_records": report.per_flow_transfers,
+            },
+        )
 
 
 def run_checked_churn(
@@ -203,211 +346,18 @@ def run_checked_churn(
                     f"got {event.kind!r}; membership churn runs on the "
                     f"plain mechanism (repro.routing.dynamic)"
                 )
-    pool = MirrorKernelPool() if shared_checking else None
-    simulator, nodes = build_checked_network(
-        graph, pool, link_delays, batch_delivery, node_factory
+    engine = CheckedChurnEngine(
+        graph,
+        MirrorKernelPool() if shared_checking else None,
+        NettingLedger() if traffic else None,
+        on_epoch_start,
+        node_factory,
+        link_delays=link_delays,
+        batch_delivery=batch_delivery,
+        verify=verify,
+        max_events=max_events,
     )
-    node_ids = tuple(sorted(nodes, key=repr))
-    flows = originating_flows(traffic or {})
-    ledger = NettingLedger() if traffic else None
-    #: Last-seen declared payment totals per payer; the per-epoch
-    #: delta is what gets recorded as this epoch's obligations.
-    payment_snapshots: Dict[NodeId, Dict[NodeId, float]] = {
-        n: {} for n in node_ids
-    }
-
-    def run_epoch(
-        epoch: int,
-        events: Tuple[ChurnEvent, ...],
-        current: ASGraph,
-        step: Callable[[], Tuple[int, int, List[Flag]]],
-    ) -> CheckedEpoch:
-        """Run one epoch's ``step`` to its checkpoint, then report it."""
-        messages_before = simulator.metrics.total_messages
-        time_before = simulator.now
-        phase1_events, phase2_events, flags = step()
-        flags.sort(key=Flag.sort_key)
-        report = CheckedEpoch(
-            epoch=epoch,
-            events=tuple(events),
-            graph=current,
-            phase1_events=phase1_events,
-            phase2_events=phase2_events,
-            flags=[encode_flag(f) for f in flags],
-            reconvergence_messages=(
-                simulator.metrics.total_messages - messages_before
-            ),
-            reconvergence_time=simulator.now - time_before,
-        )
-        if ledger is not None:
-            _route_epoch(report)
-        if verify and not report.flags:
-            # The fixed-point oracle describes honest tables only; a
-            # deviant nobody flagged (a shielding coalition) keeps its
-            # manipulated ones, which is evasion, not a convergence bug.
-            if all(type(node) is FaithfulRoutingNode for node in nodes.values()):
-                verify_epoch_equivalence(current, nodes)
-            verify_mirror_agreement(nodes)
-        if epoch > 0:
-            emit_counters(
-                "churn",
-                {
-                    "checked_epochs": 1,
-                    "checked_flags": len(report.flags),
-                    "reconvergence_events": phase1_events + phase2_events,
-                    "reconvergence_messages": report.reconvergence_messages,
-                },
-            )
-        return report
-
-    def reconverge(
-        index: int, events: Tuple[ChurnEvent, ...], current: ASGraph
-    ) -> Tuple[int, int, List[Flag]]:
-        """Apply one epoch at quiescence and repair in place."""
-        topology = simulator.topology
-        redeclared = set()
-        for event in events:
-            if event.kind == "cost":
-                nodes[event.node].true_cost = float(event.cost)  # type: ignore[index,arg-type]
-                redeclared.add(event.node)
-            elif event.kind == "link-down":
-                topology.remove_link(*event.link)  # type: ignore[misc]
-            else:  # link-up
-                a, b = event.link  # type: ignore[misc]
-                topology.add_link(a, b, delay=link_delay(link_delays, a, b))
-        for node_id in sorted(redeclared, key=repr):
-            simulator.schedule_local(
-                node_id, 0.0, nodes[node_id].redeclare_cost,
-                label="churn-redeclare",
-            )
-        flood_events = simulator.run_until_quiescent(max_events=max_events)
-
-        fresh = [
-            (node_id, peer)
-            for node_id in node_ids
-            for peer in current.neighbors(node_id)
-            if peer not in nodes[node_id].comp.neighbors  # type: ignore[union-attr]
-        ]
-        for principal, checker in fresh:
-            if pool is not None:
-                log, owns = pool.shared_log(principal), False
-            else:
-                source = next(
-                    nodes[old].mirrors[principal]
-                    for old in nodes[principal].comp.neighbors  # type: ignore[union-attr]
-                )
-                log, owns = source.own_fork(), True
-            mirror = nodes[checker].make_mirror(principal)
-            mirror.take_over(log, owns)  # type: ignore[arg-type]
-            nodes[checker].mirrors[principal] = mirror
-        anchor_checkers(nodes, current)
-        for node_id in node_ids:
-            nodes[node_id].reanchor()
-        for node_id in node_ids:
-            nodes[node_id].reanchor_mirrors()
-        emit_marker("mirror.epoch", sim_time=simulator.now, epoch=index)
-
-        # Fresh-link resends go first; the kicks' deltas apply on top.
-        for sender, receiver in fresh:
-            simulator.schedule_local(
-                sender, 0.0,
-                partial(nodes[sender].resend_full_tables, receiver),
-                label=f"churn-resend:->{receiver}",
-            )
-        for node_id in node_ids:
-            simulator.schedule_local(
-                node_id, 0.0, nodes[node_id].react_to_topology_change,
-                label="churn-react",
-            )
-        repair_events = simulator.run_until_quiescent(max_events=max_events)
-        flags = [
-            flag
-            for _checker, _principal, mirror in live_mirrors(nodes)
-            for flag in mirror.checkpoint_flags()
-        ]
-        return flood_events, repair_events, flags
-
-    def _route_epoch(report: CheckedEpoch) -> None:
-        before = sum(nodes[n].data4.total for n in node_ids)
-        routable = []
-        for source, destination, volume in flows:
-            comp = nodes[source].comp
-            assert comp is not None
-            entry = comp.routing.entry(destination)
-            if entry is None:
-                report.unroutable_flows += 1
-                continue
-            routable.append((source, destination, volume))
-            # One per-flow transfer per transit hop on the LCP — the
-            # payment count netting is measured against.
-            report.per_flow_transfers += max(0, len(entry.path) - 2)
-        report.routed_flows = len(routable)
-        run_execution(simulator, nodes, routable, max_events)
-        report.payments_total = (
-            sum(nodes[n].data4.total for n in node_ids) - before
-        )
-        _net_epoch(report)
-
-    def _net_epoch(report: CheckedEpoch) -> None:
-        """Net the epoch's declared payment deltas into batch transfers.
-
-        Obligations are the *declared* DATA4 increments (what each
-        payer owes its transit carriers for this epoch's flows);
-        catching under-declaration is the settlement audit's job, not
-        the netting layer's.
-        """
-        assert ledger is not None
-        closure_time = float(report.epoch)
-        for node_id in node_ids:
-            snapshot = payment_snapshots[node_id]
-            for payee, total in sorted(
-                nodes[node_id].report_payments().items(), key=repr
-            ):
-                delta = total - snapshot.get(payee, 0.0)
-                if delta > 0 and payee != node_id:
-                    ledger.record(
-                        node_id, payee, delta, accepted_at=closure_time
-                    )
-                snapshot[payee] = total
-        transfers = ledger.close_epoch(closure_time)
-        report.net_transfers = len(transfers)
-        report.net_payouts = sum(len(t.payouts) for t in transfers)
-        emit_counters(
-            "bank",
-            {
-                "nets": 1,
-                "net_transfers": report.net_transfers,
-                "net_payouts": report.net_payouts,
-                "transfer_records": report.per_flow_transfers,
-            },
-        )
-
-    initial = run_epoch(
-        0, (), graph,
-        partial(construct_checked, simulator, nodes, graph, pool, max_events),
-    )
-    run = CheckedChurnRun(
-        simulator=simulator,
-        nodes=nodes,
-        graph=graph,
-        pool=pool,
-        initial=initial,
-        ledger=ledger,
-    )
-    current = graph
-    for index, events in enumerate(schedule.epochs, start=1):
-        if on_epoch_start is not None:
-            on_epoch_start(index, nodes)
-        current = apply_churn_epoch(current, events)
-        current.require_biconnected()
-        run.graph = current
-        run.epochs.append(
-            run_epoch(
-                index, events, current,
-                partial(reconverge, index, events, current),
-            )
-        )
-    return run
+    return engine.run(schedule, traffic)
 
 
 __all__ = [

@@ -118,9 +118,6 @@ class FaithfulRoutingNode(FPSSNode):
         #: Declarations flooded during a checked churn epoch, held out
         #: of every kernel until the epoch's re-anchor op.
         self._held_costs: Dict[NodeId, Cost] = {}
-        #: The deltas the epoch's re-anchor op settled, announced by
-        #: the topology kick.
-        self._anchor_deltas: Optional[Tuple[Optional[Tuple], Optional[Tuple]]] = None
 
     # ------------------------------------------------------------------
     # checker setup
@@ -423,13 +420,20 @@ class FaithfulRoutingNode(FPSSNode):
         )
         return neighbors, self._known_cost(principal), changes
 
-    def reanchor(self) -> None:
-        """Epoch boundary, principal role: append the re-anchor op.
+    def reanchor(
+        self,
+        neighbors: Sequence[NodeId],
+        own_cost: Cost,
+        changes: Sequence[Tuple[NodeId, Optional[Cost]]],
+    ) -> None:
+        """Epoch boundary, principal role: the re-anchor op goes through
+        the replay log this node writes (:meth:`SharedKernel.anchor
+        <repro.routing.kernel.SharedKernel.anchor>`), where its checkers
+        verify it.
 
         A node that is no longer exactly this class stops leading its
         checkers' pooled log here: it continues on a fork of its own,
-        and the pooled log passes to the mirrors.  The op's settled
-        deltas wait for :meth:`react_to_topology_change`.
+        and the pooled log passes to the mirrors.
         """
         log = self.replay_log
         assert log is not None
@@ -447,7 +451,9 @@ class FaithfulRoutingNode(FPSSNode):
             own.kernel.stats, log.kernel.stats = log.kernel.stats, own.kernel.stats
             self.replay_log = log = own
             self.comp = own.kernel
-        result = log.anchor(log.frontier, *self.anchor_view(self.node_id), lead=True)
+        result = log.anchor(
+            log.frontier, tuple(neighbors), own_cost, tuple(changes), lead=True
+        )
         assert result is not None
         self._anchor_deltas = result[1:3]
         self.phase = "phase2"
@@ -459,14 +465,6 @@ class FaithfulRoutingNode(FPSSNode):
         for principal in self.neighbors:
             self.mirrors[principal].reanchor(*self.anchor_view(principal))
         self._held_costs.clear()
-
-    def react_to_topology_change(self) -> None:
-        """The epoch kick: announce what the re-anchor op settled."""
-        deltas, self._anchor_deltas = self._anchor_deltas, None
-        if deltas is None:
-            return
-        self.sim.metrics.record_computation(self.node_id)
-        self._announce(*deltas)
 
     # ------------------------------------------------------------------
     # execution phase observation

@@ -30,12 +30,18 @@ Utility model (Section 4.3 assumptions):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..errors import ConvergenceError
 from ..obs.trace import emit_marker
-from ..routing.convergence import build_network, run_phase, verify_against_oracle
+from ..routing.convergence import (
+    TrafficMatrix,
+    build_network,
+    originating_flows,
+    run_execution,
+    run_phase,
+    verify_against_oracle,
+)
 from ..routing.fpss import FPSSNode
 from ..routing.graph import ASGraph, Cost, NodeId
 from ..routing.kernel import KernelStats, MirrorKernelPool
@@ -45,9 +51,6 @@ from .audit import DetectionReport, Flag
 from .bank import BankNode
 from .mirror import PrincipalMirror
 from .node import BANK_ID, FaithfulRoutingNode, encode_flag
-
-#: (source, destination) -> packet volume.
-TrafficMatrix = Mapping[Tuple[NodeId, NodeId], float]
 
 #: Builds the node for one vertex; manipulation strategies substitute
 #: deviant subclasses for their target node here.
@@ -72,37 +75,6 @@ class RunResult:
     def utility_of(self, node_id: NodeId) -> float:
         """One node's realised utility."""
         return self.utilities[node_id]
-
-
-def originating_flows(
-    traffic: TrafficMatrix,
-) -> List[Tuple[NodeId, NodeId, float]]:
-    """The flows of positive volume between distinct nodes, in ``repr`` order."""
-    return [
-        (source, destination, volume)
-        for (source, destination), volume in sorted(traffic.items(), key=repr)
-        if volume > 0 and source != destination
-    ]
-
-
-def run_execution(
-    simulator: Simulator,
-    nodes: Mapping[NodeId, FPSSNode],
-    flows: List[Tuple[NodeId, NodeId, float]],
-    max_events: int,
-) -> None:
-    """Start the execution phase, originate ``flows``, and quiesce."""
-    emit_marker("protocol.phase", sim_time=simulator.now, phase="execution")
-    for node_id in sorted(nodes, key=repr):
-        nodes[node_id].start_execution()
-    for source, destination, volume in flows:
-        simulator.schedule_local(
-            source,
-            0.0,
-            partial(nodes[source].originate_flow, destination, volume),
-            label="originate",
-        )
-    simulator.run_until_quiescent(max_events=max_events)
 
 
 def anchor_checkers(
@@ -479,6 +451,17 @@ def build_checked_network(
 ) -> Tuple[Simulator, Dict[NodeId, FaithfulRoutingNode]]:
     """A fully mirrored network: no bank, every mirror on ``pool``."""
     graph.require_biconnected()
+    return build_network(
+        graph, checked_node_factory(pool, node_factory), link_delays, batch_delivery
+    )
+
+
+def checked_node_factory(
+    pool: Optional[MirrorKernelPool],
+    node_factory: Optional[FaithfulNodeFactory] = None,
+) -> Callable[[NodeId, Cost], FaithfulRoutingNode]:
+    """``(node_id, cost) -> node`` for a fully mirrored network: no
+    signing, every mirror on ``pool``."""
     factory = node_factory or FaithfulRoutingNode
 
     def make_node(node_id: NodeId, cost: Cost) -> FaithfulRoutingNode:
@@ -486,7 +469,7 @@ def build_checked_network(
         node.mirror_pool = pool
         return node
 
-    return build_network(graph, make_node, link_delays, batch_delivery)
+    return make_node
 
 
 def construct_checked(
@@ -495,12 +478,12 @@ def construct_checked(
     graph: ASGraph,
     pool: Optional[MirrorKernelPool],
     max_events: int,
-) -> Tuple[int, int, List[Flag]]:
+) -> Tuple[int, int]:
     """One checked construction on ``graph``: epoch 0 of a churn run.
 
     Phase 1, :func:`anchor_checkers`, the pool's epoch bump, phase 2.
-    Returns both phases' event counts and every live mirror's
-    checkpoint flags in :func:`live_mirrors` order.
+    Returns both phases' event counts; the quiescence checkpoint is
+    :func:`checkpoint_flags`.
     """
     emit_marker("protocol.phase", sim_time=simulator.now, phase="phase1")
     phase1_events = run_phase(simulator, nodes, "phase1", max_events)
@@ -511,12 +494,17 @@ def construct_checked(
         emit_marker("mirror.epoch", sim_time=simulator.now, epoch=0)
     emit_marker("protocol.phase", sim_time=simulator.now, phase="phase2")
     phase2_events = run_phase(simulator, nodes, "phase2", max_events)
-    flags = [
+    return phase1_events, phase2_events
+
+
+def checkpoint_flags(nodes: Mapping[NodeId, FaithfulRoutingNode]) -> List[Flag]:
+    """Every live mirror's quiescence checkpoint flags, in
+    :func:`live_mirrors` order."""
+    return [
         flag
         for _checker, _principal, mirror in live_mirrors(nodes)
         for flag in mirror.checkpoint_flags()
     ]
-    return phase1_events, phase2_events, flags
 
 
 def run_checked_construction(
@@ -545,9 +533,10 @@ def run_checked_construction(
     simulator, nodes = build_checked_network(
         graph, pool, link_delays, batch_delivery, node_factory
     )
-    phase1_events, phase2_events, flags = construct_checked(
+    phase1_events, phase2_events = construct_checked(
         simulator, nodes, graph, pool, max_events
     )
+    flags = checkpoint_flags(nodes)
     kernel_stats = pool.collected_stats() if pool is not None else KernelStats()
     for _checker, _principal, mirror in live_mirrors(nodes):
         # Forked and seed-mismatched mirrors follow logs of their own;

@@ -343,9 +343,7 @@ def render_status(status: FeedStatus, top_counters: int = 8) -> str:
             lines.append(
                 f"  ... and {len(status.failed_cells) - len(shown)} more"
             )
-    churn_epochs = status.counters.get("churn.epochs", 0) + status.counters.get(
-        "churn.checked_epochs", 0
-    )
+    churn_epochs = status.counters.get("churn.epochs", 0)
     if churn_epochs:
         lines.append(
             f"churn: {churn_epochs} reconvergence epoch(s), "

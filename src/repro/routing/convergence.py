@@ -8,7 +8,8 @@ one delivery batch or each delivered as a batch of one) and
 :func:`run_phase` runs one phase; every driver — the plain helpers
 here, :mod:`repro.faithful.protocol`, :mod:`repro.faithful.epochs` and
 :mod:`repro.routing.dynamic` — goes through both, so one graph gives
-every driver the same events in the same order.  The default
+every driver the same events in the same order; every driver with
+traffic routes it through :func:`run_execution`.  The default
 configuration (batched delivery plus the incremental relaxations of
 :mod:`repro.routing.fpss`) is what the convergence sweep probe and the
 benchmarks measure; the knobs exist so the equivalence tests can run
@@ -29,9 +30,11 @@ DATA1/DATA2/DATA3* digests, identity tags included, bit for bit against
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..errors import ConvergenceError
+from ..obs.trace import emit_marker
 from ..sim.network import NetworkTopology
 from ..sim.node import ProtocolNode
 from ..sim.simulator import Simulator
@@ -39,6 +42,9 @@ from .engine import engine_for
 from .fpss import FPSSNode
 from .graph import ASGraph, Cost, NodeId
 from .vcg_payments import _source_payments
+
+#: (source, destination) -> packet volume.
+TrafficMatrix = Mapping[Tuple[NodeId, NodeId], float]
 
 
 def link_delay(delays, a: NodeId, b: NodeId) -> float:
@@ -110,6 +116,37 @@ def run_phase(
             node_id, 0.0, getattr(nodes[node_id], "start_" + phase), label=phase
         )
     return simulator.run_until_quiescent(max_events=max_events)
+
+
+def originating_flows(
+    traffic: TrafficMatrix,
+) -> List[Tuple[NodeId, NodeId, float]]:
+    """The flows of positive volume between distinct nodes, in ``repr`` order."""
+    return [
+        (source, destination, volume)
+        for (source, destination), volume in sorted(traffic.items(), key=repr)
+        if volume > 0 and source != destination
+    ]
+
+
+def run_execution(
+    simulator: Simulator,
+    nodes: Mapping[NodeId, FPSSNode],
+    flows: List[Tuple[NodeId, NodeId, float]],
+    max_events: int,
+) -> None:
+    """Start the execution phase, originate ``flows``, and quiesce."""
+    emit_marker("protocol.phase", sim_time=simulator.now, phase="execution")
+    for node_id in sorted(nodes, key=repr):
+        nodes[node_id].start_execution()
+    for source, destination, volume in flows:
+        simulator.schedule_local(
+            source,
+            0.0,
+            partial(nodes[source].originate_flow, destination, volume),
+            label="originate",
+        )
+    simulator.run_until_quiescent(max_events=max_events)
 
 
 @dataclass

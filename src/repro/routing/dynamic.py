@@ -1,22 +1,29 @@
 """Dynamic topology engine: churn, failures, and reconvergence.
 
-Drives a converged plain-FPSS network through a
-:class:`~repro.sim.churn.ChurnSchedule`: each epoch applies a batch of
-topology events at network quiescence, kicks every node's incremental
-relaxation, lets the resulting withdrawal/update storm reconverge, and
-then routes traffic on the new fixed point.
+Drives a converged FPSS network through a
+:class:`~repro.sim.churn.ChurnSchedule`, one epoch per event batch.
+It is the one churn driver: the checked runner
+(:func:`~repro.faithful.epochs.run_checked_churn`) runs the same epoch
+step and differs only in where each kernel's view of the epoch comes
+from.
 
 Quiesce-per-epoch model
 -----------------------
 Events are applied *synchronously at quiescence* — no messages are in
-flight when the topology mutates.  This is the discrete-event analogue
-of routesim2's ``link_has_been_updated`` callbacks (where a link change
-interrupts the node between message deliveries): the affected kernels
-ingest the topology delta out of band (detached neighbours, DATA1
-changes flooded in compressed form), and everything downstream —
-withdrawal rows on the wire, incremental re-relaxation, delta
-broadcasts — flows through the ordinary message machinery of
-:mod:`repro.routing.fpss`.
+flight when the topology mutates.  As in routesim2's
+``link_has_been_updated``, every topology change goes through one
+entry point, which updates neighbour state, recomputes once and
+broadcasts.  An epoch (1) edits the graph and the topology, (2) finds
+the fresh links (graph neighbours missing from a kernel), (3) moves
+every live kernel onto the new topology through one boundary op,
+:meth:`~repro.routing.fpss.FPSSNode.reanchor` (new neighbour set, own
+cost, the other DATA1 changes, ``None`` retracting a departed node),
+settled at once and held, (4) resends full tables across the fresh
+links in ``repr`` order, (5) starts the joiners, (6) kicks every
+re-anchored node to announce its held deltas and reconverges, and (7)
+reports, emits telemetry and routes traffic.  The plain engine derives
+step 3's view out of band, from the epoch's graph diff; the checked
+runner from each node's own held cost flood.
 
 The epoch-equivalence oracle
 ----------------------------
@@ -42,21 +49,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from ..errors import ConvergenceError, RoutingError
+from ..errors import ConvergenceError, SimulationError
 from ..obs.trace import emit_counters, emit_marker
-from ..sim.churn import ChurnEvent, ChurnSchedule, apply_churn_event
+from ..sim.churn import ChurnEvent, ChurnSchedule, apply_churn_epoch
 from ..sim.simulator import Simulator
 from .convergence import (
     ConvergenceStats,
     build_network,
     link_delay,
+    originating_flows,
     run_construction_phases,
+    run_execution,
 )
+from .engine import fixed_point_digests
 from .fpss import FPSSNode
 from .graph import ASGraph, Cost, NodeId
-from .engine import fixed_point_digests
+from .tables import RouteEntry
 
 __all__ = [
     "ChurnEvent",
@@ -67,11 +77,6 @@ __all__ = [
     "run_dynamic_fpss",
     "verify_epoch_equivalence",
 ]
-
-#: Traffic matrices map ordered ``(origin, destination)`` pairs to a
-#: packet volume; a callable derives one from the current graph.
-TrafficMatrix = Mapping[Tuple[NodeId, NodeId], float]
-TrafficSource = Callable[[ASGraph], TrafficMatrix]
 
 
 def verify_epoch_equivalence(
@@ -113,14 +118,19 @@ def verify_epoch_equivalence(
 
 @dataclass
 class EpochReport:
-    """What one reconvergence epoch did and cost."""
+    """What one epoch did and cost: the initial construction (0), then
+    one per event batch."""
 
     epoch: int
     events: Tuple[ChurnEvent, ...]
     graph: ASGraph
     reconvergence_events: int
+    #: Messages sent and simulated time elapsed from the epoch's events
+    #: to its quiescence checkpoint (the whole construction for epoch
+    #: 0), before any traffic.
     reconvergence_messages: int
     reconvergence_time: float
+    #: Execution-phase results (zeros unless traffic was supplied).
     routed_flows: int = 0
     unroutable_flows: int = 0
     payments_total: float = 0.0
@@ -141,6 +151,8 @@ class ChurnRunResult:
     graph: ASGraph
     initial_stats: ConvergenceStats
     initial_messages: int
+    #: Epoch 0: the construction, and the traffic routed on it.
+    initial: EpochReport
     epochs: List[EpochReport] = field(default_factory=list)
 
     @property
@@ -165,8 +177,12 @@ class DynamicTopologyEngine:
     Build, :meth:`converge`, then :meth:`run_epoch` per event batch (or
     :meth:`run` for a whole schedule).  ``verify=True`` (the default)
     runs the epoch-equivalence oracle after initial convergence and
-    after every epoch.
+    after every epoch.  A subclass changes where an epoch's re-anchor
+    view comes from (:meth:`_reanchor`), how epoch 0 is built
+    (:meth:`_construct`), and what a report and a checkpoint hold.
     """
+
+    report_type = EpochReport
 
     def __init__(
         self,
@@ -185,13 +201,15 @@ class DynamicTopologyEngine:
         self.simulator, self.nodes = build_network(
             graph, self._factory, link_delays, batch_delivery
         )
-        self.active: Set[NodeId] = set(graph.nodes)
         self.epoch = 0
-        self.reports: List[EpochReport] = []
+        self.initial: Optional[EpochReport] = None
         self.initial_stats: Optional[ConvergenceStats] = None
         self.initial_messages = 0
-        self._pending_resends: List[Tuple[NodeId, NodeId]] = []
-        self._pending_joins: List[NodeId] = []
+
+    @property
+    def active(self) -> Tuple[NodeId, ...]:
+        """The live nodes (the current graph's), in ``repr`` order."""
+        return self.graph.nodes
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -199,59 +217,29 @@ class DynamicTopologyEngine:
 
     def converge(self) -> ConvergenceStats:
         """Run both construction phases on the initial graph (epoch 0)."""
-        self.initial_stats = run_construction_phases(
-            self.simulator, self.nodes, max_events=self.max_events
-        )
+        self.initial = self._run_to_checkpoint((), self._construct)
         self.initial_messages = self.simulator.metrics.total_messages
-        if self.verify:
-            self.verify_equivalence()
+        assert self.initial_stats is not None
         return self.initial_stats
 
     def run_epoch(self, events: Tuple[ChurnEvent, ...]) -> EpochReport:
         """Apply one epoch's events at quiescence and reconverge."""
-        if self.initial_stats is None:
+        if self.initial is None:
             raise ConvergenceError("converge() must run before the first epoch")
         if not self.simulator.is_quiescent():
             raise ConvergenceError("topology events require network quiescence")
         self.epoch += 1
-        for event in events:
-            self.graph = apply_churn_event(self.graph, event)
-            self._apply_event(event)
-        messages_before = self.simulator.metrics.total_messages
-        time_before = self.simulator.now
-        self._kick()
-        processed = self.simulator.run_until_quiescent(max_events=self.max_events)
-        if self.verify:
-            self.verify_equivalence()
-        report = EpochReport(
-            epoch=self.epoch,
-            events=tuple(events),
-            graph=self.graph,
-            reconvergence_events=processed,
-            reconvergence_messages=(
-                self.simulator.metrics.total_messages - messages_before
-            ),
-            reconvergence_time=self.simulator.now - time_before,
-        )
-        self.reports.append(report)
+        events = tuple(events)
+        report = self._run_to_checkpoint(events, partial(self._repair, events))
         emit_marker(
             "churn.epoch",
             sim_time=self.simulator.now,
             epoch=self.epoch,
             events=[event.describe() for event in events],
-            reconvergence_events=processed,
+            reconvergence_events=report.reconvergence_events,
             reconvergence_messages=report.reconvergence_messages,
         )
-        emit_counters(
-            "churn",
-            {
-                "epochs": 1,
-                "events": len(events),
-                "reconvergence_events": processed,
-                "reconvergence_messages": report.reconvergence_messages,
-            },
-            sim_time=self.simulator.now,
-        )
+        emit_counters("churn", self._counters(report), sim_time=self.simulator.now)
         return report
 
     def run(
@@ -263,26 +251,25 @@ class DynamicTopologyEngine:
 
         ``traffic`` is a matrix ``{(origin, dest): volume}``, a callable
         deriving one from the current graph, or ``None``.  Traffic is
-        routed after initial convergence and again after every epoch, so
-        the run alternates construction and execution exactly as the
-        paper's phases do.
+        routed after initial convergence (onto the ``initial`` report)
+        and again after every epoch, so the run alternates construction
+        and execution exactly as the paper's phases do.
         """
-        if self.initial_stats is None:
+        if self.initial is None:
             self.converge()
-        self._route(self._matrix(traffic))  # epoch-0 traffic, not reported
-        result = ChurnRunResult(
-            simulator=self.simulator,
-            nodes=self.nodes,
-            graph=self.graph,
-            initial_stats=self.initial_stats,  # type: ignore[arg-type]
-            initial_messages=self.initial_messages,
-        )
+        assert self.initial is not None
+        fixed = None if callable(traffic) else originating_flows(traffic or {})
+
+        def flows() -> List[Tuple[NodeId, NodeId, float]]:
+            if fixed is not None:
+                return fixed
+            return originating_flows(traffic(self.graph))  # type: ignore[operator]
+
+        self._route(self.initial, flows())
+        result = self._result()
         for events in schedule.epochs:
             report = self.run_epoch(events)
-            routed, unroutable, payments = self._route(self._matrix(traffic))
-            report.routed_flows = routed
-            report.unroutable_flows = unroutable
-            report.payments_total = payments
+            self._route(report, flows())
             result.epochs.append(report)
         result.graph = self.graph
         return result
@@ -292,212 +279,225 @@ class DynamicTopologyEngine:
         verify_epoch_equivalence(self.graph, self.nodes)
 
     # ------------------------------------------------------------------
-    # event application (synchronous, at quiescence)
+    # the epoch step
     # ------------------------------------------------------------------
 
-    def _sorted_active(self) -> List[NodeId]:
-        return sorted(self.active, key=repr)
+    def _run_to_checkpoint(
+        self, events: Tuple[ChurnEvent, ...], step: Callable[[], Tuple[int, int]]
+    ) -> EpochReport:
+        """Run one epoch's ``step`` to quiescence, report and check it.
 
-    def _comp(self, node_id: NodeId):
-        """The node's live kernel, or ``None`` before its join kick.
-
-        Nodes joining this epoch have no computation yet — they
-        bootstrap at kick time from the final post-epoch topology and
-        cost map, so kernel-level deltas for them are skipped here.
+        ``step`` returns the events its boundary processed and the
+        events of the reconvergence after it.
         """
-        return self.nodes[node_id].comp
+        messages_before = self.simulator.metrics.total_messages
+        time_before = self.simulator.now
+        boundary_events, settle_events = step()
+        report = self.report_type(
+            epoch=self.epoch,
+            events=events,
+            graph=self.graph,
+            reconvergence_events=boundary_events + settle_events,
+            reconvergence_messages=(
+                self.simulator.metrics.total_messages - messages_before
+            ),
+            reconvergence_time=self.simulator.now - time_before,
+        )
+        self._checkpoint(report, boundary_events, settle_events)
+        return report
 
-    def _apply_event(self, event: ChurnEvent) -> None:
-        topology = self.simulator.topology
-        if event.kind == "cost":
-            node_id = event.node
-            new_cost = float(event.cost)  # type: ignore[arg-type]
-            self.nodes[node_id].true_cost = new_cost
-            # The compressed equivalent of re-flooding phase 1: every
-            # active kernel learns the new declaration directly.
-            for member in self._sorted_active():
-                comp = self._comp(member)
-                if comp is None:
-                    continue
-                if member == node_id:
-                    comp.change_own_cost(new_cost)
-                else:
-                    comp.note_cost_declaration(node_id, new_cost)
-        elif event.kind == "link-down":
-            a, b = event.link  # type: ignore[misc]
-            topology.remove_link(a, b)
-            for end, peer in ((a, b), (b, a)):
-                comp = self._comp(end)
-                if comp is not None:
-                    comp.detach_neighbor(peer)
-        elif event.kind == "link-up":
-            a, b = event.link  # type: ignore[misc]
-            topology.add_link(a, b, delay=link_delay(self._link_delays, a, b))
-            for end, peer in ((a, b), (b, a)):
-                comp = self._comp(end)
-                if comp is not None:
-                    comp.attach_neighbor(peer)
-            # Delta streams assume shared history: both endpoints
-            # exchange full tables once across the fresh link.
-            self._pending_resends.append((a, b))
-            self._pending_resends.append((b, a))
-        elif event.kind == "leave":
-            node_id = event.node
-            for peer in topology.neighbors(node_id):
-                comp = self._comp(peer)
-                if comp is not None:
-                    comp.detach_neighbor(node_id)
-            topology.remove_node(node_id)
-            self.active.discard(node_id)
-            self.nodes[node_id].phase = "left"
-            for member in self._sorted_active():
-                comp = self._comp(member)
-                if comp is not None:
-                    comp.retract_cost_declaration(node_id)
-        else:  # join
-            node_id = event.node
-            new_cost = float(event.cost)  # type: ignore[arg-type]
-            topology.add_node(node_id)
-            node = self._factory(node_id, new_cost)
-            self.nodes[node_id] = node
-            self.simulator.add_node(node)
-            peers = []
-            for pair in event.links:
-                peer = pair[1] if pair[0] == node_id else pair[0]
-                topology.add_link(
-                    node_id, peer, delay=link_delay(self._link_delays, node_id, peer)
-                )
-                peers.append(peer)
-            for member in self._sorted_active():
-                comp = self._comp(member)
-                if comp is not None:
-                    comp.note_cost_declaration(node_id, new_cost)
-            for peer in sorted(set(peers), key=repr):
-                comp = self._comp(peer)
-                if comp is not None:
-                    comp.attach_neighbor(node_id)
-                self._pending_resends.append((peer, node_id))
-            self.active.add(node_id)
-            self._pending_joins.append(node_id)
+    def _checkpoint(
+        self, report: EpochReport, boundary_events: int, settle_events: int
+    ) -> None:
+        """The quiescence checkpoint: the oracle, with ``verify``."""
+        if self.verify:
+            self.verify_equivalence()
 
-    def _kick(self) -> None:
-        """Schedule the epoch's local actions in deterministic order.
+    def _construct(self) -> Tuple[int, int]:
+        """Epoch 0: both construction phases on the initial graph."""
+        stats = run_construction_phases(
+            self.simulator, self.nodes, max_events=self.max_events
+        )
+        self.initial_stats = stats
+        return stats.phase1_events, stats.phase2_events
 
-        Full-table resends across fresh links go first (they carry the
-        *pre-settle* tables; the subsequent reaction deltas then apply
-        on top, so new neighbours end bit-identical to old ones), then
-        joining nodes bootstrap, then every surviving node settles and
-        broadcasts its topology-delta fallout.
-        """
-        resends, self._pending_resends = self._pending_resends, []
-        joins, self._pending_joins = self._pending_joins, []
-        joined = set(joins)
-        topology = self.simulator.topology
-        scheduled = set()
-        for sender, receiver in resends:
-            if sender not in self.active or receiver not in self.active:
-                continue
-            if sender in joined:
-                # A joiner's bootstrap force-announces full tables to
-                # every current neighbour; a separate resend would
-                # arrive before its kernel exists.
-                continue
-            if not topology.has_link(sender, receiver):
-                continue  # the fresh link failed again within the epoch
-            if (sender, receiver) in scheduled:
-                continue
-            scheduled.add((sender, receiver))
-            self.simulator.schedule_local(
-                sender,
-                0.0,
-                partial(self.nodes[sender].resend_full_tables, receiver),
+    def _repair(self, events: Tuple[ChurnEvent, ...]) -> Tuple[int, int]:
+        """One epoch at quiescence: steps 1-6 of the module docstring."""
+        previous = self.graph
+        self._edit(events)
+        nodes = self.nodes
+        live = self.active
+        joiners = {node_id for node_id in live if nodes[node_id].comp is None}
+        fresh = [
+            (node_id, peer)
+            for node_id in live
+            if node_id not in joiners
+            for peer in self.graph.neighbors(node_id)
+            if peer not in nodes[node_id].comp.neighbors  # type: ignore[union-attr]
+        ]
+        boundary_events = self._reanchor(events, previous, fresh)
+        simulator = self.simulator
+        # Fresh-link resends go first; the kicks' deltas apply on top.
+        for sender, receiver in fresh:
+            simulator.schedule_local(
+                sender, 0.0, partial(nodes[sender].resend_full_tables, receiver),
                 label=f"churn-resend:->{receiver}",
             )
-        known = self.graph.costs
-        for node_id in joins:
-            if node_id not in self.active:
-                continue  # joined and left within one epoch
-            self.simulator.schedule_local(
-                node_id,
-                0.0,
-                partial(self.nodes[node_id].join_network, known),
+        for node_id in sorted(joiners, key=repr):
+            simulator.schedule_local(
+                node_id, 0.0, partial(nodes[node_id].join_network, self.graph.costs),
                 label="churn-join",
             )
-        for node_id in self._sorted_active():
-            if node_id in joined:
-                continue
-            self.simulator.schedule_local(
-                node_id,
-                0.0,
-                self.nodes[node_id].react_to_topology_change,
-                label="churn-react",
+        for node_id in live:
+            if node_id not in joiners:
+                simulator.schedule_local(
+                    node_id, 0.0, nodes[node_id].react_to_topology_change,
+                    label="churn-react",
+                )
+        return boundary_events, simulator.run_until_quiescent(
+            max_events=self.max_events
+        )
+
+    def _edit(self, events: Tuple[ChurnEvent, ...]) -> None:
+        """Step 1: apply the events to the graph and the topology.
+
+        Kernels are untouched; a joiner gets a node without one.
+        """
+        self.graph = apply_churn_epoch(self.graph, events)
+        topology = self.simulator.topology
+        left = set()
+        for event in events:
+            if event.kind == "cost":
+                self.nodes[event.node].true_cost = float(event.cost)  # type: ignore[arg-type]
+            elif event.kind == "link-down":
+                topology.remove_link(*event.link)  # type: ignore[misc]
+            elif event.kind == "link-up":
+                a, b = event.link  # type: ignore[misc]
+                topology.add_link(a, b, delay=link_delay(self._link_delays, a, b))
+            elif event.kind == "leave":
+                topology.remove_node(event.node)
+                self.nodes[event.node].phase = "left"
+                left.add(event.node)
+            else:  # join
+                node_id = event.node
+                if node_id in left:
+                    # The graph diff would read the rejoin as a node
+                    # that never left, and its peers would keep the
+                    # departed node's offers.
+                    raise SimulationError(
+                        f"{node_id!r} rejoins in the epoch it left; "
+                        f"schedule the join in a later epoch"
+                    )
+                topology.add_node(node_id)
+                node = self._factory(node_id, float(event.cost))  # type: ignore[arg-type]
+                self.nodes[node_id] = node
+                self.simulator.add_node(node)
+                for pair in event.links:
+                    peer = pair[1] if pair[0] == node_id else pair[0]
+                    topology.add_link(
+                        node_id, peer,
+                        delay=link_delay(self._link_delays, node_id, peer),
+                    )
+
+    def _reanchor(
+        self,
+        events: Tuple[ChurnEvent, ...],
+        previous: ASGraph,
+        fresh: List[Tuple[NodeId, NodeId]],
+    ) -> int:
+        """Step 3: every live kernel takes the epoch as one re-anchor op.
+
+        The plain view comes out of band, from the epoch's graph diff:
+        the new neighbour set, the node's new cost (its kernel's own
+        cost if it did not change), and every other changed, joined or
+        departed (``None``) declaration.  Returns the events the
+        boundary processed (none: nothing is sent).
+        """
+        costs, before = self.graph.costs, previous.costs
+        diff = sorted(
+            [(node, cost) for node, cost in costs.items() if before.get(node) != cost]
+            + [(node, None) for node in before if node not in costs],
+            key=lambda kv: repr(kv[0]),
+        )
+        changed = dict(diff)
+        for node_id in self.active:
+            node = self.nodes[node_id]
+            if node.comp is None:
+                continue  # a joiner bootstraps at step 5
+            node.reanchor(
+                self.graph.neighbors(node_id),
+                changed.get(node_id, node.comp.own_cost),
+                tuple(change for change in diff if change[0] != node_id),
             )
+        return 0
+
+    def _counters(self, report: EpochReport) -> Dict[str, int]:
+        """The epoch's ``churn`` counter record."""
+        return {
+            "epochs": 1,
+            "events": len(report.events),
+            "reconvergence_events": report.reconvergence_events,
+            "reconvergence_messages": report.reconvergence_messages,
+        }
+
+    def _result(self) -> ChurnRunResult:
+        assert self.initial_stats is not None and self.initial is not None
+        return ChurnRunResult(
+            simulator=self.simulator,
+            nodes=self.nodes,
+            graph=self.graph,
+            initial_stats=self.initial_stats,
+            initial_messages=self.initial_messages,
+            initial=self.initial,
+        )
 
     # ------------------------------------------------------------------
     # traffic
     # ------------------------------------------------------------------
 
-    def _matrix(self, traffic: Optional[object]) -> TrafficMatrix:
-        if traffic is None:
-            return {}
-        if callable(traffic):
-            return traffic(self.graph)
-        return traffic  # type: ignore[return-value]
-
-    def _route(self, matrix: TrafficMatrix) -> Tuple[int, int, float]:
-        """Route one traffic matrix; returns (routed, unroutable, payments).
+    def _route(
+        self, report: EpochReport, flows: List[Tuple[NodeId, NodeId, float]]
+    ) -> List[RouteEntry]:
+        """Route ``flows`` on the settled tables into ``report``.
 
         Flows whose endpoints left the network are skipped outright;
         flows between live nodes that the current tables cannot carry
         (partitions) count as unroutable — the availability metric's
-        denominator.  Payments are the DATA4 charges accrued by this
-        matrix alone.
+        denominator.  Payments are the DATA4 charges accrued by these
+        flows alone.  Returns the routed flows' routes.
         """
-        flows = [
-            (origin, destination, volume)
-            for (origin, destination), volume in sorted(
-                matrix.items(),
-                key=lambda kv: (repr(kv[0][0]), repr(kv[0][1])),
-            )
-            if origin != destination
-            and origin in self.active
-            and destination in self.active
-        ]
+        live = self.active
+        alive = set(live)
+        flows = [flow for flow in flows if flow[0] in alive and flow[1] in alive]
         if not flows:
-            return 0, 0, 0.0
-        before = {
-            node_id: self.nodes[node_id].data4.total
-            for node_id in self._sorted_active()
-        }
-        counts = {"routed": 0, "unroutable": 0}
-
-        def originate(origin: NodeId, destination: NodeId, volume: float) -> None:
-            try:
-                self.nodes[origin].originate_flow(destination, volume)
-            except RoutingError:
-                counts["unroutable"] += 1
+            return []
+        nodes = self.nodes
+        before = sum(nodes[node_id].data4.total for node_id in live)
+        routable, routes = [], []
+        for source, destination, volume in flows:
+            entry = nodes[source].comp.routing.entry(destination)  # type: ignore[union-attr]
+            if entry is None:
+                report.unroutable_flows += 1
             else:
-                counts["routed"] += 1
-
-        for origin, destination, volume in flows:
-            self.simulator.schedule_local(
-                origin,
-                0.0,
-                partial(originate, origin, destination, volume),
-                label=f"churn-flow:->{destination}",
-            )
-        self.simulator.run_until_quiescent(max_events=self.max_events)
-        payments = sum(
-            self.nodes[node_id].data4.total - before[node_id]
-            for node_id in self._sorted_active()
+                routable.append((source, destination, volume))
+                routes.append(entry)
+        report.routed_flows = len(routable)
+        run_execution(
+            self.simulator,
+            {node_id: nodes[node_id] for node_id in live},
+            routable,
+            self.max_events,
         )
-        if counts["unroutable"]:
+        report.payments_total = (
+            sum(nodes[node_id].data4.total for node_id in live) - before
+        )
+        if report.unroutable_flows:
             emit_counters(
                 "churn",
-                {"unroutable_flows": counts["unroutable"]},
+                {"unroutable_flows": report.unroutable_flows},
                 sim_time=self.simulator.now,
             )
-        return counts["routed"], counts["unroutable"], payments
+        return routes
 
 
 def run_dynamic_fpss(

@@ -25,17 +25,19 @@ encodings of routing/avoidance announcements (withdrawal rows carry
 
 Incremental recomputation, batching, and the relaxation internals are
 documented on the kernel (:mod:`repro.routing.kernel`).  Phase starts,
-delivery-batch flushes and topology kicks all run the same
-settle-and-announce step: :meth:`ReplayKernel.settle
-<repro.routing.kernel.ReplayKernel.settle>`, the step every checker
-mirror replays, then the changed tables' deltas out through the
-broadcast seams.  At a phase start the freshly reset kernel has every
-neighbour dirty, so that step is the initial relaxation.  Inputs,
-settles and phase starts reach the kernel through three private seams
-(``_ingest``, ``_settle``, ``_restart_computation``), which the
-faithful node runs through the replay log its checkers follow.  A
-flooded declaration reaches it through ``_note_cost``, which the
-faithful node holds back during a checked churn epoch.
+delivery-batch flushes and churn epochs all run the same settle step:
+:meth:`ReplayKernel.settle <repro.routing.kernel.ReplayKernel.settle>`,
+the step every checker mirror replays; the changed tables' deltas then
+leave through the broadcast seams.  At a phase start the freshly reset
+kernel has every neighbour dirty, so that step is the initial
+relaxation.  A churn epoch reaches the kernel as one re-anchor op
+(:meth:`FPSSNode.reanchor`), settled at the epoch boundary and
+announced by the epoch's kick.  Inputs, settles and phase starts reach
+the kernel through three private seams (``_ingest``, ``_settle``,
+``_restart_computation``); the faithful node runs them, and
+``reanchor``, through the replay log its checkers follow.  A flooded
+declaration reaches it through ``_note_cost``, which the faithful node
+holds back during a checked churn epoch.
 
 Distributed pricing
 -------------------
@@ -267,6 +269,8 @@ class FPSSNode(ProtocolNode):
         self.receipts: Dict[Tuple[NodeId, NodeId], Dict[NodeId, float]] = {}
         #: (origin, dest) -> volume delivered here as destination.
         self.delivered: Dict[Tuple[NodeId, NodeId], float] = {}
+        #: The deltas the epoch's re-anchor op settled, until the kick.
+        self._anchor_deltas: Optional[Tuple[Optional[Tuple], Optional[Tuple]]] = None
         #: Kernel-stats snapshot at the last telemetry emission, so the
         #: ``kernel`` counter records carry deltas (ingest work between
         #: relaxation boundaries is attributed to the boundary that
@@ -402,16 +406,6 @@ class FPSSNode(ProtocolNode):
         assert self.comp is not None
         return self.comp.settle()
 
-    def _settle_and_announce(self) -> None:
-        """Relax the dirty entries once; broadcast each changed kind.
-
-        The one settle step of the protocol: the batch-boundary flush
-        and topology kicks run it.  It is :meth:`ReplayKernel.settle`,
-        the step every checker mirror replays, so identical ingested
-        inputs give identical deltas on both sides.
-        """
-        self._announce(*self._settle())
-
     def _announce(
         self,
         route_delta: Optional[Tuple],
@@ -459,19 +453,21 @@ class FPSSNode(ProtocolNode):
         per input, per [PRINC1]/[PRINC2]); only the relaxation and the
         resulting broadcasts were left to here, so under batched
         delivery a flooding round costs one recomputation instead of
-        one per neighbour.
+        one per neighbour.  The settle is :meth:`ReplayKernel.settle`,
+        the step every checker mirror replays, so identical ingested
+        inputs give identical deltas on both sides.
         """
         if not self._batch_recompute_pending:
             return
         self._batch_recompute_pending = False
         self.sim.metrics.record_computation(self.node_id)
         if not BUS.enabled:
-            self._settle_and_announce()
+            self._announce(*self._settle())
             return
         with span(
             "kernel.flush", sim_time=self.now, owner=str(self.node_id)
         ):
-            self._settle_and_announce()
+            self._announce(*self._settle())
 
     def on_table_update(self, message: Message) -> None:
         """[PRINC1]/[PRINC2] computation half, for either table.
@@ -500,19 +496,30 @@ class FPSSNode(ProtocolNode):
     # dynamic topology (reconvergence epochs)
     # ------------------------------------------------------------------
 
-    def react_to_topology_change(self) -> None:
-        """Settle and announce after an out-of-band topology delta.
+    def reanchor(
+        self,
+        neighbors: Sequence[NodeId],
+        own_cost: Cost,
+        changes: Sequence[Tuple[NodeId, Optional[Cost]]],
+    ) -> None:
+        """Epoch boundary: apply the re-anchor op
+        (:meth:`ReplayKernel.reanchor`) and settle it, holding the
+        deltas for :meth:`react_to_topology_change` so fresh-link
+        resends can go out first."""
+        assert self.comp is not None
+        self.comp.reanchor(neighbors, own_cost, changes)
+        self._anchor_deltas = self.comp.settle()
+        self.phase = "phase2"
 
-        The dynamic engine mutates the computation directly at network
-        quiescence (detach/attach/DATA1 changes); this kick then runs
-        the same incremental settle-and-broadcast step a received
-        message would, so withdrawal storms propagate through the
-        ordinary delta machinery.
-        """
-        if self.comp is None or self.phase != "phase2":
+    def react_to_topology_change(self) -> None:
+        """The epoch kick: announce what the re-anchor op settled,
+        through the ordinary broadcast seams (a node that did not
+        re-anchor announces nothing)."""
+        deltas, self._anchor_deltas = self._anchor_deltas, None
+        if deltas is None:
             return
         self.sim.metrics.record_computation(self.node_id)
-        self._settle_and_announce()
+        self._announce(*deltas)
 
     def resend_full_tables(self, neighbor: NodeId) -> None:
         """Unicast the full tables across a new or restored link.
@@ -538,6 +545,9 @@ class FPSSNode(ProtocolNode):
         initial full relaxation (:meth:`start_phase2`).  The first
         announcements — the full tables as a delta against nothing —
         reach the new neighbours through the normal broadcast path.
+        A joiner has no kernel at the epoch boundary, so it takes no
+        re-anchor op; its neighbours attach it in theirs and resend
+        their full tables to it.
         """
         self.comp = ReplayKernel(
             self.node_id, self.neighbors, self.declared_cost()

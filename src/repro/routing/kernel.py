@@ -592,9 +592,9 @@ class ReplayKernel:
     # ------------------------------------------------------------------
     #
     # These mutators model rare events — a link failing or being
-    # restored, a node leaving or changing its declared cost — applied
-    # synchronously at network quiescence by the dynamic topology
-    # engine, or by a checked epoch's re-anchor op (:meth:`reanchor`).
+    # restored, a node leaving or changing its declared cost.  Churn
+    # reaches them only through an epoch's re-anchor op
+    # (:meth:`reanchor`), applied at network quiescence.
     # Each one follows the rule wire ingestion follows: it marks exactly
     # the route, avoidance and pricing keys whose inputs it changed, and
     # the next settle relaxes them through the same supplier sets and
@@ -681,14 +681,16 @@ class ReplayKernel:
         self,
         neighbors: Sequence[NodeId],
         own_cost: Cost,
-        changes: Sequence[Tuple[NodeId, Cost]],
+        changes: Sequence[Tuple[NodeId, Optional[Cost]]],
     ) -> None:
         """Move the kernel onto an epoch's topology and declarations.
 
         Detaches lost neighbours, attaches new ones, adopts the owner's
-        declared cost and notes every other changed DATA1 entry — the
-        state change of a checked epoch's re-anchor op
-        (:meth:`SharedKernel.anchor`).
+        declared cost and notes every other changed DATA1 entry; a
+        ``(node, None)`` change retracts that node's declaration.  It
+        is the one way churn changes a kernel: the state change of an
+        epoch's re-anchor op (:meth:`SharedKernel.anchor` on a replay
+        log, ``FPSSNode.reanchor`` on a plain node).
         """
         wanted = frozenset(neighbors)
         for neighbor in self.neighbors:
@@ -698,7 +700,10 @@ class ReplayKernel:
             self.attach_neighbor(neighbor)
         self.change_own_cost(own_cost)
         for node, cost in changes:
-            self.note_cost_declaration(node, cost)
+            if cost is None:
+                self.retract_cost_declaration(node)
+            else:
+                self.note_cost_declaration(node, cost)
 
     # ------------------------------------------------------------------
     # phase 2: routing and pricing
@@ -1375,8 +1380,8 @@ class ReplayKernel:
         suggested-specification broadcast deltas — ``(route_delta,
         avoid_delta)``, each ``None`` when that table did not change.
         Every client settles through here: the principal
-        (``FPSSNode._settle_and_announce`` announces the returned
-        deltas), replay logs (:class:`SharedKernel`, hence every checker
+        (``FPSSNode.flush_batch`` and ``reanchor``; the node announces
+        the returned deltas), replay logs (:class:`SharedKernel`, hence every checker
         mirror and every faithful principal) and
         :func:`kernel_fixed_point`.  One step on both sides
         is the replay-exactness contract that keeps predicted and

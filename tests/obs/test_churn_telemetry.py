@@ -1,9 +1,10 @@
 """Telemetry of the dynamic-topology subsystem.
 
-Reconvergence must be observable: every epoch emits a ``churn.epoch``
-marker plus ``churn`` counter deltas on the default bus (and into
-``telemetry.jsonl`` when a sink is attached), the faithful epoch
-runner emits ``mirror.epoch`` markers when the mirrors anchor, and the
+Reconvergence must be observable: every epoch of either churn driver
+emits one ``churn.epoch`` marker plus the same ``churn`` counter deltas
+on the default bus (and into ``telemetry.jsonl`` when a sink is
+attached), the faithful epoch runner also emits ``mirror.epoch``
+markers when the mirrors anchor and a ``churn.flags`` count, and the
 sweep status renderer surfaces churn progress.
 """
 
@@ -59,8 +60,45 @@ class TestEpochMarkers:
         # epoch's re-anchor boundary.
         assert [b.attrs["epoch"] for b in bumps] == [0, 1]
         totals = aggregate_counters(sink.events)
-        assert totals["churn.checked_epochs"] == 1
+        assert totals["churn.epochs"] == 1
         assert totals["churn.reconvergence_events"] > 0
+
+    def test_both_drivers_emit_one_marker_and_the_same_counters(self):
+        """A checked epoch emits the plain engine's ``churn.epoch``
+        marker and counter names, plus its flag count."""
+        graph = figure1_graph()
+        schedule = ChurnSchedule.single(
+            ChurnEvent(kind="cost", node="C", cost=2.0),
+            ChurnEvent(kind="link-up", link=("A", "C")),
+        )
+        captured = {}
+        for driver, run in (
+            ("plain", run_dynamic_fpss),
+            ("checked", run_checked_churn),
+        ):
+            with BUS.capture() as sink:
+                run(graph, schedule)
+            markers = [e for e in sink.events if e.kind == "marker"
+                       and e.name == "churn.epoch"]
+            assert [m.attrs["epoch"] for m in markers] == [1]
+            assert markers[0].attrs["events"] == [
+                e.describe() for e in schedule.epochs[0]
+            ]
+            captured[driver] = {
+                name: value
+                for name, value in aggregate_counters(sink.events).items()
+                if name.startswith("churn.")
+            }
+        plain, checked = captured["plain"], captured["checked"]
+        assert set(plain) == {
+            "churn.epochs", "churn.events",
+            "churn.reconvergence_events", "churn.reconvergence_messages",
+        }
+        assert set(checked) == set(plain) | {"churn.flags"}
+        for totals in (plain, checked):
+            assert totals["churn.epochs"] == 1
+            assert totals["churn.events"] == 2
+        assert checked["churn.flags"] == 0
 
     def test_checked_epochs_report_reconvergence_like_the_plain_engine(self):
         """A checked epoch records messages and simulated time from its
@@ -120,6 +158,23 @@ class TestStatusRendering:
         rendered = render_status(status)
         assert "churn: 2 reconvergence epoch(s)" in rendered
         assert "reconvergence messages" in rendered
+
+    def test_render_status_counts_checked_events(self):
+        """The status line of a 2-event checked epoch counts its
+        events, not only its epoch."""
+        schedule = ChurnSchedule.single(
+            ChurnEvent(kind="cost", node="C", cost=2.0),
+            ChurnEvent(kind="link-up", link=("A", "C")),
+        )
+        with BUS.capture() as sink:
+            run = run_checked_churn(figure1_graph(), schedule)
+        status = feed_status([])
+        status.counters.update(aggregate_counters(sink.events))
+        messages = run.epochs[0].reconvergence_messages
+        assert (
+            f"churn: 1 reconvergence epoch(s), 2 events, {messages} "
+            f"reconvergence messages"
+        ) in render_status(status)
 
     def test_render_status_stays_quiet_without_churn(self):
         rendered = render_status(feed_status([]))

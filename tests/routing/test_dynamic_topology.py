@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.errors import ConvergenceError
+from repro.errors import ConvergenceError, SimulationError
 from repro.routing import ASGraph, figure1_graph, run_plain_fpss
 from repro.routing.dynamic import (
     DynamicTopologyEngine,
@@ -133,6 +133,21 @@ class TestExplicitEvents:
             assert (
                 engine.nodes[node_id].comp.full_digest()
                 == fresh_nodes[node_id].comp.full_digest()
+            )
+
+    def test_rejoin_within_the_epoch_it_left_is_rejected(self):
+        """The re-anchor view is the epoch's graph diff, which would
+        read a same-epoch rejoin as a node that never left."""
+        engine = DynamicTopologyEngine(figure1_graph())
+        engine.converge()
+        with pytest.raises(SimulationError):
+            engine.run_epoch(
+                (
+                    ChurnEvent(kind="leave", node="B"),
+                    ChurnEvent(
+                        kind="join", node="B", cost=1.0, links=(("B", "A"),)
+                    ),
+                )
             )
 
     def test_epochs_require_prior_convergence(self):

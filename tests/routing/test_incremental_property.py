@@ -246,6 +246,23 @@ class EventDriver:
             self.last_routes[peer] = {}
             self.last_avoid[peer] = {}
 
+    def reanchor_retracting(self):
+        """A departure as one re-anchor op: the node is detached (if a
+        neighbour) and ``(node, None)`` retracts its declaration.  The
+        reference takes the same change through ``detach_neighbor`` and
+        ``retract_cost_declaration``."""
+        known = [n for n in self.incremental.known_nodes() if n != self.owner]
+        if not known:
+            return
+        gone = self.rng.choice(known)
+        kept = tuple(n for n in self.incremental.neighbors if n != gone)
+        if gone in self.incremental.neighbors:
+            self.reference.detach_neighbor(gone)
+            del self.last_routes[gone], self.last_avoid[gone]
+        self.reference.retract_cost_declaration(gone)
+        self.incremental.reanchor(kept, self.incremental.own_cost, ((gone, None),))
+        assert self.incremental.known_nodes() == self.reference.known_nodes()
+
     def settle_and_compare(self):
         self.reference._mark_all_dirty()
         observed = settle_observed(self.incremental)
@@ -255,7 +272,7 @@ class EventDriver:
 
 EVENTS = (
     "declare_known", "declare_new", "change_own", "detach", "attach",
-    "retract", "reanchor",
+    "retract", "reanchor", "reanchor_retracting",
 )
 
 
@@ -263,7 +280,8 @@ class TestEventEquivalence:
     """Events mark only the keys they feed: dirty set == everything dirty.
 
     Every kernel event (a DATA1 entry noted, new, retracted or the
-    owner's own, a link detached or attached, and an epoch's re-anchor)
+    owner's own, a link detached or attached, and an epoch's re-anchor,
+    including one that retracts a departed node)
     is interleaved with wire deltas; after every step the kernel must
     settle exactly like the same kernel with every key marked dirty.
     """
