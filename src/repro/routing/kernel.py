@@ -60,6 +60,14 @@ mirrors the sender's current on-path table exactly.  The kernel's
 semantic check is the engine oracle,
 :func:`~repro.routing.engine.fixed_point_digests`.
 
+DATA3* on read
+--------------
+DATA3* (prices and tags) is a function of DATA2, the avoidance table
+and DATA1, read only at BANK2 and in the execution phase, so no settle
+maintains it: :attr:`ReplayKernel.pricing` rebuilds it in one pass on
+its first read after a settle that emitted a delta, a DATA1 change or
+:meth:`ReplayKernel.reset_phase2`.  No key marks a pricing row.
+
 Checker replay logs
 -------------------
 Every checker mirror replays its principal through a
@@ -271,11 +279,12 @@ class ReplayKernel:
 
     A message-driven state machine: :meth:`apply_route_delta` /
     :meth:`apply_avoid_delta` ingest wire rows (fusing the monotone
-    avoidance relaxation into ingestion), :meth:`recompute_routes`,
-    :meth:`recompute_avoidance` and :meth:`derive_pricing` settle the
-    dirty keys, :meth:`consume_route_delta` / :meth:`consume_avoid_delta`
-    read the changed-key sets off as the next suggested-specification
-    broadcasts, and the digest methods hash the tables for bank
+    avoidance relaxation into ingestion), :meth:`recompute_routes` and
+    :meth:`recompute_avoidance` settle the dirty keys,
+    :meth:`consume_route_delta` / :meth:`consume_avoid_delta` read the
+    changed-key sets off as the next suggested-specification
+    broadcasts, :attr:`pricing` derives DATA3* from the settled tables
+    when it is read, and the digest methods hash the tables for bank
     comparison.  Determinism matters beyond
     tidiness: checker mirrors replay a principal's kernel on copies of
     its messages, and replay only works because the kernel is a pure
@@ -341,7 +350,10 @@ class ReplayKernel:
         self.costs = TransitCostTable()  # DATA1
         self.costs.declare(owner, own_cost)
         self.routing = RoutingTable(owner)  # DATA2
-        self.pricing = PricingTable(owner)  # DATA3*
+        #: DATA3* as last derived, and whether its inputs moved since
+        #: (read it through :attr:`pricing`).
+        self._pricing = PricingTable(owner)
+        self._pricing_stale = False
         self.avoid: AvoidVector = {}
         #: Last offers received from each neighbour: routing rows keyed
         #: on the destination's dense id, avoidance rows on their
@@ -453,7 +465,6 @@ class ReplayKernel:
         #: since the last recompute call.
         self._avoid_rescan: Set[int] = set()
         self._avoid_changed = False
-        self._dirty_pricing: Set[int] = set()
         #: Destination dids whose route changed since the last
         #: avoidance settle: their on-path key sets are resynced there.
         self._key_resync: Set[int] = set()
@@ -510,11 +521,13 @@ class ReplayKernel:
         each destination it offers gets it as a changed supplier, and
         its repriced offer is fused into that destination's avoidance
         keys, exactly as a wire row from it would be.  As a transit
-        node, ``c_node`` is a price term and ``knows(node)`` decides
-        which keys exist, so every routed destination with ``node``
-        interior to its path has its pricing row marked and its key set
-        resynced.  No route reads the owner's own cost.
+        node, ``knows(node)`` decides which keys exist, so every routed
+        destination with ``node`` interior to its path has its key set
+        resynced.  ``c_node`` is also a DATA3* price term, so DATA3* is
+        re-derived on its next read.  No route or price reads the
+        owner's own cost.
         """
+        self._pricing_stale = True
         if not (self._route_offers or self.routing.destinations):
             return  # no phase-2 state derived yet
         offers = self._route_offers.get(node)
@@ -527,14 +540,12 @@ class ReplayKernel:
                 self._mark_supplier(did, node)
                 if did in dest_keys:
                     self._route_offer_moved(node, did)
-        pricing = self._dirty_pricing
         resync = self._key_resync
         # A route state's offer path ends at its destination, so
         # ``node`` is interior to the route iff it is on the offer path
         # and is not its last hop.
         for did, state in enumerate(self._route_state_col):
             if state is not None and node in state[3] and state[3][-1] != node:
-                pricing.add(did)
                 resync.add(did)
 
     def _mark_supplier(self, did: int, neighbor: NodeId) -> None:
@@ -552,19 +563,19 @@ class ReplayKernel:
         self._avoid_rescan.update(self._dest_keys.get(did, ()))
 
     def _mark_all_dirty(self) -> None:
-        """Mark every derived entry dirty; the next settle re-relaxes all.
+        """Mark every route and avoidance key dirty; the next settle
+        re-relaxes all.
 
-        The full re-relaxation reference: no event calls it.
+        The full re-relaxation reference for the route and avoidance
+        marks: no event calls it.
         ``tests/routing/test_incremental_property.py`` settles the
         kernel's per-key marks against it after every wire delta and
-        every event.
+        every event.  DATA3* has no marks: it is derived on read.
         """
         dirty = self._dirty_routes
-        pricing = self._dirty_pricing
         for did, count in enumerate(self._ref_col):
             if count > 0:
                 dirty[did] = None
-                pricing.add(did)
         # Every key set is resynced (DATA1 decides which transit nodes
         # may key an entry) and every active key rescanned.
         self._key_resync.update(self._dest_keys)
@@ -572,15 +583,14 @@ class ReplayKernel:
             self._avoid_rescan.update(aids)
         # Routed destinations that dropped out of the universe (stranded
         # by topology events) are marked too, so the settle withdraws
-        # their entries and clears their pricing rows; inert on static
-        # runs, where the universe covers every routed destination.
+        # their entries; inert on static runs, where the universe covers
+        # every routed destination.
         ref_col = self._ref_col
         intern = self._intern_node
         for dest in self.routing.destinations:
             did = intern(dest)
             if ref_col[did] == 0:
                 dirty[did] = None
-            pricing.add(did)
             self._key_resync.add(did)
 
     def known_nodes(self) -> Tuple[NodeId, ...]:
@@ -596,7 +606,7 @@ class ReplayKernel:
     # reaches them only through an epoch's re-anchor op
     # (:meth:`reanchor`), applied at network quiescence.
     # Each one follows the rule wire ingestion follows: it marks exactly
-    # the route, avoidance and pricing keys whose inputs it changed, and
+    # the route and avoidance keys whose inputs it changed, and
     # the next settle relaxes them through the same supplier sets and
     # rescans as any wire delta.
 
@@ -712,7 +722,7 @@ class ReplayKernel:
     def reset_phase2(self) -> None:
         """Clear DATA2/DATA3* state for a phase restart."""
         self.routing = RoutingTable(self.owner)
-        self.pricing = PricingTable(self.owner)
+        self._pricing_stale = True
         self.avoid = {}
         self._route_offers = {}
         self._avoid_offers = {}
@@ -728,20 +738,13 @@ class ReplayKernel:
             # start's neighbours included): its route is relaxed from
             # every stored offer.  Avoidance keys follow the route.
             self._dirty_routes[did] = None
-            self._dirty_pricing.add(did)
 
     def _universe_discard(self, did: int) -> None:
+        # A destination that leaves the universe (its last offer was
+        # withdrawn) is marked by the caller; its route relaxation
+        # withdraws the entry, and the key resync its avoidance entries.
         col = self._ref_col
-        count = col[did]
-        if count <= 1:
-            col[did] = 0
-            if count == 1:
-                # The destination left the universe (its last offer was
-                # withdrawn); the route relaxation withdraws its entry,
-                # and the key resync its avoidance entries with it.
-                self._dirty_pricing.add(did)
-        else:
-            col[did] = count - 1
+        col[did] = max(col[did] - 1, 0)
 
     def consume_route_delta(self) -> Tuple:
         """The next suggested-specification routing delta broadcast.
@@ -833,12 +836,11 @@ class ReplayKernel:
                     path = row[-1]
                     if owner not in path and avoided not in path:
                         cand = (neighbor, ncost + row[-2], len(path), path)
-            self._fuse_candidate(aid, did, key, neighbor, cand)
+            self._fuse_candidate(aid, key, neighbor, cand)
 
     def _fuse_candidate(
         self,
         aid: int,
-        did: int,
         key: AvoidKey,
         neighbor: NodeId,
         cand: Optional[Tuple],
@@ -850,10 +852,7 @@ class ReplayKernel:
         immediately — a running min, confluent, so the batch-boundary
         result equals a batch-end relaxation; a worsened or withdrawn
         reigning candidate schedules a full rescan of the key; anything
-        else costs a comparison.  Only an adopted entry marks the
-        pricing row: a DATA3* cell reads the entry and its reigning
-        supplier, and a candidate that loses changes neither (the rescan
-        marks the row if the entry moves).
+        else costs a comparison.
         """
         st = self._avoid_state_col[aid]
         if st is None or (cand is not None and _stripped_worse(st, cand)):
@@ -864,7 +863,6 @@ class ReplayKernel:
                 )
                 self._avoid_changes.add(aid)
                 self._avoid_changed = True
-                self._dirty_pricing.add(did)
             return
         if st[0] == neighbor and (cand is None or _stripped_worse(cand, st)):
             self._avoid_rescan.add(aid)  # the reigning input worsened
@@ -965,7 +963,7 @@ class ReplayKernel:
             cand = None
             if cost is not None and owner not in path and avoided not in path:
                 cand = (neighbor, ncost + cost, len(path), path)
-            fuse(aid, did, key, neighbor, cand)
+            fuse(aid, key, neighbor, cand)
 
     # --- routing relaxation -------------------------------------------
     #
@@ -1018,7 +1016,6 @@ class ReplayKernel:
         self._route_state_col[did] = None
         if self.routing.remove(self._node_keys[did]):
             self._route_changes.add(did)
-            self._dirty_pricing.add(did)
             self._key_resync.add(did)
             return True
         return False
@@ -1028,7 +1025,6 @@ class ReplayKernel:
         self._avoid_state_col[aid] = None
         if self.avoid.pop(self._avoid_keys[aid], None) is not None:
             self._avoid_changes.add(aid)
-            self._dirty_pricing.add(self._avoid_dest[aid])
             return True
         return False
 
@@ -1129,7 +1125,6 @@ class ReplayKernel:
             destination, RouteEntry(cost=best[1], path=(owner,) + tuple(best[3]))
         )
         self._route_changes.add(did)
-        self._dirty_pricing.add(did)
         self._key_resync.add(did)
         return True
 
@@ -1276,78 +1271,61 @@ class ReplayKernel:
         state_col[aid] = best
         self.avoid[key] = RouteEntry(cost=best[1], path=(owner,) + tuple(best[3]))
         self._avoid_changes.add(aid)
-        self._dirty_pricing.add(did)
         return True
 
     # --- pricing derivation -------------------------------------------
 
-    def derive_pricing(self) -> bool:
-        """Re-derive the dirty DATA3* rows; True if any cell changed.
+    @property
+    def pricing(self) -> PricingTable:
+        """DATA3*, derived from the current tables on the first read
+        after they moved (:meth:`derive_pricing`)."""
+        if self._pricing_stale:
+            self.derive_pricing()
+        return self._pricing
 
-        For a dirty destination ``j`` with a route, and every transit
-        node ``k`` interior to that route, install
+    def derive_pricing(self) -> bool:
+        """Rebuild DATA3* from the current tables; True if any cell changed.
+
+        For every routed destination ``j`` and every transit node ``k``
+        interior to its route with a DATA1 entry and an avoidance
+        entry, the cell is
 
             price = c_k + d^{-k}(owner, j) - d(owner, j)
 
-        tagged with the avoidance entry's reigning supplier
-        (:func:`_tag_of`); a dirty destination without a route has its
-        row cleared.  A row reads only its destination's DATA2 entry,
-        the avoidance entries along that path (each with its supplier)
-        and DATA1, so it is marked dirty exactly when one of those
-        changes: route adoption or withdrawal, an avoidance entry
-        adopted, rescanned to a new value or dropped, and a DATA1 change
-        of a node interior to the route (:meth:`_cost_entry_moved`).
-        Topology events reach a row only through the route and
-        avoidance entries they move.
+        tagged with the avoidance key's reigning supplier
+        (:func:`_tag_of`).  :attr:`pricing` runs it on its first read
+        after a settle that emitted a delta, a DATA1 change or
+        :meth:`reset_phase2`; its readers (BANK2 digests, the execution
+        phase) read between batches, where the tables are the last
+        settle's.  An unchanged table is kept, with its cached digest.
         """
-        dirty = self._dirty_pricing
-        if not dirty:
-            return False
-        self._dirty_pricing = set()
-        changed = False
+        self._pricing_stale = False
+        table = PricingTable(self.owner)
+        costs = self.costs
+        avoid_get = self.avoid.get
+        avoid_ids = self._avoid_ids
+        avoid_state = self._avoid_state_col
         keys = self._node_keys
-        rank = self._node_rank
-        for did in sorted(dirty, key=rank.__getitem__):
+        for did, state in enumerate(self._route_state_col):
+            if state is None:
+                continue
             destination = keys[did]
-            if self.routing.entry(destination) is None:
-                # No route (possibly withdrawn): clear any retained row;
-                # a route arriving later re-marks it.
-                if self._clear_pricing_row(destination):
-                    changed = True
-                continue
-            if self._derive_pricing_row(destination):
-                changed = True
-        return changed
-
-    def _clear_pricing_row(self, destination: NodeId) -> bool:
-        """Clear one DATA3* row; True if it held any cell."""
-        if self.pricing.row(destination):
-            self.pricing.clear_destination(destination)
-            return True
-        return False
-
-    def _derive_pricing_row(self, destination: NodeId) -> bool:
-        """Re-derive one destination's DATA3* row; True if it changed."""
-        entry = self.routing.entry(destination)
-        assert entry is not None
-        desired: Dict[NodeId, Tuple[Cost, FrozenSet[NodeId]]] = {}
-        for transit in entry.path[1:-1]:
-            key = (destination, transit)
-            avoid_entry = self.avoid.get(key)
-            if avoid_entry is None or not self.costs.knows(transit):
-                continue
-            price = self.costs.cost(transit) + avoid_entry.cost - entry.cost
-            tag = _tag_of(self._avoid_state_col[self._avoid_ids[key]], destination)
-            desired[transit] = (price, tag)
-        current_row = self.pricing.row(destination)
-        current_view = {
-            transit: (cell.price, cell.tag) for transit, cell in current_row.items()
-        }
-        if current_view == desired:
+            # The offer path ends at the destination: its interior is
+            # every hop but the last.
+            for transit in state[3][:-1]:
+                key = (destination, transit)
+                entry = avoid_get(key)
+                if entry is None or not costs.knows(transit):
+                    continue
+                table.set_price(
+                    destination,
+                    transit,
+                    costs.cost(transit) + entry.cost - state[1],
+                    _tag_of(avoid_state[avoid_ids[key]], destination),
+                )
+        if table == self._pricing:
             return False
-        self.pricing.clear_destination(destination)
-        for transit, (price, tag) in desired.items():
-            self.pricing.set_price(destination, transit, price, tag)
+        self._pricing = table
         return True
 
     # ------------------------------------------------------------------
@@ -1375,10 +1353,11 @@ class ReplayKernel:
     def settle(self) -> Tuple[Optional[Tuple], Optional[Tuple]]:
         """Run one incremental settle step; returns the emitted deltas.
 
-        Relaxes routes, settles the avoidance table, re-derives dirty
-        pricing rows, and consumes the changed-key sets into the
-        suggested-specification broadcast deltas — ``(route_delta,
-        avoid_delta)``, each ``None`` when that table did not change.
+        Relaxes routes, settles the avoidance table, and consumes the
+        changed-key sets into the suggested-specification broadcast
+        deltas — ``(route_delta, avoid_delta)``, each ``None`` when that
+        table did not change.  A step that emits a delta leaves
+        :attr:`pricing` to be re-derived on its next read.
         Every client settles through here: the principal
         (``FPSSNode.flush_batch`` and ``reanchor``; the node announces
         the returned deltas), replay logs (:class:`SharedKernel`, hence every checker
@@ -1393,11 +1372,12 @@ class ReplayKernel:
         avoid_delta = (
             self.consume_avoid_delta() if self.recompute_avoidance() else None
         )
-        self.derive_pricing()
+        if route_delta is not None or avoid_delta is not None:
+            self._pricing_stale = True
         return route_delta, avoid_delta
 
-    # Old names of the three settle steps, still looked up by the
-    # benchmark tracer's wrap list.
+    # Old names of the two relaxation steps and the DATA3* derivation,
+    # still looked up by the benchmark tracer's wrap list.
     recompute_routes_incremental = recompute_routes
     recompute_avoidance_incremental = recompute_avoidance
     derive_pricing_incremental = derive_pricing

@@ -345,6 +345,12 @@ class PricingTable:
         self._entries: Dict[NodeId, Dict[NodeId, PricingEntry]] = {}
         self._digest: Optional[str] = None
 
+    def __eq__(self, other: object) -> bool:
+        """Same cells, prices and tags alike (the owner is not compared)."""
+        if not isinstance(other, PricingTable):
+            return NotImplemented
+        return self._entries == other._entries
+
     def set_price(
         self,
         destination: NodeId,
@@ -360,11 +366,6 @@ class PricingTable:
         row[transit] = entry
         self._digest = None
         return True
-
-    def clear_destination(self, destination: NodeId) -> None:
-        """Remove a whole row (used when the LCP changes)."""
-        if self._entries.pop(destination, None) is not None:
-            self._digest = None
 
     def price(self, destination: NodeId, transit: NodeId) -> Cost:
         """The price for one transit node (0 if absent, as off-path)."""

@@ -10,8 +10,11 @@ phase, or orders a restart when a deviation is detected.
 This module provides the runtime scaffolding: an ordered list of
 :class:`Phase` objects driven by a :class:`PhasedExecution` that
 enforces the ordering, counts restarts, and records certification
-outcomes.  The faithful FPSS protocol in :mod:`repro.faithful` is built
-on top of it.
+outcomes.  :class:`PhasedExecution` is the standalone model of Section
+3.9, exercised by ``tests/specs/test_phases.py``.  The faithful FPSS
+protocol does not use it: :class:`~repro.faithful.FaithfulFPSSProtocol`
+runs its own per-phase restart loop (``_certify``) around the bank's
+checkpoints.
 """
 
 from __future__ import annotations

@@ -13,9 +13,10 @@ import random
 
 import pytest
 
+from repro.faithful import FaithfulFPSSProtocol
 from repro.routing import run_plain_fpss
-from repro.routing.kernel import KernelStats, MirrorKernelPool
-from repro.workloads import random_biconnected_graph
+from repro.routing.kernel import KernelStats, MirrorKernelPool, ReplayKernel
+from repro.workloads import random_biconnected_graph, uniform_all_pairs
 
 FIELDS = (
     "rows_ingested",
@@ -190,6 +191,84 @@ class TestEventWorkGate:
                 x in kernel.routing.entry(dest).path[1:-1]
                 for dest in kernel.routing.destinations
             )
-        # The gate is not vacuous: some far kernel routes across x and
-        # re-derived pricing rows without relaxing anything.
+        # The gate is not vacuous: some far kernel routes across x, so
+        # its DATA3* moves (re-derived on read) without relaxing anything.
         assert crossing
+
+
+class TestPricingOnReadGate:
+    """Exact gate: DATA3* is derived when read, never by a settle.
+
+    Counted through a wrapper on :meth:`ReplayKernel.derive_pricing`
+    (the view's one derivation).  A 16-node plain run settles many times
+    and reads no price, so it derives nothing until the digests are
+    read, then once per node; an honest faithful run reads DATA3* at
+    BANK2 and in the execution phase and derives it once per node,
+    because mirrors on a led log share the principal's kernel.  A
+    kernel that re-derived pricing at every settle read 101 here.  The
+    two other staling events, a DATA1 change and a phase restart, are
+    seen by the next read with no settle in between.
+    """
+
+    @staticmethod
+    def _derivations(monkeypatch):
+        owners = []
+        derive = ReplayKernel.derive_pricing
+
+        def counted(kernel):
+            owners.append(kernel.owner)
+            return derive(kernel)
+
+        monkeypatch.setattr(ReplayKernel, "derive_pricing", counted)
+        return owners
+
+    def test_plain_run_derives_only_on_read(self, monkeypatch):
+        graph = random_biconnected_graph(16, random.Random(3))
+        owners = self._derivations(monkeypatch)
+        _, nodes, _ = run_plain_fpss(graph)
+        assert owners == []
+        for _ in range(2):  # a second read derives nothing
+            for node in nodes.values():
+                node.comp.pricing_digest()
+            assert sorted(owners, key=repr) == sorted(graph.nodes, key=repr)
+
+    def test_data1_change_is_read_without_a_settle(self):
+        graph = random_biconnected_graph(16, random.Random(3))
+        _, nodes, _ = run_plain_fpss(graph)
+        x = "n06"
+        far = [
+            nodes[n].comp
+            for n in sorted(nodes, key=repr)
+            if n != x and n not in graph.neighbors(x)
+        ]
+        crossed = 0
+        for kernel in far:
+            before = kernel.pricing.as_dict()
+            kernel.note_cost_declaration(x, graph.cost(x) + 2.5)
+            moved = kernel.pricing.as_dict()
+            kernel.retract_cost_declaration(x)
+            retracted = kernel.pricing.as_dict()
+            for destination, row in before.items():
+                for transit, (price, tag) in row.items():
+                    if transit != x:
+                        assert moved[destination][transit] == (price, tag)
+                        continue
+                    crossed += 1
+                    assert moved[destination][x] == (pytest.approx(price + 2.5), tag)
+                    assert x not in retracted.get(destination, {})
+        assert crossed
+
+    def test_phase_restart_is_read_without_a_settle(self):
+        graph = random_biconnected_graph(16, random.Random(3))
+        _, nodes, _ = run_plain_fpss(graph)
+        kernel = nodes["n00"].comp
+        assert kernel.pricing.destinations
+        kernel.reset_phase2()
+        assert kernel.pricing.as_dict() == {}
+
+    def test_honest_faithful_run_derives_once_per_node(self, monkeypatch):
+        graph = random_biconnected_graph(16, random.Random(3))
+        owners = self._derivations(monkeypatch)
+        result = FaithfulFPSSProtocol(graph, uniform_all_pairs(graph)).run()
+        assert result.detection.restarts == 0
+        assert sorted(owners, key=repr) == sorted(graph.nodes, key=repr)

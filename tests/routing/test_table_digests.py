@@ -202,12 +202,6 @@ class TestCache:
         self._check(table, lambda t: t.set_price("d", "a", 5.0, frozenset("z")))
         self._check(table, lambda t: t.set_price("f", "c", 5.0, frozenset()))
 
-        def clear(t):
-            t.clear_destination("e")
-            return True
-
-        self._check(table, clear)
-
 
 def hand_built_tables():
     costs = cost_table(

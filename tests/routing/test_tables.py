@@ -120,12 +120,15 @@ class TestPricingTable:
         table.set_price("z", "k2", 2.5, frozenset())
         assert table.total_price("z") == pytest.approx(6.5)
 
-    def test_clear_destination(self):
+    def test_equality_compares_cells_not_owner(self):
         table = PricingTable("a")
-        table.set_price("z", "k", 4.0, frozenset())
-        table.clear_destination("z")
-        assert table.row("z") == {}
-        assert table.destinations == ()
+        table.set_price("z", "k", 4.0, frozenset({"b"}))
+        other = PricingTable("c")
+        assert table != other
+        other.set_price("z", "k", 4.0, frozenset({"b"}))
+        assert table == other
+        other.set_price("z", "k", 4.0, frozenset({"d"}))
+        assert table != other
 
     def test_tag_union_representation(self):
         table = PricingTable("a")
@@ -194,5 +197,3 @@ class TestDigestCache:
         before = table.stable_digest()
         table.set_price("z", "k", 4.0, frozenset({"c"}))
         assert table.stable_digest() != before
-        table.clear_destination("z")
-        assert table.stable_digest() == PricingTable("a").stable_digest()
